@@ -6,7 +6,6 @@ simulation, large-deviation ratio checks, and a seeded experiment harness.
 from .seqcore import (
     INF,
     PExponent,
-    Window,
     as_p,
     as_series,
     backshift,
@@ -26,17 +25,13 @@ from .models import (
     SeedSpec,
     ar1_coefficients,
     model_coefficients,
-    noise_of,
     sample_noise,
     simulate,
-    simulate_ar1,
     simulate_batch,
-    simulate_linear,
 )
 from .blocks import (
     BlockFrame,
     ThresholdChoice,
-    block_norms,
     default_k,
     partition,
     threshold_from_order_stat,

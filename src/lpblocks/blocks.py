@@ -14,7 +14,6 @@ __all__ = [
     "BlockFrame",
     "ThresholdChoice",
     "partition",
-    "block_norms",
     "default_k",
     "threshold_from_order_stat",
 ]
@@ -71,10 +70,6 @@ class BlockFrame:
 def partition(series, b: int) -> BlockFrame:
     """Split a series into disjoint blocks of length b (m = n // b >= 2)."""
     return BlockFrame(series, b)
-
-
-def block_norms(frame: BlockFrame, p) -> np.ndarray:
-    return frame.norms(p)
 
 
 def default_k(n: int, b: int, kappa: float = 1.0) -> int:

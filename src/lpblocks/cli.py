@@ -16,7 +16,7 @@ from .experiment import (
     summary_csv_text,
 )
 from .largedev import ld_ratio_centered_mc, ld_ratio_mc, pilot_level
-from .models import AR1ModelSpec, LinearModelSpec, NoiseSpec, noise_of, simulate
+from .models import AR1ModelSpec, LinearModelSpec, NoiseSpec, simulate
 from .seqcore import as_p
 
 
@@ -59,7 +59,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    report = estimate_from_file(args.path, args.estimator, p=args.p, b=args.b,
+    report = estimate_from_file(args.path, args.estimator, b=args.b,
                                 kappa=args.kappa, alpha=args.alpha)
     print(f"estimator_id={report.estimator_id}")
     print(f"value={report.value!r}")
@@ -100,7 +100,7 @@ def _parse_p_list(text: str, alpha: float):
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     model = _build_model(args)
-    p_list = _parse_p_list(args.p, noise_of(model).alpha) if args.p else None
+    p_list = _parse_p_list(args.p, model.noise.alpha) if args.p else None
     report = oracle_report(model, p_list=p_list, serial_lags=args.serial_lags)
     print(format_oracle_report(report))
     return 0
@@ -115,7 +115,7 @@ def _cmd_ldratio(args: argparse.Namespace) -> int:
                         reps=args.pilot_reps, seed=args.seed)
         print(f"pilot level: x={x!r} (q={args.pilot_q})")
     if args.centered:
-        est = ld_ratio_centered_mc(model, args.n, args.p, noise_of(model).alpha,
+        est = ld_ratio_centered_mc(model, args.n, args.p, model.noise.alpha,
                                    x, args.reps, args.seed,
                                    pilot_reps=args.moment_reps,
                                    threads=args.threads)
@@ -151,7 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--estimator", required=True,
                      help="one of: " + ", ".join(known_estimators()))
     est.add_argument("--b", type=int, required=True, help="block length")
-    est.add_argument("--p", default=None, help="norm exponent (unused by built-in ids)")
     est.add_argument("--kappa", type=float, default=1.0)
     est.add_argument("--alpha", default="hill",
                      help="tail index: a number, 'hill' or 'hill:<k_tail>'")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,7 +35,6 @@ from .models import (
     NoiseSpec,
     SeedSpec,
     model_coefficients,
-    noise_of,
     simulate,
 )
 from .seqcore import INF, as_p, as_series
@@ -132,7 +130,7 @@ def resolve_alpha(mode: AlphaMode, series=None, model: Optional[Model] = None) -
     if mode.kind == "oracle":
         if model is None:
             raise ValueError("oracle alpha mode needs a model; pass a number or hill:<k_tail>")
-        return noise_of(model).alpha
+        return model.noise.alpha
     x = as_series(series)
     k_tail = int(mode.value) if mode.value is not None else default_hill_k(len(x))
     return hill_alpha(x, k_tail)
@@ -219,7 +217,11 @@ class ExperimentConfig:
             raise ValueError("estimator list must be nonempty")
         for estimator_id in self.estimators:
             get_estimator(estimator_id)
-        parse_alpha_mode(self.alpha_mode)
+        mode = parse_alpha_mode(self.alpha_mode)
+        n_min = min(self.n_grid)
+        if mode.kind == "hill" and mode.value is not None and mode.value >= n_min:
+            raise ValueError(f"hill k_tail={int(mode.value)} must be below the "
+                             f"smallest sample size n={n_min}")
         if not self.kappa > 0:
             raise ValueError("kappa must be positive")
 
@@ -311,7 +313,6 @@ class ResultRow:
     seed: int
     value: float
     degenerate: bool
-    wall_time: float  # in-memory only; not persisted
 
 
 def _replication_rows(args) -> list[ResultRow]:
@@ -329,18 +330,15 @@ def _replication_rows(args) -> list[ResultRow]:
                 for estimator_id in config.estimators:
                     rows.append(ResultRow(estimator_id, n, b, 0, rep,
                                           config.master_seed, float("nan"),
-                                          True, 0.0))
+                                          True))
                 continue
             frame = partition(x, b)
             k = default_k(n, b, config.kappa)
             for estimator_id in config.estimators:
-                entry = get_estimator(estimator_id)
-                start = time.perf_counter()
-                report = entry.run(frame, alpha, k)
-                elapsed = time.perf_counter() - start
+                report = get_estimator(estimator_id).run(frame, alpha, k)
                 rows.append(ResultRow(estimator_id, n, b, k, rep,
                                       config.master_seed, report.value,
-                                      report.degenerate, elapsed))
+                                      report.degenerate))
     return rows
 
 
@@ -468,19 +466,16 @@ def read_series_file(path) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-def estimate_from_file(path, estimator_id: str, p=None, b: int = None,
+def estimate_from_file(path, estimator_id: str, b: int = None,
                        kappa: float = 1.0, alpha="hill") -> EstimateReport:
     """Run one estimator on a series file.
 
-    The built-in estimator ids fix their own norm exponent, so `p` is
-    accepted for interface symmetry only (validated, otherwise unused).
-    The alpha mode must be a number or hill[:k_tail]; there is no model
-    here, so "oracle" is rejected.
+    The estimator id fixes the norm exponent. The alpha mode must be a
+    number or hill[:k_tail]; there is no model here, so "oracle" is
+    rejected.
     """
     if b is None or b < 1:
         raise ValueError("block length b is required and must be positive")
-    if p is not None:
-        as_p(p)
     series = read_series_file(path)
     entry = get_estimator(estimator_id)
     mode = parse_alpha_mode(alpha)
@@ -501,7 +496,7 @@ def oracle_report(model: Model, alpha: Optional[float] = None, p_list=None,
     """Closed-form and telescoping constants for a linear/AR(1) model:
     c(p) over a p grid, the extremal index, serial-dependence values
     g_h, and the positive-sum walk constant when alpha >= 1."""
-    noise = noise_of(model)
+    noise = model.noise
     if alpha is None:
         alpha = noise.alpha
     coeffs = model_coefficients(model, tol=tol)

@@ -4,8 +4,10 @@ centered threshold levels z_n that remove the small-value bias for p <= alpha.
 
 Both tails are estimated empirically (no analytic tail constants); the
 denominator uses a matched count of independent stationary marginal draws.
-Replications are split into fixed-size chunks, each with its own derived
-substream, so results are byte-identical for any worker count.
+Every simulation here, tail hits, pilot moment and pilot level, goes through
+one chunk loop, :func:`_map_chunks`: replications are split into fixed-size
+chunks, chunk i of substream s drawn from ``seed.generator(s, i)``, so
+results are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -32,29 +34,38 @@ __all__ = [
 _CHUNK_ELEMENTS = 12_000_000
 
 
-def _sim_columns(model: Model, n: int) -> int:
-    burn = getattr(model, "burn_in", 0)
-    extra = len(getattr(model, "coeffs", ())) or 1
-    return n + max(burn, extra - 1)
+def _run_chunk(task):
+    reduce, model, n, count, seed, subkey, extra = task
+    return reduce(simulate_batch(model, n, count, seed.generator(*subkey)), *extra)
 
 
-def _chunk_sizes(reps: int, cols: int) -> list[int]:
-    rows = max(1, _CHUNK_ELEMENTS // max(cols, 1))
+def _map_chunks(reduce, model: Model, n: int, reps: int, seed: SeedSpec,
+                stream: int, extra=(), threads: int = 1) -> list:
+    """reduce(sims, *extra) over chunks of `reps` simulated length-n rows.
+
+    Chunk i draws from seed.generator(stream, i). ``reduce`` must be a
+    module-level function so that worker processes can unpickle it.
+    """
+    rows = max(1, _CHUNK_ELEMENTS // (n + model.lead))
     full, rem = divmod(reps, rows)
-    return [rows] * full + ([rem] if rem else [])
+    counts = [rows] * full + ([rem] if rem else [])
+    tasks = [(reduce, model, n, count, seed, (stream, i), extra)
+             for i, count in enumerate(counts)]
+    if threads <= 1 or len(tasks) <= 1:
+        return [_run_chunk(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(_run_chunk, tasks))
 
 
-def _hit_chunk(args) -> int:
-    model, n, pe, level, count, seed, subkey = args
-    sims = simulate_batch(model, n, count, seed.generator(*subkey))
+def _hit_chunk(sims, pe, level) -> int:
     return int(np.sum(row_p_moduli(sims, pe) > level))
 
 
-def _run_chunks(tasks, threads: int):
-    if threads <= 1 or len(tasks) <= 1:
-        return [_hit_chunk(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(_hit_chunk, tasks))
+def _moment_chunk(sims, pv, cap) -> float:
+    draws = np.abs(sims[:, 0])
+    if cap is not None:
+        draws = np.where(draws <= cap, draws, 0.0)
+    return float(np.sum(draws ** pv))
 
 
 @dataclass(frozen=True)
@@ -86,12 +97,12 @@ def _ratio_from_hits(num_hits, den_hits, n, x, pe, reps, z=None) -> RatioEstimat
     return RatioEstimate(num_hits, den_hits, ratio, se, n, x, pe, reps, z=z)
 
 
-def _tail_hits(model, n, pe, level, reps, seed, stream, threads) -> int:
-    cols = _sim_columns(model, n)
-    tasks = []
-    for i, count in enumerate(_chunk_sizes(reps, cols)):
-        tasks.append((model, n, pe, level, count, seed, (stream, i)))
-    return sum(_run_chunks(tasks, threads))
+def _ratio_mc(model, n, pe, level, x, reps, seed, threads, z=None) -> RatioEstimate:
+    """Numerator hits of ||X_[1,n]||_p > level on substream 0, denominator
+    hits of |X_0| > x on substream 1."""
+    num = sum(_map_chunks(_hit_chunk, model, n, reps, seed, 0, (pe, level), threads))
+    den = sum(_map_chunks(_hit_chunk, model, 1, reps, seed, 1, (pe, x), threads))
+    return _ratio_from_hits(num, den, n, x, pe, reps, z=z)
 
 
 def ld_ratio_mc(model: Model, n: int, p, x: float, reps: int, seed,
@@ -106,11 +117,7 @@ def ld_ratio_mc(model: Model, n: int, p, x: float, reps: int, seed,
         raise ValueError("reps must be at least 1")
     if not x > 0:
         raise ValueError("x must be positive")
-    seed = _as_seed(seed)
-    pe = as_p(p)
-    num = _tail_hits(model, n, pe, x, reps, seed, 0, threads)
-    den = _tail_hits(model, 1, pe, x, reps, seed, 1, threads)
-    return _ratio_from_hits(num, den, n, x, pe, reps)
+    return _ratio_mc(model, n, as_p(p), x, x, reps, _as_seed(seed), threads)
 
 
 def centered_level(p, alpha: float, x: float, n: int, moment_p: Optional[float] = None) -> float:
@@ -135,14 +142,6 @@ def centered_level(p, alpha: float, x: float, n: int, moment_p: Optional[float] 
     return x * (n * moment_p / x ** pv + 1.0) ** (1.0 / pv)
 
 
-def _moment_chunk(args) -> float:
-    model, pv, cap, count, seed, subkey = args
-    draws = np.abs(simulate_batch(model, 1, count, seed.generator(*subkey))[:, 0])
-    if cap is not None:
-        draws = np.where(draws <= cap, draws, 0.0)
-    return float(np.sum(draws ** pv))
-
-
 def ld_ratio_centered_mc(model: Model, n: int, p, alpha: float, x: float,
                          reps: int, seed, pilot_reps: int = 1_000_000,
                          threads: int = 1) -> RatioEstimate:
@@ -162,17 +161,12 @@ def ld_ratio_centered_mc(model: Model, n: int, p, alpha: float, x: float,
         moment = None
     else:
         cap = x if pe.value == alpha else None
-        cols = _sim_columns(model, 1)
-        total = 0.0
-        for i, count in enumerate(_chunk_sizes(pilot_reps, cols)):
-            total += _moment_chunk((model, pe.value, cap, count, seed, (2, i)))
-        moment = total / pilot_reps
+        moment = sum(_map_chunks(_moment_chunk, model, 1, pilot_reps, seed, 2,
+                                 (pe.value, cap))) / pilot_reps
         if not moment > 0:
             raise ValueError("pilot moment estimate is zero; increase pilot_reps")
     z = centered_level(pe, alpha, x, n, moment)
-    num = _tail_hits(model, n, pe, z, reps, seed, 0, threads)
-    den = _tail_hits(model, 1, pe, x, reps, seed, 1, threads)
-    return _ratio_from_hits(num, den, n, x, pe, reps, z=z)
+    return _ratio_mc(model, n, pe, z, x, reps, seed, threads, z=z)
 
 
 def pilot_level(model: Model, n: int, p, q: float, reps: int = 20_000, seed=0) -> float:
@@ -182,11 +176,5 @@ def pilot_level(model: Model, n: int, p, q: float, reps: int = 20_000, seed=0) -
         raise ValueError("q must lie in (0, 1)")
     if reps < 1:
         raise ValueError("reps must be at least 1")
-    seed = _as_seed(seed)
-    pe = as_p(p)
-    cols = _sim_columns(model, n)
-    norms = []
-    for i, count in enumerate(_chunk_sizes(reps, cols)):
-        sims = simulate_batch(model, n, count, seed.generator(3, i))
-        norms.append(row_p_moduli(sims, pe))
+    norms = _map_chunks(row_p_moduli, model, n, reps, _as_seed(seed), 3, (as_p(p),))
     return float(np.quantile(np.concatenate(norms), q))

@@ -3,8 +3,11 @@ moving averages, and causal AR(1).
 
 All randomness flows through :class:`SeedSpec`, a counter-based Philox layout
 in which distinct (master_seed, stream_id) pairs give independent streams and
-the same pair reproduces byte-identical output. Batch helpers generate many
-replications at once for Monte Carlo work.
+the same pair reproduces byte-identical output. Each model spec owns its
+shape: ``lead``, the noise columns drawn ahead of the n kept ones, and
+``filter``, the recursion that turns noise into the series. One simulator,
+:func:`simulate_batch`, draws every replication; :func:`simulate` is its
+one-row case.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ __all__ = [
     "Model",
     "sample_noise",
     "simulate",
-    "simulate_linear",
-    "simulate_ar1",
     "simulate_batch",
     "ar1_coefficients",
     "model_coefficients",
@@ -71,6 +72,15 @@ class LinearModelSpec:
             raise ValueError("coeffs must be finite")
         object.__setattr__(self, "coeffs", c)
 
+    @property
+    def lead(self) -> int:
+        """Filter memory q: the n kept values need n + q noise draws."""
+        return len(self.coeffs) - 1
+
+    def filter(self, z: np.ndarray) -> np.ndarray:
+        """Moving average along the last axis; exact once the memory is full."""
+        return lfilter(self.coeffs, [1.0], z, axis=-1)
+
 
 @dataclass(frozen=True)
 class AR1ModelSpec:
@@ -85,6 +95,15 @@ class AR1ModelSpec:
             raise ValueError("AR(1) requires |phi| < 1")
         if self.burn_in < 0:
             raise ValueError("burn_in must be nonnegative")
+
+    @property
+    def lead(self) -> int:
+        """Burn-in steps dropped after the recursion starts at 0."""
+        return self.burn_in
+
+    def filter(self, z: np.ndarray) -> np.ndarray:
+        """AR(1) recursion along the last axis, started at 0."""
+        return lfilter([1.0], [1.0, -self.phi], z, axis=-1)
 
 
 Model = LinearModelSpec | AR1ModelSpec
@@ -149,63 +168,23 @@ def sample_noise(spec: NoiseSpec, n: int, seed) -> np.ndarray:
     return _noise_matrix(spec, n, _rng_of(seed))
 
 
-def _linear_from_noise(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    # z has q extra leading columns; lfilter output is exact once the
-    # filter memory is full, so dropping the first q columns gives the
-    # exact moving average sum_j coeffs[j] * Z_{t-j}
-    q = len(coeffs) - 1
-    y = lfilter(coeffs, [1.0], z, axis=-1)
-    return y[..., q:] if q else y
-
-
-def _ar1_from_noise(phi: float, z: np.ndarray, burn_in: int) -> np.ndarray:
-    y = lfilter([1.0], [1.0, -phi], z, axis=-1)
-    return y[..., burn_in:]
-
-
-def simulate_linear(spec: LinearModelSpec, n: int, seed) -> np.ndarray:
-    """Length-n sample of the moving average (exact, n+q noise draws)."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    coeffs = np.asarray(spec.coeffs)
-    z = _noise_matrix(spec.noise, n + len(coeffs) - 1, _rng_of(seed))
-    return _linear_from_noise(coeffs, z)
-
-
-def simulate_ar1(spec: AR1ModelSpec, n: int, seed) -> np.ndarray:
-    """Length-n AR(1) sample; recursion starts at 0 and burn_in steps are dropped."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    z = _noise_matrix(spec.noise, n + spec.burn_in, _rng_of(seed))
-    return _ar1_from_noise(spec.phi, z, spec.burn_in)
-
-
 def simulate(model: Model, n: int, seed) -> np.ndarray:
-    """Dispatch on the model kind."""
-    if isinstance(model, LinearModelSpec):
-        return simulate_linear(model, n, seed)
-    if isinstance(model, AR1ModelSpec):
-        return simulate_ar1(model, n, seed)
-    raise TypeError(f"unsupported model {type(model).__name__}")
+    """Length-n sample of the model: the first row of a one-row batch."""
+    return simulate_batch(model, n, 1, seed)[0]
 
 
 def simulate_batch(model: Model, n: int, count: int, seed) -> np.ndarray:
     """(count, n) array of independent replications from one stream.
 
-    The whole batch is a single deterministic draw of the stream; it is not
-    row-wise identical to `count` calls of simulate on distinct streams.
+    Each row draws n + model.lead noise values, filters them and drops the
+    first model.lead outputs. The whole batch is a single deterministic draw
+    of the stream; it is not row-wise identical to `count` calls of simulate
+    on distinct streams.
     """
     if n < 1 or count < 1:
         raise ValueError("n and count must be at least 1")
-    rng = _rng_of(seed)
-    if isinstance(model, LinearModelSpec):
-        coeffs = np.asarray(model.coeffs)
-        z = _noise_matrix(model.noise, (count, n + len(coeffs) - 1), rng)
-        return _linear_from_noise(coeffs, z)
-    if isinstance(model, AR1ModelSpec):
-        z = _noise_matrix(model.noise, (count, n + model.burn_in), rng)
-        return _ar1_from_noise(model.phi, z, model.burn_in)
-    raise TypeError(f"unsupported model {type(model).__name__}")
+    z = _noise_matrix(model.noise, (count, n + model.lead), _rng_of(seed))
+    return model.filter(z)[:, model.lead:]
 
 
 def ar1_coefficients(phi: float, tol: float = 1e-12) -> np.ndarray:
@@ -226,6 +205,3 @@ def model_coefficients(model: Model, tol: float = 1e-12) -> np.ndarray:
         return ar1_coefficients(model.phi, tol)
     raise TypeError(f"unsupported model {type(model).__name__}")
 
-
-def noise_of(model: Model) -> NoiseSpec:
-    return model.noise

@@ -1,8 +1,10 @@
 """Sequence-space primitives: p-moduli, truncation, shifts, order statistics.
 
 A series is represented as a 1-d float64 numpy array; ``as_series`` is the
-single validation point (finite entries, length >= 1). The exponent p lives
-in (0, inf] and is carried by :class:`PExponent`.
+single validation point (1-d, finite entries, length >= 1). The exponent p
+lives in (0, inf] and is carried by :class:`PExponent`. Every p-modulus goes
+through one kernel: :func:`row_p_moduli` rescales rows by their max and sums
+powers with :func:`_row_power_sums`; :func:`p_modulus` is its one-row case.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ __all__ = [
     "INF",
     "as_p",
     "as_series",
-    "Window",
     "p_modulus",
     "truncate_below",
     "truncate_above",
@@ -54,6 +55,7 @@ class PExponent:
 
 
 INF = PExponent(math.inf)
+_SMALLEST_SUBNORMAL = 5e-324
 
 
 def as_p(p) -> PExponent:
@@ -69,43 +71,16 @@ def as_p(p) -> PExponent:
 def as_series(values) -> np.ndarray:
     """Validate and return observations as a 1-d float64 array.
 
-    Rejects empty input and any non-finite entry.
+    Rejects input that is not 1-d, empty input and any non-finite entry.
     """
     xs = np.asarray(values, dtype=np.float64)
     if xs.ndim != 1:
-        xs = xs.reshape(-1)
+        raise ValueError(f"series must be 1-d, got an array of shape {xs.shape}")
     if xs.size == 0:
         raise ValueError("series must contain at least one observation")
-    if not np.all(np.isfinite(xs)):
+    if not np.isfinite(xs).all():
         raise ValueError("series entries must be finite (no NaN/inf)")
     return xs
-
-
-@dataclass(frozen=True)
-class Window:
-    """Contiguous view X_[start, start+length) into a series."""
-
-    series: np.ndarray
-    start: int
-    length: int
-
-    def __post_init__(self):
-        n = len(self.series)
-        if self.start < 0 or self.length < 1 or self.start + self.length > n:
-            raise ValueError(
-                f"window [{self.start}, {self.start + self.length}) "
-                f"out of range for series of length {n}"
-            )
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.asarray(self.series)[self.start : self.start + self.length]
-
-
-def _values_of(xs) -> np.ndarray:
-    if isinstance(xs, Window):
-        return as_series(xs.values)
-    return as_series(xs)
 
 
 def p_modulus(xs, p) -> float:
@@ -114,22 +89,14 @@ def p_modulus(xs, p) -> float:
     The power-mean form is used for every finite p, including p < 1 where
     the associated metric differs but the modulus does not.
     """
-    x = np.abs(_values_of(xs))
-    pe = as_p(p)
-    if pe.is_inf:
-        return float(x.max())
-    s = float(x.max())
-    if s == 0.0:
-        return 0.0
-    # rescale by the max so x**p cannot overflow for large values of p
-    return float(s * np.sum((x / s) ** pe.value) ** (1.0 / pe.value))
+    return float(row_p_moduli(as_series(xs)[None, :], p)[0])
 
 
 def truncate_below(xs, eps: float) -> np.ndarray:
     """Keep entries with |x_t| > eps (strict), zero elsewhere."""
     if not eps > 0:
         raise ValueError("eps must be positive")
-    x = _values_of(xs)
+    x = as_series(xs)
     return np.where(np.abs(x) > eps, x, 0.0)
 
 
@@ -137,13 +104,13 @@ def truncate_above(xs, eps: float) -> np.ndarray:
     """Keep entries with |x_t| <= eps, zero elsewhere; complement of truncate_below."""
     if not eps > 0:
         raise ValueError("eps must be positive")
-    x = _values_of(xs)
+    x = as_series(xs)
     return np.where(np.abs(x) <= eps, x, 0.0)
 
 
 def backshift(xs, k: int) -> np.ndarray:
     """Shift so output index t holds x_{t-k}; vacated positions are zero."""
-    x = _values_of(xs)
+    x = as_series(xs)
     out = np.zeros_like(x)
     if k == 0:
         return x.copy()
@@ -173,8 +140,8 @@ def shift_min_distance(xs, ys, p) -> float:
     no longer overlap and the distance cannot decrease, so the minimum over
     this window is exact for finite-support inputs.
     """
-    x = _values_of(xs)
-    y = _values_of(ys)
+    x = as_series(xs)
+    y = as_series(ys)
     pe = as_p(p)
     lx, ly = len(x), len(y)
     span = lx + ly
@@ -207,8 +174,20 @@ def kth_order_stat(values, k: int) -> float:
     return float(order_statistics_desc(v)[k - 1])
 
 
+def _row_power_sums(u: np.ndarray, q: float) -> np.ndarray:
+    """Per-row sums of u**q for a nonnegative 2-d u, fast paths at q in
+    {0.5, 1, 2}; callers rescale rows to max 1 so powers cannot overflow."""
+    if q == 1.0:
+        return u.sum(axis=1)
+    if q == 2.0:
+        return np.einsum("ij,ij->i", u, u)
+    if q == 0.5:
+        return np.sqrt(u).sum(axis=1)
+    return (u ** q).sum(axis=1)
+
+
 def row_p_moduli(matrix, p) -> np.ndarray:
-    """Per-row p-moduli of a 2-d array; vectorized companion of p_modulus.
+    """Per-row p-moduli of a 2-d array.
 
     Rows are rescaled by their max before powering so large entries do not
     overflow; all-zero rows yield 0. Fast paths cover p in {0.5, 1, 2, inf}.
@@ -220,15 +199,8 @@ def row_p_moduli(matrix, p) -> np.ndarray:
     rowmax = a.max(axis=1)
     if pe.is_inf:
         return rowmax
-    safe = np.where(rowmax > 0, rowmax, 1.0)
-    u = a / safe[:, None]
+    # all-zero rows are divided by the smallest subnormal and stay 0; every
+    # other row by its max exactly
+    a /= np.maximum(rowmax, _SMALLEST_SUBNORMAL)[:, None]
     pv = pe.value
-    if pv == 1.0:
-        s = u.sum(axis=1)
-    elif pv == 2.0:
-        s = np.einsum("ij,ij->i", u, u)
-    elif pv == 0.5:
-        s = np.sqrt(u).sum(axis=1)
-    else:
-        s = (u ** pv).sum(axis=1)
-    return rowmax * s ** (1.0 / pv)
+    return rowmax * _row_power_sums(a, pv) ** (1.0 / pv)

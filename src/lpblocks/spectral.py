@@ -19,7 +19,7 @@ import numpy as np
 
 from .models import (AR1ModelSpec, LinearModelSpec, Model, _as_seed, _rng_of,
                      model_coefficients, simulate_batch)
-from .seqcore import PExponent, as_p, p_modulus, row_p_moduli
+from .seqcore import PExponent, _row_power_sums, as_p, p_modulus, row_p_moduli
 
 __all__ = [
     "SpectralDraw",
@@ -101,19 +101,31 @@ def shift_law(coeffs, alpha: float) -> ShiftLaw:
     return ShiftLaw(c / c.sum())
 
 
+def _shift_sign_sampler(model: Model):
+    """(coeffs, draw) with draw(count, rng) -> (J, sign): per draw, the shift
+    J from the shift law and the sign of the extreme noise value."""
+    coeffs = _coeffs_of(model)
+    law = shift_law(coeffs, model.noise.alpha)
+    pos = model.noise.positive_prob
+
+    def draw(count: int, rng: np.random.Generator):
+        j = law.sample(rng, size=count)
+        sign = np.where(rng.random(count) < pos, 1.0, -1.0)
+        return j, sign
+
+    return coeffs, draw
+
+
 def sample_cluster_linear(model: Model, p, seed) -> SpectralDraw:
     """One draw of the spectral cluster process Q^(p) of a linear process.
 
     The draw is the coefficient vector re-signed by the noise tail balance,
     shifted by J from the shift law, and normalized to p-modulus one.
     """
-    coeffs = _coeffs_of(model)
-    alpha = model.noise.alpha
-    rng = _rng_of(seed)
-    j = int(shift_law(coeffs, alpha).sample(rng))
-    sign = 1.0 if rng.random() < model.noise.positive_prob else -1.0
-    values = sign * coeffs / p_modulus(coeffs, p)
-    return SpectralDraw(values=values, origin=j)
+    coeffs, draw = _shift_sign_sampler(model)
+    j, sign = draw(1, _rng_of(seed))
+    values = sign[0] * coeffs / p_modulus(coeffs, p)
+    return SpectralDraw(values=values, origin=int(j[0]))
 
 
 def theta_sampler_linear(model: Model):
@@ -122,14 +134,10 @@ def theta_sampler_linear(model: Model):
     Returns fn(count, rng) -> (count, q+1) array whose rows are
     sign * phi / |phi_J|, zero-padded implicitly by the fixed support.
     """
-    coeffs = _coeffs_of(model)
-    alpha = model.noise.alpha
-    law = shift_law(coeffs, alpha)
-    pos = model.noise.positive_prob
+    coeffs, draw_shift_sign = _shift_sign_sampler(model)
 
     def draw(count: int, rng: np.random.Generator) -> np.ndarray:
-        j = law.sample(rng, size=count)
-        sign = np.where(rng.random(count) < pos, 1.0, -1.0)
+        j, sign = draw_shift_sign(count, rng)
         return np.outer(sign / np.abs(coeffs[j]), coeffs)
 
     return draw
@@ -150,30 +158,19 @@ class MCEstimate:
     n_draws: int
 
 
-def _row_pow_sums(u: np.ndarray, q: float) -> np.ndarray:
-    # u is nonnegative with rows rescaled to max 1, so powers cannot overflow
-    if q == 1.0:
-        return u.sum(axis=1)
-    if q == 2.0:
-        return np.einsum("ij,ij->i", u, u)
-    if q == 0.5:
-        return np.sqrt(u).sum(axis=1)
-    return (u ** q).sum(axis=1)
-
-
 def _ratio_alpha_pow(draws: np.ndarray, alpha: float, pe: PExponent) -> np.ndarray:
     """Per-row (||x||_p / ||x||_alpha)^alpha via max-rescaled power sums:
     S_p^(alpha/p) / S_alpha, and 1 / S_alpha for p = inf."""
     u = np.abs(draws)
     top = u.max(axis=1)
     u /= np.where(top > 0.0, top, 1.0)[:, None]
-    s_alpha = _row_pow_sums(u, alpha)
+    s_alpha = _row_power_sums(u, alpha)
     if pe.is_inf:
         ratios = 1.0 / s_alpha
     elif pe.value == alpha:
         ratios = np.ones_like(s_alpha)
     else:
-        s_p = _row_pow_sums(u, pe.value)
+        s_p = _row_power_sums(u, pe.value)
         ratios = s_p ** (alpha / pe.value) / s_alpha
     ratios[top == 0.0] = 0.0
     return ratios

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from lpblocks.blocks import (
     BlockFrame,
-    block_norms,
     default_k,
     partition,
     threshold_from_order_stat,
@@ -30,11 +29,11 @@ def test_partition_too_few_blocks():
 
 def test_block_norms_examples():
     frame = partition(np.ones(12), 4)
-    np.testing.assert_allclose(block_norms(frame, 2), [2.0, 2.0, 2.0])
+    np.testing.assert_allclose(frame.norms(2), [2.0, 2.0, 2.0])
     x = np.array([1.0, -5.0, 2.0, 0.5, 3.0, -1.0])
     frame = partition(x, 3)
-    np.testing.assert_allclose(block_norms(frame, INF), [5.0, 3.0])
-    np.testing.assert_allclose(block_norms(frame, 1), [8.0, 4.5])
+    np.testing.assert_allclose(frame.norms(INF), [5.0, 3.0])
+    np.testing.assert_allclose(frame.norms(1), [8.0, 4.5])
 
 
 def test_block_norm_cache_reused():

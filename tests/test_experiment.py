@@ -214,6 +214,8 @@ def test_config_validation():
         small_config(kappa=0.0)
     with pytest.raises(ValueError, match="not understood"):
         small_config(alpha_mode="banana")
+    with pytest.raises(ValueError, match="k_tail=120 .* n=120"):
+        small_config(n_grid=(120, 240), alpha_mode="hill:120")
 
 
 def test_config_dict_round_trip():
@@ -282,7 +284,6 @@ def test_run_experiment_shape_and_order():
         assert row.seed == config.master_seed
         assert row.k == default_k(row.n, row.b, config.kappa)
         assert not row.degenerate and np.isfinite(row.value)
-        assert row.wall_time >= 0.0
     assert len(summary) == len(config.n_grid) * len(config.estimators)
 
 
@@ -343,9 +344,9 @@ def test_summarize_matches_recomputed_quantiles():
 
 def test_summarize_excludes_degenerate_rows():
     rows = [
-        ResultRow("e", 100, 10, 5, 0, 0, 2.0, False, 0.0),
-        ResultRow("e", 100, 10, 5, 1, 0, 4.0, True, 0.0),
-        ResultRow("e", 100, 10, 5, 2, 0, 6.0, False, 0.0),
+        ResultRow("e", 100, 10, 5, 0, 0, 2.0, False),
+        ResultRow("e", 100, 10, 5, 1, 0, 4.0, True),
+        ResultRow("e", 100, 10, 5, 2, 0, 6.0, False),
     ]
     record = summarize(rows)[0]
     assert record["rows"] == 3 and record["degenerate"] == 1
@@ -353,8 +354,8 @@ def test_summarize_excludes_degenerate_rows():
 
 
 def test_results_csv_exact_text(tmp_path):
-    rows = [ResultRow("e", 100, 10, 5, 0, 7, 0.1, False, 0.3),
-            ResultRow("e", 100, 20, 0, 1, 7, float("nan"), True, 0.0)]
+    rows = [ResultRow("e", 100, 10, 5, 0, 7, 0.1, False),
+            ResultRow("e", 100, 20, 0, 1, 7, float("nan"), True)]
     path = tmp_path / "results.csv"
     write_results_csv(rows, path)
     assert path.read_text(encoding="utf-8") == (
@@ -364,7 +365,7 @@ def test_results_csv_exact_text(tmp_path):
 
 
 def test_summary_csv_blank_for_missing_stats():
-    rows = [ResultRow("e", 100, 10, 0, 0, 0, float("nan"), True, 0.0)]
+    rows = [ResultRow("e", 100, 10, 0, 0, 0, float("nan"), True)]
     text = summary_csv_text(summarize(rows))
     assert text.splitlines()[0] == SUMMARY_HEADER
     assert text.splitlines()[1] == "e,100,10,0,1,1,,,,,,"
@@ -428,15 +429,6 @@ def test_estimate_from_file_skips_alpha_when_unneeded(tmp_path):
     path, _ = series_file(tmp_path)
     report = estimate_from_file(path, "extremal_index_infty", b=20)
     assert report.alpha_used is None
-
-
-def test_estimate_from_file_accepts_unused_p(tmp_path):
-    path, _ = series_file(tmp_path)
-    with_p = estimate_from_file(path, "extremal_index_alpha", p=2.0, b=20, alpha=1.3)
-    without = estimate_from_file(path, "extremal_index_alpha", b=20, alpha=1.3)
-    assert same_report(with_p, without)
-    with pytest.raises(ValueError):
-        estimate_from_file(path, "extremal_index_alpha", p="banana", b=20, alpha=1.3)
 
 
 def test_estimate_from_file_validation(tmp_path):

@@ -9,12 +9,9 @@ from lpblocks.models import (
     SeedSpec,
     ar1_coefficients,
     model_coefficients,
-    noise_of,
     sample_noise,
     simulate,
-    simulate_ar1,
     simulate_batch,
-    simulate_linear,
 )
 
 PARETO2 = NoiseSpec(law="pareto", alpha=2.0)
@@ -69,7 +66,7 @@ def test_noise_prefix_stability():
 
 def test_identity_filter_equals_noise():
     spec = LinearModelSpec(coeffs=(1.0,), noise=PARETO2)
-    x = simulate_linear(spec, 500, SeedSpec(1, 0))
+    x = simulate(spec, 500, SeedSpec(1, 0))
     z = sample_noise(PARETO2, 500, SeedSpec(1, 0))
     np.testing.assert_array_equal(x, z)
 
@@ -77,14 +74,14 @@ def test_identity_filter_equals_noise():
 def test_pure_delay_filter_equals_noise():
     # coeffs (0,1) gives X_t = Z_{t-1}: again the first n draws of the stream
     spec = LinearModelSpec(coeffs=(0.0, 1.0), noise=PARETO2)
-    x = simulate_linear(spec, 500, SeedSpec(1, 0))
+    x = simulate(spec, 500, SeedSpec(1, 0))
     z = sample_noise(PARETO2, 500, SeedSpec(1, 0))
     np.testing.assert_array_equal(x, z)
 
 
 def test_linear_mean_matches_pareto_moment():
     spec = LinearModelSpec(coeffs=(1.0, 0.5), noise=NoiseSpec(law="pareto", alpha=3.0))
-    x = simulate_linear(spec, 1_000_000, SeedSpec(2, 0))
+    x = simulate(spec, 1_000_000, SeedSpec(2, 0))
     # E[Z] = 3/2 for pareto(3), so E[X] = 1.5 * 1.5 = 2.25
     assert np.mean(x) == pytest.approx(2.25, rel=0.02)
 
@@ -92,7 +89,7 @@ def test_linear_mean_matches_pareto_moment():
 def test_linear_filter_recursion_exact():
     spec = LinearModelSpec(coeffs=(1.0, 0.5, -0.25), noise=PARETO2)
     n = 64
-    x = simulate_linear(spec, n, SeedSpec(9, 0))
+    x = simulate(spec, n, SeedSpec(9, 0))
     z = sample_noise(PARETO2, n + 2, SeedSpec(9, 0))
     want = z[2:] + 0.5 * z[1:-1] - 0.25 * z[:-2]
     np.testing.assert_allclose(x, want, rtol=1e-12)
@@ -100,14 +97,14 @@ def test_linear_filter_recursion_exact():
 
 def test_ar1_zero_phi_equals_noise():
     spec = AR1ModelSpec(phi=0.0, noise=PARETO2, burn_in=0)
-    x = simulate_ar1(spec, 300, SeedSpec(4, 0))
+    x = simulate(spec, 300, SeedSpec(4, 0))
     z = sample_noise(PARETO2, 300, SeedSpec(4, 0))
     np.testing.assert_array_equal(x, z)
 
 
 def test_ar1_recursion_exact():
     spec = AR1ModelSpec(phi=0.7, noise=PARETO2, burn_in=5)
-    x = simulate_ar1(spec, 50, SeedSpec(4, 1))
+    x = simulate(spec, 50, SeedSpec(4, 1))
     z = sample_noise(PARETO2, 55, SeedSpec(4, 1))
     prev = 0.0
     full = []
@@ -119,7 +116,7 @@ def test_ar1_recursion_exact():
 
 def test_ar1_positive_sign_correlation():
     spec = AR1ModelSpec(phi=0.8, noise=STUDENT13)
-    x = simulate_ar1(spec, 8000, SeedSpec(5, 0))
+    x = simulate(spec, 8000, SeedSpec(5, 0))
     s = np.sign(x)
     corr = np.corrcoef(s[:-1], s[1:])[0, 1]
     assert corr > 0.3
@@ -127,18 +124,35 @@ def test_ar1_positive_sign_correlation():
 
 def test_ar1_determinism():
     spec = AR1ModelSpec(phi=0.8, noise=STUDENT13)
-    np.testing.assert_array_equal(simulate_ar1(spec, 100, SeedSpec(6, 2)),
-                                  simulate_ar1(spec, 100, SeedSpec(6, 2)))
+    np.testing.assert_array_equal(simulate(spec, 100, SeedSpec(6, 2)),
+                                  simulate(spec, 100, SeedSpec(6, 2)))
 
 
-def test_simulate_dispatch_and_batch():
-    spec = AR1ModelSpec(phi=0.5, noise=PARETO2, burn_in=10)
+FOLD_MODELS = {
+    "ar1-student-burn300": AR1ModelSpec(phi=0.8, noise=STUDENT13, burn_in=300),
+    "ar1-phi0-burn0": AR1ModelSpec(phi=0.0, noise=PARETO2, burn_in=0),
+    "ar1-pareto-burn10": AR1ModelSpec(phi=0.5, noise=PARETO2, burn_in=10),
+    "ma3-pareto": LinearModelSpec(coeffs=(1.0, -0.7, 0.5, 0.3), noise=PARETO2),
+    "linear-1tap": LinearModelSpec(coeffs=(2.0,), noise=STUDENT13),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOLD_MODELS))
+def test_simulate_dispatch_and_batch(name):
+    spec = FOLD_MODELS[name]
+    for n in (1, 7, 40, 8000):
+        for seed in (8, SeedSpec(8, 3)):
+            x = simulate(spec, n, seed)
+            assert x.shape == (n,)
+            # simulate is the first row of a one-row batch, byte for byte
+            assert x.tobytes() == simulate_batch(spec, n, 1, seed)[0].tobytes()
     x = simulate(spec, 40, SeedSpec(8, 0))
-    np.testing.assert_array_equal(x, simulate_ar1(spec, 40, SeedSpec(8, 0)))
     batch = simulate_batch(spec, 40, 3, SeedSpec(8, 0))
     assert batch.shape == (3, 40)
-    # batch rows come from one stream: first row consumes the same leading noise
-    np.testing.assert_array_equal(batch[0], x)
+    if spec.noise.law == "pareto":
+        # batch rows come from one stream: first row consumes the same leading
+        # noise (student noise draws every normal before any chi-square)
+        np.testing.assert_array_equal(batch[0], x)
 
 
 def test_stream_independence_of_block_norms():
@@ -160,13 +174,13 @@ def test_ar1_coefficients_truncation():
     np.testing.assert_allclose(c6, 0.6 ** np.arange(56), rtol=1e-13)
 
 
-def test_model_coefficients_and_noise_of():
+def test_model_coefficients_and_shape():
     lin = LinearModelSpec(coeffs=(1.0, -0.5), noise=PARETO2)
     np.testing.assert_array_equal(model_coefficients(lin), [1.0, -0.5])
     ar = AR1ModelSpec(phi=0.8, noise=STUDENT13)
     np.testing.assert_allclose(model_coefficients(ar), ar1_coefficients(0.8))
-    assert noise_of(lin) is lin.noise
-    assert noise_of(ar) is ar.noise
+    assert lin.lead == 1
+    assert ar.lead == ar.burn_in == 1000
 
 
 def test_ar1_matches_truncated_linear_in_distribution():

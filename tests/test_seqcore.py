@@ -26,6 +26,15 @@ series_lists = st.lists(finite_floats, min_size=1, max_size=12)
 p_values = st.one_of(st.floats(min_value=0.2, max_value=6.0), st.just(math.inf))
 
 
+def loop_p_modulus(row, p):
+    """Reference p-modulus, one entry at a time, independent of the kernel."""
+    x = [abs(float(v)) for v in row]
+    top = max(x)
+    if math.isinf(p) or top == 0.0:
+        return top
+    return top * math.fsum((v / top) ** p for v in x) ** (1.0 / p)
+
+
 def test_p_modulus_examples():
     assert p_modulus([3.0, 4.0], 2) == pytest.approx(5.0, abs=1e-12)
     assert p_modulus([3.0, 4.0], INF) == 4.0
@@ -40,6 +49,14 @@ def test_p_modulus_rejects_empty_and_nonfinite():
         as_series([1.0, float("nan")])
     with pytest.raises(ValueError):
         as_series([1.0, float("inf")])
+
+
+def test_as_series_rejects_non_1d():
+    for bad in ([[1.0, 2.0], [3.0, 4.0]], np.ones((3, 1)), 5.0):
+        with pytest.raises(ValueError, match="1-d"):
+            as_series(bad)
+    with pytest.raises(ValueError, match=r"\(2, 2\)"):
+        p_modulus(np.ones((2, 2)), 2)
 
 
 def test_pexponent_validation_and_order():
@@ -163,8 +180,7 @@ def test_row_p_moduli_matches_rowwise(rows, cols, p, seed):
     matrix = rng.normal(size=(rows, cols)) * rng.choice([0.0, 1.0, 1e4],
                                                         size=(rows, cols))
     got = row_p_moduli(matrix, p)
-    want = np.array([p_modulus(row, p) if np.any(row != 0) else 0.0
-                     for row in matrix])
+    want = np.array([loop_p_modulus(row, p) for row in matrix])
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
@@ -173,7 +189,8 @@ def test_row_p_moduli_fast_paths_match_generic():
     matrix = rng.standard_t(1.3, size=(40, 16))
     for p in (0.5, 1.0, 2.0, INF):
         got = row_p_moduli(matrix, p)
-        want = np.array([p_modulus(row, p) for row in matrix])
+        want = np.array([loop_p_modulus(row, math.inf if p is INF else p)
+                         for row in matrix])
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
