@@ -5,6 +5,19 @@ threshold, so all of them are invariant under positive rescaling of the
 series. Selection comparators are strict (norm > threshold) except for
 extremal_index_infty_blocks, whose point-level comparator is >= by
 definition of that classical estimator.
+
+The built-in estimators are written over the frame's norm vectors: each
+selects its rows once (the blocks whose cached p-norm exceeds the k-th
+largest one) and computes every per-block term on that sub-matrix at once.
+The extremal index averages (||B||_inf / ||B||_a)^a and c(1) inverts the
+average of (||B||_a / ||B||_1)^a, both on the threshold-normalized rows
+the kernels see; serial dependence takes one dot product per row of the
+signed-power matrix and the sup-walk numerator a row-wise cumsum maximum.
+Each result equals (==) the per-block loop over the kernels: the final
+power is taken per term on Python floats (libm pow; numpy's vectorized
+power can differ by an ulp) and the terms are summed left to right (not
+pairwise, as np.sum does). The generic ClusterFunctional loop remains for
+user-supplied functionals (cluster_functional_estimate, psi and theta).
 """
 
 from __future__ import annotations
@@ -15,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .blocks import BlockFrame, threshold_from_order_stat
-from .seqcore import INF, PExponent, as_p, as_series, p_modulus
+from .seqcore import INF, PExponent, as_p, as_series, p_modulus, row_p_moduli
 from .spectral import SpectralDraw
 
 __all__ = [
@@ -143,17 +156,47 @@ def cluster_functional_estimate(frame: BlockFrame, p, k: int, g: ClusterFunction
     )
 
 
+def _selected_rows(frame: BlockFrame, pe: PExponent, k: int):
+    """(threshold, indices of blocks with norm > threshold); indices is None
+    when the threshold is not positive."""
+    thr = threshold_from_order_stat(frame, pe, k).threshold
+    if not thr > 0:
+        return thr, None
+    return thr, np.flatnonzero(frame.norms(pe) > thr)
+
+
+def _pow_sum(ratios: np.ndarray, alpha: float) -> float:
+    """Left-to-right sum of r ** alpha over Python floats: libm pow per term
+    and sequential addition, the arithmetic of the per-block kernels."""
+    total = 0.0
+    for r in ratios.tolist():
+        total += r ** alpha
+    return total
+
+
 def extremal_index_alpha_blocks(frame: BlockFrame, alpha: float, k: int) -> EstimateReport:
     """Extremal index via large l^alpha-blocks.
 
     (1/k) sum_t (||B_t||_inf^a / ||B_t||_a^a) 1(||B_t||_a > ||B||_{a,(k)}),
-    consistent for c(inf) = theta_|X|.
+    consistent for c(inf) = theta_|X|. Equal (==) to cluster_functional_estimate
+    with extremal_index_kernel(alpha).
     """
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    return cluster_functional_estimate(
-        frame, PExponent(alpha), k, extremal_index_kernel(alpha),
-        alpha_used=alpha, estimator_id="extremal_index_alpha",
+    pe = PExponent(alpha)
+    thr, selected = _selected_rows(frame, pe, k)
+    if selected is None:
+        return _degenerate("extremal_index_alpha", pe, frame, k, thr, alpha)
+    # norms of the normalized rows, as the kernel sees them; the cached
+    # norms divided by thr can differ in the last ulp
+    x = frame.matrix[selected] / thr
+    na = row_p_moduli(x, pe)
+    keep = na > 1.0
+    ratios = np.abs(x[keep]).max(axis=1) / na[keep]
+    return EstimateReport(
+        estimator_id="extremal_index_alpha", value=_pow_sum(ratios, alpha) / k,
+        p=pe, b=frame.b, k=k, m=frame.m, threshold=thr,
+        selected_blocks=int(selected.size), alpha_used=alpha,
     )
 
 
@@ -181,22 +224,26 @@ def cluster_index_c1(frame: BlockFrame, alpha: float, k: int) -> EstimateReport:
     """Cluster index c(1) via large l^1-blocks.
 
     Inverts the threshold mean of ||B_t||_a^a / ||B_t||_1^a; the un-inverted
-    mean (the 1/c(1) scale) is kept in extras["mean"].
+    mean (the 1/c(1) scale) is kept in extras["mean"] and equals (==)
+    cluster_functional_estimate with cluster_index_kernel(alpha).
     """
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    base = cluster_functional_estimate(
-        frame, PExponent(1.0), k, cluster_index_kernel(alpha),
-        alpha_used=alpha, estimator_id="cluster_index_c1",
-    )
-    if base.degenerate or not base.value > 0:
-        return _degenerate("cluster_index_c1", base.p, frame, k, base.threshold,
-                           alpha, mean=0.0)
+    pe = PExponent(1.0)
+    thr, selected = _selected_rows(frame, pe, k)
+    mean = 0.0
+    if selected is not None:
+        x = frame.matrix[selected] / thr
+        n1 = np.abs(x).sum(axis=1)
+        keep = n1 > 1.0
+        mean = _pow_sum(row_p_moduli(x[keep], PExponent(alpha)) / n1[keep], alpha) / k
+    if not mean > 0:
+        return _degenerate("cluster_index_c1", pe, frame, k, thr, alpha, mean=0.0)
     return EstimateReport(
-        estimator_id="cluster_index_c1", value=1.0 / base.value, p=base.p,
-        b=frame.b, k=k, m=frame.m, threshold=base.threshold,
-        selected_blocks=base.selected_blocks, alpha_used=alpha,
-        extras={"mean": base.value},
+        estimator_id="cluster_index_c1", value=1.0 / mean, p=pe,
+        b=frame.b, k=k, m=frame.m, threshold=thr,
+        selected_blocks=int(selected.size), alpha_used=alpha,
+        extras={"mean": mean},
     )
 
 
@@ -220,14 +267,6 @@ def cluster_index_c1_infty(frame: BlockFrame, k_prime: int) -> EstimateReport:
     )
 
 
-def _psi_selected(frame, pe, k):
-    choice = threshold_from_order_stat(frame, pe, k)
-    thr = choice.threshold
-    if not thr > 0:
-        return thr, None
-    return thr, np.flatnonzero(frame.norms(pe) > thr)
-
-
 def psi_functional_estimate(frame: BlockFrame, p, alpha: float, k: int, g,
                             estimator_id: str = "psi_functional") -> EstimateReport:
     """Shift-projection estimator for a functional g on normalized blocks.
@@ -240,7 +279,7 @@ def psi_functional_estimate(frame: BlockFrame, p, alpha: float, k: int, g,
     pe = as_p(p)
     if pe.is_inf or pe.value > alpha:
         raise ValueError(f"requires p <= alpha, got p={pe} and alpha={alpha}")
-    thr, selected = _psi_selected(frame, pe, k)
+    thr, selected = _selected_rows(frame, pe, k)
     if selected is None:
         return _degenerate(estimator_id, pe, frame, k, thr, alpha)
     norms = frame.norms(pe)
@@ -267,15 +306,15 @@ def serial_dependence_estimate(frame: BlockFrame, alpha: float, k: int, h: int) 
     if not 0 <= h < frame.b:
         raise ValueError(f"lag h must satisfy 0 <= h < b={frame.b}")
     pe = PExponent(alpha)
-    thr, selected = _psi_selected(frame, pe, k)
+    thr, selected = _selected_rows(frame, pe, k)
     if selected is None:
         return _degenerate("serial_dependence", pe, frame, k, thr, alpha, h=h)
-    norms = frame.norms(pe)
+    scaled = frame.matrix[selected] / frame.norms(pe)[selected, None]
+    signed = np.sign(scaled) * np.abs(scaled) ** alpha
     total = 0.0
-    for t in selected:
-        scaled = frame.matrix[t] / norms[t]
-        signed = np.sign(scaled) * np.abs(scaled) ** alpha
-        total += float(np.dot(signed[: frame.b - h], signed[h:]))
+    # one ddot per row; a batched row sum (einsum) adds in another order
+    for row in signed:
+        total += float(np.dot(row[: frame.b - h], row[h:]))
     return EstimateReport(
         estimator_id="serial_dependence", value=total / k, p=pe, b=frame.b,
         k=k, m=frame.m, threshold=thr, selected_blocks=int(selected.size),
@@ -293,17 +332,13 @@ def supwalk_constant_estimate(frame: BlockFrame, alpha: float, k: int) -> Estima
     if not alpha >= 1:
         raise ValueError("requires alpha >= 1")
     pe = PExponent(1.0)
-    thr, selected = _psi_selected(frame, pe, k)
+    thr, selected = _selected_rows(frame, pe, k)
     if selected is None:
         return _degenerate("supwalk_constant", pe, frame, k, thr, alpha)
-    n1 = frame.norms(pe)
-    na = frame.norms(alpha)
-    num = 0.0
-    den = 0.0
-    for t in selected:
-        sup = max(float(np.max(np.cumsum(frame.matrix[t]))), 0.0)
-        num += (sup / n1[t]) ** alpha
-        den += (na[t] / n1[t]) ** alpha
+    n1 = frame.norms(pe)[selected]
+    sup = np.maximum(np.cumsum(frame.matrix[selected], axis=1).max(axis=1), 0.0)
+    num = _pow_sum(sup / n1, alpha)
+    den = _pow_sum(frame.norms(alpha)[selected] / n1, alpha)
     if den == 0.0:
         return _degenerate("supwalk_constant", pe, frame, k, thr, alpha)
     return EstimateReport(
@@ -383,7 +418,8 @@ def hill_alpha(series, k_tail: int, bias_corrected: bool = False) -> float:
     if not 2 <= k_tail < n:
         raise ValueError(f"k_tail must satisfy 2 <= k_tail < n={n}")
     if not x[k_tail] > 0:
-        raise ValueError("order statistics at the threshold must be positive")
+        raise ValueError(f"the threshold order statistic |x|_({k_tail + 1}) is 0: "
+                         f"fewer than {k_tail + 1} nonzero observations")
 
     def gamma(k: int) -> float:
         return float(np.mean(np.log(x[:k] / x[k])))
@@ -392,5 +428,7 @@ def hill_alpha(series, k_tail: int, bias_corrected: bool = False) -> float:
     if bias_corrected:
         g = 2.0 * gamma(max(k_tail // 2, 1)) - g
     if not g > 0:
-        raise ValueError("tail index estimate is not positive; data too light-tailed")
+        raise ValueError(f"tail index estimate is not positive (Hill gamma = {g!r}): "
+                         f"the top {k_tail + 1} order statistics are tied or the "
+                         "data are too light-tailed")
     return 1.0 / g

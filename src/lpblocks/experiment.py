@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -315,15 +316,28 @@ class ResultRow:
     degenerate: bool
 
 
-def _replication_rows(args) -> list[ResultRow]:
+def _replication_rows(args) -> tuple[list[ResultRow], list[str]]:
+    """Rows of one replication and the reasons for its degenerate rows.
+
+    When the tail index cannot be resolved at some n (a Hill estimate
+    fails), the estimators that need it record degenerate rows at that n,
+    the others still run, and the cause is returned for the caller to warn
+    about (a warning raised in a worker process would not reach it).
+    """
     config, rep = args
     seed = SeedSpec(config.master_seed, rep)
     series = simulate(config.model, max(config.n_grid), seed)
     mode = parse_alpha_mode(config.alpha_mode)
     rows = []
+    problems = []
     for n in config.n_grid:
         x = series[:n]
-        alpha = resolve_alpha(mode, x, config.model)
+        try:
+            alpha = resolve_alpha(mode, x, config.model)
+        except ValueError as exc:
+            problems.append(f"rep {rep}, n={n}: no tail index ({exc}); estimators "
+                            "that need alpha are recorded as degenerate")
+            alpha = None
         for b in config.b_grid:
             if n // b < 2:
                 # grid point skipped: too few blocks at this (n, b)
@@ -335,11 +349,16 @@ def _replication_rows(args) -> list[ResultRow]:
             frame = partition(x, b)
             k = default_k(n, b, config.kappa)
             for estimator_id in config.estimators:
-                report = get_estimator(estimator_id).run(frame, alpha, k)
+                entry = get_estimator(estimator_id)
+                if alpha is None and entry.needs_alpha:
+                    rows.append(ResultRow(estimator_id, n, b, k, rep,
+                                          config.master_seed, float("nan"), True))
+                    continue
+                report = entry.run(frame, alpha, k)
                 rows.append(ResultRow(estimator_id, n, b, k, rep,
                                       config.master_seed, report.value,
                                       report.degenerate))
-    return rows
+    return rows, problems
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1,
@@ -353,7 +372,10 @@ def run_experiment(config: ExperimentConfig, threads: int = 1,
         with ProcessPoolExecutor(max_workers=threads) as pool:
             chunks = list(pool.map(_replication_rows, tasks,
                                    chunksize=max(1, config.reps // (4 * threads))))
-    rows = [row for chunk in chunks for row in chunk]
+    for _, problems in chunks:
+        for problem in problems:
+            warnings.warn(problem, RuntimeWarning, stacklevel=2)
+    rows = [row for chunk, _ in chunks for row in chunk]
     rows.sort(key=lambda r: (r.estimator_id, r.n, r.b, r.rep))
     summary = summarize(rows)
     out_dir = output if output is not None else config.output

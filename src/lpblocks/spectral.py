@@ -158,10 +158,13 @@ class MCEstimate:
     n_draws: int
 
 
-def _ratio_alpha_pow(draws: np.ndarray, alpha: float, pe: PExponent) -> np.ndarray:
+def _ratio_alpha_pow(u: np.ndarray, alpha: float, pe: PExponent) -> np.ndarray:
     """Per-row (||x||_p / ||x||_alpha)^alpha via max-rescaled power sums:
-    S_p^(alpha/p) / S_alpha, and 1 / S_alpha for p = inf."""
-    u = np.abs(draws)
+    S_p^(alpha/p) / S_alpha, and 1 / S_alpha for p = inf.
+
+    ``u`` holds the absolute draws |x| and is rescaled in place, so callers
+    pass an array that nothing else references.
+    """
     top = u.max(axis=1)
     u /= np.where(top > 0.0, top, 1.0)[:, None]
     s_alpha = _row_power_sums(u, alpha)
@@ -193,8 +196,9 @@ def cluster_constant_mc(sampler, alpha: float, p, n_draws: int, seed,
     left = n_draws
     while left > 0:
         count = min(left, batch_size)
-        draws = np.asarray(sampler(count, rng), dtype=np.float64)
-        ratios = _ratio_alpha_pow(draws, alpha, pe)
+        # np.abs copies, so the sampler's batch is freed before the power sums
+        ratios = _ratio_alpha_pow(
+            np.abs(np.asarray(sampler(count, rng), dtype=np.float64)), alpha, pe)
         total += float(ratios.sum())
         total_sq += float(np.dot(ratios, ratios))
         left -= count

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lpblocks.blocks import BlockFrame
+from lpblocks.blocks import BlockFrame, threshold_from_order_stat
 from lpblocks.estimators import (
     ClusterFunctional,
     cluster_functional_estimate,
@@ -27,7 +27,7 @@ from lpblocks.models import (
     SeedSpec,
     simulate,
 )
-from lpblocks.seqcore import INF, PExponent
+from lpblocks.seqcore import INF, PExponent, p_modulus
 
 IID_PARETO2 = LinearModelSpec(coeffs=(1.0,), noise=NoiseSpec(law="pareto", alpha=2.0))
 IID_PARETO08 = LinearModelSpec(coeffs=(1.0,), noise=NoiseSpec(law="pareto", alpha=0.8))
@@ -372,6 +372,31 @@ def test_hill_validation():
         hill_alpha(np.concatenate([np.zeros(90), np.arange(1.0, 11.0)]), 20)
 
 
+@given(n=st.integers(min_value=4, max_value=200), data=st.data(),
+       top=st.floats(min_value=1e-3, max_value=1e3), bias_corrected=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_hill_failures_name_their_cause(n, data, top, bias_corrected):
+    k_tail = data.draw(st.integers(min_value=2, max_value=n - 1), label="k_tail")
+    below = data.draw(st.lists(st.floats(min_value=0.0, max_value=top),
+                               min_size=n - k_tail - 1, max_size=n - k_tail - 1),
+                      label="below")
+    signs = data.draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=n, max_size=n),
+                      label="signs")
+    # tied: the top k_tail + 1 order statistics are equal, so every log
+    # spacing is 0
+    tied = np.asarray(signs) * np.r_[np.full(k_tail + 1, top), below]
+    with pytest.raises(ValueError, match="tied"):
+        hill_alpha(tied, k_tail, bias_corrected=bias_corrected)
+    # zero-heavy: at most k_tail nonzero values, so the threshold order
+    # statistic is 0
+    nonzero = data.draw(st.integers(min_value=0, max_value=k_tail), label="nonzero")
+    heavy = np.zeros(n)
+    heavy[:nonzero] = top * np.arange(1, nonzero + 1)
+    heavy = np.asarray(signs) * heavy
+    with pytest.raises(ValueError, match="is 0: fewer than"):
+        hill_alpha(heavy, k_tail, bias_corrected=bias_corrected)
+
+
 # --- shared invariants ----------------------------------------------------
 
 def all_estimates(x, b, k):
@@ -414,3 +439,123 @@ def test_estimator_bounds_hold(seed, b, k):
     assert 0.0 < mean <= 1.0
     ei = extremal_index_infty_blocks(f, k)
     assert 0.0 < ei.value <= 1.0 + 1e-12
+
+
+# --- vectorized estimators against per-block loops -------------------------
+
+def loop_selection(frame, pe, k):
+    thr = threshold_from_order_stat(frame, pe, k).threshold
+    if not thr > 0:
+        return thr, None
+    return thr, np.flatnonzero(frame.norms(pe) > thr)
+
+
+def loop_extremal_index_alpha(frame, alpha, k):
+    pe = PExponent(alpha)
+    thr, selected = loop_selection(frame, pe, k)
+    if selected is None:
+        return 0.0, 0, thr, True, {}
+    total = 0.0
+    for t in selected:
+        x = frame.matrix[t] / thr
+        na = p_modulus(x, pe)
+        if na > 1.0:
+            total += (float(np.max(np.abs(x))) / na) ** alpha
+    return total / k, int(selected.size), thr, False, {}
+
+
+def loop_cluster_index_c1(frame, alpha, k):
+    thr, selected = loop_selection(frame, PExponent(1.0), k)
+    total = 0.0
+    for t in [] if selected is None else selected:
+        x = frame.matrix[t] / thr
+        n1 = float(np.sum(np.abs(x)))
+        if n1 > 1.0:
+            total += (p_modulus(x, PExponent(alpha)) / n1) ** alpha
+    mean = total / k
+    if selected is None or not mean > 0:
+        return 0.0, 0, thr, True, {"mean": 0.0}
+    return 1.0 / mean, int(selected.size), thr, False, {"mean": mean}
+
+
+def loop_serial_dependence(frame, alpha, k, h):
+    pe = PExponent(alpha)
+    thr, selected = loop_selection(frame, pe, k)
+    if selected is None:
+        return 0.0, 0, thr, True, {"h": h}
+    norms = frame.norms(pe)
+    total = 0.0
+    for t in selected:
+        scaled = frame.matrix[t] / norms[t]
+        signed = np.sign(scaled) * np.abs(scaled) ** alpha
+        total += float(np.dot(signed[: frame.b - h], signed[h:]))
+    return total / k, int(selected.size), thr, False, {"h": h}
+
+
+def loop_supwalk(frame, alpha, k):
+    pe = PExponent(1.0)
+    thr, selected = loop_selection(frame, pe, k)
+    if selected is None:
+        return 0.0, 0, thr, True, {}
+    n1 = frame.norms(pe)
+    na = frame.norms(alpha)
+    num = 0.0
+    den = 0.0
+    for t in selected:
+        sup = max(float(np.max(np.cumsum(frame.matrix[t]))), 0.0)
+        num += (sup / n1[t]) ** alpha
+        den += (na[t] / n1[t]) ** alpha
+    if den == 0.0:
+        return 0.0, 0, thr, True, {}
+    return num / den, int(selected.size), thr, False, {}
+
+
+def report_fields(report):
+    return (report.value, report.selected_blocks, report.threshold,
+            report.degenerate, report.extras)
+
+
+ENTRIES = st.one_of(
+    st.sampled_from([0.0, 0.0, 1.0, -1.0, 2.5, -2.5]),
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_subnormal=False),
+)
+
+
+@st.composite
+def block_frames(draw):
+    b = draw(st.integers(min_value=1, max_value=6))
+    m = draw(st.integers(min_value=2, max_value=12))
+    scale = draw(st.sampled_from([1.0, 1e-6, 1e6]))
+    values = draw(st.lists(ENTRIES, min_size=m * b, max_size=m * b))
+    if draw(st.booleans()):
+        # blocks repeated verbatim: exact ties in every norm
+        values = values[:b] * m
+    if draw(st.booleans()):
+        # zero rows
+        zero_rows = draw(st.lists(st.integers(0, m - 1), max_size=m))
+        for t in zero_rows:
+            values[t * b:(t + 1) * b] = [0.0] * b
+    return BlockFrame(scale * np.asarray(values), b)
+
+
+@given(frame=block_frames(), data=st.data(),
+       alpha=st.sampled_from([0.5, 1.0, 1.3, 2.0, 3.0]))
+@example(frame=BlockFrame(np.zeros(12), 3), data=None, alpha=1.3)
+@example(frame=BlockFrame(np.array([3.0, -1.0, 0.0, 2.0, -2.0, 5.0]), 1),
+         data=None, alpha=2.0)
+@settings(max_examples=300, deadline=None)
+def test_vectorized_estimators_match_block_loops(frame, data, alpha):
+    if data is None:
+        k, h = frame.m, 0
+    else:
+        k = data.draw(st.integers(min_value=2, max_value=frame.m), label="k")
+        h = data.draw(st.integers(min_value=0, max_value=frame.b - 1), label="h")
+    assert (report_fields(extremal_index_alpha_blocks(frame, alpha, k))
+            == loop_extremal_index_alpha(frame, alpha, k))
+    assert (report_fields(cluster_index_c1(frame, alpha, k))
+            == loop_cluster_index_c1(frame, alpha, k))
+    assert (report_fields(serial_dependence_estimate(frame, alpha, k, h))
+            == loop_serial_dependence(frame, alpha, k, h))
+    if alpha >= 1:
+        assert (report_fields(supwalk_constant_estimate(frame, alpha, k))
+                == loop_supwalk(frame, alpha, k))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -306,6 +307,60 @@ def test_run_experiment_skips_short_grid_points():
         assert record["rows"] == config.reps
         assert record["degenerate"] == config.reps
         assert record["mean"] is None and record["q50"] is None
+
+
+@pytest.mark.parametrize("threads", [
+    1,
+    # workers see the patched hill_alpha only when they are forked
+    pytest.param(2, marks=pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers are not forked, so the patch does not reach them")),
+])
+def test_run_experiment_hill_failure_keeps_grid(monkeypatch, tmp_path, threads):
+    # a failing Hill estimate at rep 1 marks that rep's alpha estimators
+    # degenerate at every n; alpha-free estimators and other reps still run,
+    # and the caller is warned with any worker count
+    import lpblocks.experiment as experiment
+
+    config = small_config(alpha_mode="hill:5",
+                          estimators=("extremal_index_alpha", "extremal_index_infty",
+                                      "serial:1", "cluster_index_c1_infty"))
+    bad = {n: simulate(config.model, max(config.n_grid), SeedSpec(config.master_seed, 1))[:n]
+           for n in config.n_grid}
+    real_hill = experiment.hill_alpha
+
+    def flaky_hill(x, k_tail):
+        if any(len(x) == n and np.array_equal(x, s) for n, s in bad.items()):
+            raise ValueError("injected failure")
+        return real_hill(x, k_tail)
+
+    clean, clean_summary = run_experiment(config)
+    monkeypatch.setattr(experiment, "hill_alpha", flaky_hill)
+    with pytest.warns(RuntimeWarning, match=r"rep 1, n=\d+: .*injected failure") as caught:
+        rows, summary = run_experiment(config, threads=threads, output=tmp_path)
+    assert [str(w.message).split(":")[0] for w in caught] == [
+        f"rep 1, n={n}" for n in config.n_grid]
+    assert len(rows) == len(clean)
+    for row, ref in zip(rows, clean):
+        if row.rep == 1 and get_estimator(row.estimator_id).needs_alpha:
+            assert row.degenerate and np.isnan(row.value)
+            assert (row.estimator_id, row.n, row.b, row.k) == \
+                (ref.estimator_id, ref.n, ref.b, ref.k)
+        else:
+            assert persisted(row) == persisted(ref)
+    lines = (tmp_path / "results.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == RESULTS_HEADER
+    degenerate = [line for line in lines[1:] if line.endswith(",1")]
+    assert len(degenerate) == len(config.n_grid) * len(config.b_grid) * 2
+    assert all(line.split(",")[4] == "1" and line.split(",")[6] == "nan"
+               for line in degenerate)
+    by_key = {(r["estimator_id"], r["n"], r["b"]): r for r in summary}
+    for record in clean_summary:
+        key = (record["estimator_id"], record["n"], record["b"])
+        alpha_free = not get_estimator(record["estimator_id"]).needs_alpha
+        assert by_key[key]["degenerate"] == (0 if alpha_free else 1)
+        if alpha_free:
+            assert by_key[key] == record
 
 
 def test_run_experiment_threads_byte_identical(tmp_path):
