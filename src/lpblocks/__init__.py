@@ -31,7 +31,6 @@ from .models import (
 )
 from .blocks import (
     BlockFrame,
-    ThresholdChoice,
     default_k,
     partition,
     threshold_from_order_stat,

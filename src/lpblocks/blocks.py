@@ -4,7 +4,6 @@ order-statistic thresholds."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,7 +11,6 @@ from .seqcore import as_p, as_series, kth_order_stat, row_p_moduli
 
 __all__ = [
     "BlockFrame",
-    "ThresholdChoice",
     "partition",
     "default_k",
     "threshold_from_order_stat",
@@ -82,16 +80,8 @@ def default_k(n: int, b: int, kappa: float = 1.0) -> int:
     return min(k, n // b)
 
 
-@dataclass(frozen=True)
-class ThresholdChoice:
-    """Number of order statistics k and the k-th largest block p-norm."""
-
-    k: int
-    threshold: float
-
-
-def threshold_from_order_stat(frame: BlockFrame, p, k: int) -> ThresholdChoice:
-    """Empirical threshold ||B||_{p,(k)} over the frame's block norms."""
+def threshold_from_order_stat(frame: BlockFrame, p, k: int) -> float:
+    """Empirical threshold ||B||_{p,(k)}: the k-th largest block p-norm."""
     if not 2 <= k <= frame.m:
         raise ValueError(f"k must satisfy 2 <= k <= m={frame.m}, got {k}")
-    return ThresholdChoice(k=int(k), threshold=kth_order_stat(frame.norms(p), k))
+    return kth_order_stat(frame.norms(p), k)

@@ -140,8 +140,7 @@ def cluster_functional_estimate(frame: BlockFrame, p, k: int, g: ClusterFunction
         raise ValueError(
             f"functional violates its vanishing contract: g(0) = {probe!r}"
         )
-    choice = threshold_from_order_stat(frame, pe, k)
-    thr = choice.threshold
+    thr = threshold_from_order_stat(frame, pe, k)
     if not thr > 0:
         return _degenerate(estimator_id, pe, frame, k, thr, alpha_used)
     norms = frame.norms(pe)
@@ -159,7 +158,7 @@ def cluster_functional_estimate(frame: BlockFrame, p, k: int, g: ClusterFunction
 def _selected_rows(frame: BlockFrame, pe: PExponent, k: int):
     """(threshold, indices of blocks with norm > threshold); indices is None
     when the threshold is not positive."""
-    thr = threshold_from_order_stat(frame, pe, k).threshold
+    thr = threshold_from_order_stat(frame, pe, k)
     if not thr > 0:
         return thr, None
     return thr, np.flatnonzero(frame.norms(pe) > thr)
@@ -203,8 +202,7 @@ def extremal_index_alpha_blocks(frame: BlockFrame, alpha: float, k: int) -> Esti
 def extremal_index_infty_blocks(frame: BlockFrame, k_prime: int) -> EstimateReport:
     """Classical blocks estimator: inverse mean number of point exceedances
     (comparator >=) of the k'-th largest block maximum."""
-    choice = threshold_from_order_stat(frame, INF, k_prime)
-    thr = choice.threshold
+    thr = threshold_from_order_stat(frame, INF, k_prime)
     if not thr > 0:
         return _degenerate("extremal_index_infty", INF, frame, k_prime, thr, None)
     count = int(np.sum(np.abs(frame.values) >= thr))
@@ -250,8 +248,7 @@ def cluster_index_c1(frame: BlockFrame, alpha: float, k: int) -> EstimateReport:
 def cluster_index_c1_infty(frame: BlockFrame, k_prime: int) -> EstimateReport:
     """c(1) competitor thresholding on block maxima: count of blocks whose
     l^1 norm exceeds ||B||_{inf,(k')} over the count of point exceedances."""
-    choice = threshold_from_order_stat(frame, INF, k_prime)
-    thr = choice.threshold
+    thr = threshold_from_order_stat(frame, INF, k_prime)
     if not thr > 0:
         return _degenerate("cluster_index_c1_infty", INF, frame, k_prime, thr, None)
     numerator = int(np.sum(frame.norms(1) > thr))

@@ -92,24 +92,36 @@ class AlphaMode:
     def __post_init__(self):
         if self.kind not in ("oracle", "hill", "fixed"):
             raise ValueError(f"unknown alpha mode kind {self.kind!r}")
-        if self.kind == "fixed" and not (self.value is not None and self.value > 0):
-            raise ValueError("fixed alpha must be positive")
+        if self.kind == "fixed" and not (self.value is not None and 0 < self.value < math.inf):
+            raise ValueError(f"fixed alpha must be positive and finite, got {self.value!r}")
+
+
+def _fixed_mode(mode, value: float) -> AlphaMode:
+    try:
+        return AlphaMode("fixed", value)
+    except ValueError as exc:
+        raise ValueError(f"alpha mode {mode!r}: {exc}") from None
 
 
 def parse_alpha_mode(mode) -> AlphaMode:
     if isinstance(mode, AlphaMode):
         return mode
     if isinstance(mode, (int, float)) and not isinstance(mode, bool):
-        return AlphaMode("fixed", float(mode))
+        return _fixed_mode(mode, float(mode))
     text = str(mode).strip()
     if text == "oracle":
         return AlphaMode("oracle")
     if text == "hill":
         return AlphaMode("hill")
     if text.startswith("hill:"):
-        k_tail = int(text.split(":", 1)[1])
+        try:
+            k_tail = int(text.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(
+                f"alpha mode {mode!r}: k_tail after 'hill:' must be an integer"
+            ) from None
         if k_tail < 2:
-            raise ValueError("hill k_tail must be at least 2")
+            raise ValueError(f"alpha mode {mode!r}: hill k_tail must be at least 2")
         return AlphaMode("hill", float(k_tail))
     try:
         value = float(text)
@@ -118,7 +130,7 @@ def parse_alpha_mode(mode) -> AlphaMode:
             f"alpha mode {mode!r} not understood; use a positive number, "
             "'oracle', 'hill' or 'hill:<k_tail>'"
         ) from None
-    return AlphaMode("fixed", value)
+    return _fixed_mode(mode, value)
 
 
 def default_hill_k(n: int) -> int:

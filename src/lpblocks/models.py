@@ -5,9 +5,21 @@ All randomness flows through :class:`SeedSpec`, a counter-based Philox layout
 in which distinct (master_seed, stream_id) pairs give independent streams and
 the same pair reproduces byte-identical output. Each model spec owns its
 shape: ``lead``, the noise columns drawn ahead of the n kept ones, and
-``filter``, the recursion that turns noise into the series. One simulator,
-:func:`simulate_batch`, draws every replication; :func:`simulate` is its
-one-row case.
+``filter``, which turns a (count, n + lead) noise matrix into the (count, n)
+kept values. One simulator, :func:`simulate_batch`, draws every replication;
+:func:`simulate` is its one-row case.
+
+The filters are plain numpy and repeat the floating-point operations of
+``scipy.signal.lfilter``, operation for operation, so every simulated path
+is the one that reference computes:
+
+- a moving average adds its taps in the order ``np.convolve`` adds them:
+  oldest noise value first, except for n == 1, where ``np.convolve`` does
+  not swap its operands and the newest comes first (byte-identical up to 11
+  taps; with more, ``np.convolve`` hands the sum to the BLAS dot, whose
+  summation order is the library's own);
+- AR(1) steps as ``z_t + phi * y_{t-1}`` in place on the noise matrix: one
+  vector step per column for a batch, Python floats for a single row.
 """
 
 from __future__ import annotations
@@ -16,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 __all__ = [
     "NoiseSpec",
@@ -78,8 +89,19 @@ class LinearModelSpec:
         return len(self.coeffs) - 1
 
     def filter(self, z: np.ndarray) -> np.ndarray:
-        """Moving average along the last axis; exact once the memory is full."""
-        return lfilter(self.coeffs, [1.0], z, axis=-1)
+        """(count, n) moving averages of a (count, n + q) noise matrix.
+
+        Taps are added oldest first, newest first when n == 1: the order of
+        ``np.convolve``, which swaps its operands only for rows longer than
+        the taps. Only one product is alive at a time.
+        """
+        c, q = self.coeffs, self.lead
+        n = z.shape[-1] - q
+        first, *rest = range(q + 1) if n == 1 else range(q, -1, -1)
+        out = c[first] * z[:, q - first:q - first + n]
+        for j in rest:
+            out += c[j] * z[:, q - j:q - j + n]
+        return out
 
 
 @dataclass(frozen=True)
@@ -102,8 +124,22 @@ class AR1ModelSpec:
         return self.burn_in
 
     def filter(self, z: np.ndarray) -> np.ndarray:
-        """AR(1) recursion along the last axis, started at 0."""
-        return lfilter([1.0], [1.0, -self.phi], z, axis=-1)
+        """(count, n) AR(1) values of a (count, n + burn_in) noise matrix.
+
+        The recursion y_t = z_t + phi * y_{t-1}, started at 0, overwrites z
+        and the kept columns are returned as a view. A batch steps one column
+        at a time; a single row steps on Python floats, which is far cheaper
+        than a numpy call per value.
+        """
+        phi = self.phi
+        if z.shape[0] == 1:
+            acc = 0.0
+            # iterating the buffer yields Python floats without a list copy
+            z[0] = [acc := v + phi * acc for v in memoryview(z[0])]
+        else:
+            for t in range(1, z.shape[1]):
+                z[:, t] += phi * z[:, t - 1]
+        return z[:, self.burn_in:]
 
 
 Model = LinearModelSpec | AR1ModelSpec
@@ -150,7 +186,11 @@ def _noise_matrix(spec: NoiseSpec, shape, rng: np.random.Generator) -> np.ndarra
         return (1.0 - rng.random(shape)) ** (-1.0 / spec.alpha)
     z = rng.standard_normal(shape)
     v = rng.chisquare(spec.alpha, shape)
-    return z / np.sqrt(v / spec.alpha)
+    # z / sqrt(v / alpha) without full-size temporaries
+    v /= spec.alpha
+    np.sqrt(v, out=v)
+    z /= v
+    return z
 
 
 def sample_noise(spec: NoiseSpec, n: int, seed) -> np.ndarray:
@@ -176,15 +216,15 @@ def simulate(model: Model, n: int, seed) -> np.ndarray:
 def simulate_batch(model: Model, n: int, count: int, seed) -> np.ndarray:
     """(count, n) array of independent replications from one stream.
 
-    Each row draws n + model.lead noise values, filters them and drops the
-    first model.lead outputs. The whole batch is a single deterministic draw
+    Each row draws n + model.lead noise values and ``model.filter`` returns
+    the n kept ones. The whole batch is a single deterministic draw
     of the stream; it is not row-wise identical to `count` calls of simulate
     on distinct streams.
     """
     if n < 1 or count < 1:
         raise ValueError("n and count must be at least 1")
     z = _noise_matrix(model.noise, (count, n + model.lead), _rng_of(seed))
-    return model.filter(z)[:, model.lead:]
+    return model.filter(z)
 
 
 def ar1_coefficients(phi: float, tol: float = 1e-12) -> np.ndarray:

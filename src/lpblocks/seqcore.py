@@ -171,7 +171,7 @@ def kth_order_stat(values, k: int) -> float:
     v = np.asarray(values, dtype=np.float64)
     if not 1 <= k <= v.size:
         raise ValueError(f"k={k} out of range for {v.size} values")
-    return float(order_statistics_desc(v)[k - 1])
+    return float(np.partition(v, v.size - k)[v.size - k])
 
 
 def _row_power_sums(u: np.ndarray, q: float) -> np.ndarray:

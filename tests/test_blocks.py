@@ -67,12 +67,11 @@ def test_default_k_non_increasing_in_b(n, kappa):
 
 def test_threshold_examples():
     frame = partition(np.array([5.0, 3.0, 4.0, 1.0]), 1)
-    choice = threshold_from_order_stat(frame, 1, 2)
-    assert choice.k == 2
-    assert choice.threshold == 4.0
-    assert threshold_from_order_stat(frame, 1, 4).threshold == 1.0
+    assert type(threshold_from_order_stat(frame, 1, 2)) is float
+    assert threshold_from_order_stat(frame, 1, 2) == 4.0
+    assert threshold_from_order_stat(frame, 1, 4) == 1.0
     ties = partition(np.array([2.0, 2.0, 1.0]), 1)
-    assert threshold_from_order_stat(ties, 1, 2).threshold == 2.0
+    assert threshold_from_order_stat(ties, 1, 2) == 2.0
 
 
 def test_threshold_k_range():
@@ -89,9 +88,9 @@ def test_strict_exceedances_count_k_minus_one(seed, k):
     rng = np.random.default_rng(seed)
     x = rng.standard_t(1.3, size=200)
     frame = partition(x, 10)  # m = 20 blocks, norms distinct a.s.
-    choice = threshold_from_order_stat(frame, 2, k)
+    threshold = threshold_from_order_stat(frame, 2, k)
     norms = frame.norms(2)
-    assert int(np.sum(norms > choice.threshold)) == k - 1
+    assert int(np.sum(norms > threshold)) == k - 1
 
 
 @given(seed=st.integers(min_value=0, max_value=1000),
@@ -101,8 +100,8 @@ def test_scale_equivariance_of_selection(seed, c):
     x = rng.standard_t(1.3, size=120)
     a = partition(x, 6)
     b = partition(c * x, 6)
-    ta = threshold_from_order_stat(a, 1.3, 4).threshold
-    tb = threshold_from_order_stat(b, 1.3, 4).threshold
+    ta = threshold_from_order_stat(a, 1.3, 4)
+    tb = threshold_from_order_stat(b, 1.3, 4)
     assert tb == pytest.approx(c * ta, rel=1e-9)
     sel_a = a.norms(1.3) > ta
     sel_b = b.norms(1.3) > tb

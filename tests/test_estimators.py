@@ -444,7 +444,7 @@ def test_estimator_bounds_hold(seed, b, k):
 # --- vectorized estimators against per-block loops -------------------------
 
 def loop_selection(frame, pe, k):
-    thr = threshold_from_order_stat(frame, pe, k).threshold
+    thr = threshold_from_order_stat(frame, pe, k)
     if not thr > 0:
         return thr, None
     return thr, np.flatnonzero(frame.norms(pe) > thr)

@@ -107,10 +107,18 @@ def test_parse_alpha_mode_forms():
 def test_parse_alpha_mode_rejects_garbage():
     with pytest.raises(ValueError, match="not understood"):
         parse_alpha_mode("banana")
-    with pytest.raises(ValueError, match="at least 2"):
+    with pytest.raises(ValueError, match="alpha mode 'hill:1'.*at least 2"):
         parse_alpha_mode("hill:1")
-    with pytest.raises(ValueError):
-        parse_alpha_mode("hill:x")
+    for mode in ("hill:x", "hill:", "hill:2.5"):
+        with pytest.raises(ValueError, match=f"alpha mode '{mode}'.*integer"):
+            parse_alpha_mode(mode)
+    # a fixed alpha must be a positive finite number; the error names the mode
+    for mode in ("inf", "-inf", "nan", "0", "-1.5"):
+        with pytest.raises(ValueError, match=f"alpha mode '{mode}'.*positive and finite"):
+            parse_alpha_mode(mode)
+    for mode in (float("inf"), float("nan"), 0, -2.0):
+        with pytest.raises(ValueError, match="positive and finite"):
+            parse_alpha_mode(mode)
     # bools are not numbers here
     with pytest.raises(ValueError, match="not understood"):
         parse_alpha_mode(True)
@@ -123,6 +131,8 @@ def test_alpha_mode_validation():
         AlphaMode("fixed")
     with pytest.raises(ValueError, match="must be positive"):
         AlphaMode("fixed", -1.0)
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        AlphaMode("fixed", float("inf"))
 
 
 @given(st.floats(min_value=0.05, max_value=50.0, allow_nan=False))
@@ -215,6 +225,10 @@ def test_config_validation():
         small_config(kappa=0.0)
     with pytest.raises(ValueError, match="not understood"):
         small_config(alpha_mode="banana")
+    with pytest.raises(ValueError, match="alpha mode 'inf'.*finite"):
+        small_config(alpha_mode="inf")
+    with pytest.raises(ValueError, match="alpha mode 'hill:'"):
+        small_config(alpha_mode="hill:")
     with pytest.raises(ValueError, match="k_tail=120 .* n=120"):
         small_config(n_grid=(120, 240), alpha_mode="hill:120")
 

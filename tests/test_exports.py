@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,3 +37,23 @@ def test_package_reexports_are_declared():
              if name not in importlib.import_module(f"lpblocks.{module}").__all__]
     assert stale == []
     assert all(hasattr(lpblocks, name) for _, name in pairs)
+
+
+def test_import_and_cli_need_numpy_only(tmp_path):
+    # sys.modules[name] = None makes every import of scipy raise ImportError
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from lpblocks.cli import main\n"
+        "sys.exit(main(['simulate', '--model', 'ar1', '--phi', '0.8', '--burn-in', '20',\n"
+        "               '--tail-index', '1.3', '--n', '50', '--out', sys.argv[1]]))\n"
+    )
+    src = str(Path(lpblocks.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = tmp_path / "series.txt"
+    done = subprocess.run([sys.executable, "-c", script, str(out)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert len([line for line in lines if not line.startswith("#")]) == 50

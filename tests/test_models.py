@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
+from scipy.signal import lfilter
 
 from lpblocks.models import (
     AR1ModelSpec,
@@ -153,6 +156,42 @@ def test_simulate_dispatch_and_batch(name):
         # batch rows come from one stream: first row consumes the same leading
         # noise (student noise draws every normal before any chi-square)
         np.testing.assert_array_equal(batch[0], x)
+
+
+def _noise_rows(seed, rows, cols):
+    return np.random.default_rng(seed).standard_t(1.3, size=(rows, cols))
+
+
+# scipy is the test-only reference: the filters must reproduce lfilter byte
+# for byte, including the n == 1 tap order of its np.convolve path
+@given(coeffs=st.lists(st.sampled_from([0.0, 1.0, -0.7, 0.5, 0.3, 2.5, -1e-3]),
+                       min_size=1, max_size=8).filter(any),
+       n=st.one_of(st.just(1), st.integers(min_value=2, max_value=40)),
+       rows=st.sampled_from([1, 2, 5]),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_linear_filter_matches_lfilter_bytes(coeffs, n, rows, seed):
+    spec = LinearModelSpec(coeffs=tuple(coeffs), noise=STUDENT13)
+    z = _noise_rows(seed, rows, n + spec.lead)
+    want = lfilter(spec.coeffs, [1.0], z, axis=-1)[:, spec.lead:]
+    got = spec.filter(z.copy())
+    assert got.shape == (rows, n)
+    assert got.tobytes() == want.tobytes()
+
+
+@given(phi=st.one_of(st.just(0.0), st.floats(min_value=-0.99, max_value=0.99)),
+       burn_in=st.one_of(st.just(0), st.integers(min_value=1, max_value=30)),
+       n=st.integers(min_value=1, max_value=40),
+       rows=st.sampled_from([1, 2, 5]),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_ar1_filter_matches_lfilter_bytes(phi, burn_in, n, rows, seed):
+    spec = AR1ModelSpec(phi=phi, noise=STUDENT13, burn_in=burn_in)
+    z = _noise_rows(seed, rows, n + spec.lead)
+    want = lfilter([1.0], [1.0, -phi], z, axis=-1)[:, spec.lead:]
+    got = spec.filter(z.copy())
+    assert got.shape == (rows, n)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_stream_independence_of_block_norms():
