@@ -182,8 +182,13 @@ def _rng_of(seed) -> np.random.Generator:
 
 def _noise_matrix(spec: NoiseSpec, shape, rng: np.random.Generator) -> np.ndarray:
     if spec.law == "pareto":
-        # inverse CDF on 1-U keeps draws finite: P(Z > z) = z^-alpha exactly
-        return (1.0 - rng.random(shape)) ** (-1.0 / spec.alpha)
+        # inverse CDF on 1-U keeps draws finite: P(Z > z) = z^-alpha exactly;
+        # in place, so one full-size array is alive, and **= takes the same
+        # scalar-power path as ** (byte-identical draws)
+        u = rng.random(shape)
+        np.subtract(1.0, u, out=u)
+        u **= -1.0 / spec.alpha
+        return u
     z = rng.standard_normal(shape)
     v = rng.chisquare(spec.alpha, shape)
     # z / sqrt(v / alpha) without full-size temporaries

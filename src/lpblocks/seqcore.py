@@ -5,6 +5,13 @@ single validation point (1-d, finite entries, length >= 1). The exponent p
 lives in (0, inf] and is carried by :class:`PExponent`. Every p-modulus goes
 through one kernel: :func:`row_p_moduli` rescales rows by their max and sums
 powers with :func:`_row_power_sums`; :func:`p_modulus` is its one-row case.
+
+The Monte Carlo reductions over large sample matrices (the spectral oracle's
+ratio kernel, the large-deviation hit counts and pilot norms) run their
+row-wise kernel through :func:`_map_row_tiles`, one row tile of about 2 MB at
+a time, so each tile's temporaries (the ``np.abs`` copy, the powers) stay in
+cache instead of being matrix-sized. Every row is computed by the same
+operations as on the whole matrix, so the results are identical.
 """
 
 from __future__ import annotations
@@ -56,6 +63,9 @@ class PExponent:
 
 INF = PExponent(math.inf)
 _SMALLEST_SUBNORMAL = 5e-324
+# row tiles of _map_row_tiles: about a core's L2 cache, so a tile and the
+# temporaries a kernel makes of it are reused while they are still cached
+_TILE_BYTES = 2 ** 21
 
 
 def as_p(p) -> PExponent:
@@ -204,3 +214,19 @@ def row_p_moduli(matrix, p) -> np.ndarray:
     a /= np.maximum(rowmax, _SMALLEST_SUBNORMAL)[:, None]
     pv = pe.value
     return rowmax * _row_power_sums(a, pv) ** (1.0 / pv)
+
+
+def _map_row_tiles(fn, matrix: np.ndarray, *args) -> np.ndarray:
+    """fn(tile, *args) over consecutive row tiles of a 2-d ``matrix``, about
+    _TILE_BYTES each, concatenated.
+
+    ``fn`` must be row-wise: row i of its 1-d result depends on row i of its
+    input alone. The result then equals fn(matrix, *args), while the
+    temporaries fn makes are tile-sized instead of matrix-sized.
+    """
+    count = matrix.shape[0]
+    rows = max(1, _TILE_BYTES // max(1, matrix.shape[1] * matrix.itemsize))
+    if rows >= count:
+        return fn(matrix, *args)
+    return np.concatenate([fn(matrix[i:i + rows], *args)
+                           for i in range(0, count, rows)])

@@ -19,7 +19,8 @@ import numpy as np
 
 from .models import (AR1ModelSpec, LinearModelSpec, Model, _as_seed, _rng_of,
                      model_coefficients, simulate_batch)
-from .seqcore import PExponent, _row_power_sums, as_p, p_modulus, row_p_moduli
+from .seqcore import (PExponent, _map_row_tiles, _row_power_sums, as_p, p_modulus,
+                      row_p_moduli)
 
 __all__ = [
     "SpectralDraw",
@@ -160,51 +161,76 @@ class MCEstimate:
 
 def _ratio_alpha_pow(u: np.ndarray, alpha: float, pe: PExponent) -> np.ndarray:
     """Per-row (||x||_p / ||x||_alpha)^alpha via max-rescaled power sums:
-    S_p^(alpha/p) / S_alpha, and 1 / S_alpha for p = inf.
+    S_p^(alpha/p) / S_alpha, and 1 / S_alpha for p = inf; all-zero rows give 0.
 
-    ``u`` holds the absolute draws |x| and is rescaled in place, so callers
-    pass an array that nothing else references.
+    ``u`` holds absolute draws |x| and is rescaled in place, so callers pass
+    a fresh array: :func:`_abs_ratios` passes the ``np.abs`` copy of a tile.
     """
     top = u.max(axis=1)
     u /= np.where(top > 0.0, top, 1.0)[:, None]
     s_alpha = _row_power_sums(u, alpha)
-    if pe.is_inf:
-        ratios = 1.0 / s_alpha
-    elif pe.value == alpha:
-        ratios = np.ones_like(s_alpha)
-    else:
-        s_p = _row_power_sums(u, pe.value)
-        ratios = s_p ** (alpha / pe.value) / s_alpha
+    # all-zero rows divide 0 by 0 here; they are set to 0 below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if pe.is_inf:
+            ratios = 1.0 / s_alpha
+        elif pe.value == alpha:
+            ratios = np.ones_like(s_alpha)
+        else:
+            s_p = _row_power_sums(u, pe.value)
+            ratios = s_p ** (alpha / pe.value) / s_alpha
     ratios[top == 0.0] = 0.0
     return ratios
+
+
+def _abs_ratios(draws: np.ndarray, alpha: float, pe: PExponent) -> np.ndarray:
+    return _ratio_alpha_pow(np.abs(draws), alpha, pe)
+
+
+def _batch_ratios(sampler, count: int, rng, alpha: float, pe: PExponent) -> np.ndarray:
+    """Ratios of one sampler batch, reduced tile by tile.
+
+    The batch is referenced only from this call, so it is freed before the
+    caller asks the sampler for the next one.
+    """
+    draws = np.asarray(sampler(count, rng), dtype=np.float64)
+    if draws.ndim != 2 or draws.shape[0] != count or draws.shape[1] < 1:
+        raise ValueError(f"sampler must return a 2-d array of {count} rows and at "
+                         f"least one column, got shape {draws.shape}")
+    return _map_row_tiles(_abs_ratios, draws, alpha, pe)
 
 
 def cluster_constant_mc(sampler, alpha: float, p, n_draws: int, seed,
                         batch_size: int = 250_000) -> MCEstimate:
     """Monte Carlo c(p) = E[(||Theta||_p / ||Theta||_alpha)^alpha].
 
-    ``sampler`` is fn(count, rng) -> 2-d array of draws (rows zero-padded);
-    Theta draws and rescaled Q^(alpha) draws are both fine since the ratio
-    is scale-free.
+    ``sampler`` is fn(count, rng) -> (count, width) array of draws (rows
+    zero-padded); Theta draws and rescaled Q^(alpha) draws are both fine
+    since the ratio is scale-free. The standard error is the population
+    standard deviation of the per-draw ratios over sqrt(n_draws), from
+    centered sums of squares per batch combined by Chan's formula.
     """
     if n_draws < 1:
         raise ValueError("n_draws must be at least 1")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     rng = _rng_of(seed)
     pe = as_p(p)
     total = 0.0
-    total_sq = 0.0
-    left = n_draws
-    while left > 0:
-        count = min(left, batch_size)
-        # np.abs copies, so the sampler's batch is freed before the power sums
-        ratios = _ratio_alpha_pow(
-            np.abs(np.asarray(sampler(count, rng), dtype=np.float64)), alpha, pe)
-        total += float(ratios.sum())
-        total_sq += float(np.dot(ratios, ratios))
-        left -= count
-    mean = total / n_draws
-    var = max(total_sq / n_draws - mean * mean, 0.0)
-    return MCEstimate(value=mean, std_error=math.sqrt(var / n_draws), n_draws=n_draws)
+    m2 = 0.0
+    done = 0
+    while done < n_draws:
+        count = min(n_draws - done, batch_size)
+        ratios = _batch_ratios(sampler, count, rng, alpha, pe)
+        batch_sum = float(ratios.sum())
+        dev = ratios - batch_sum / count
+        # Chan: the batch's own centered sum of squares, plus the shift of
+        # its mean from the mean of the batches before it
+        shift = batch_sum / count - (total / done if done else 0.0)
+        m2 += float(np.dot(dev, dev)) + shift * shift * done * count / (done + count)
+        total += batch_sum
+        done += count
+    return MCEstimate(value=total / n_draws, std_error=math.sqrt(m2) / n_draws,
+                      n_draws=n_draws)
 
 
 def cluster_constant_telescoping(coeffs, alpha: float, p) -> float:

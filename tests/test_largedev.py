@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from lpblocks import seqcore
 from lpblocks.largedev import (
     RatioEstimate,
     _ratio_from_hits,
@@ -143,3 +144,19 @@ def test_pilot_level_monotone_in_q():
         pilot_level(IID_PARETO13, 20, 1.3, 1.0)
     with pytest.raises(ValueError):
         pilot_level(IID_PARETO13, 20, 1.3, 0.5, reps=0)
+
+
+@pytest.mark.parametrize("tile_bytes", [1, 8 * 30 * 7 + 5])
+def test_row_tiles_do_not_change_results(monkeypatch, tile_bytes):
+    # 1 byte: one row per tile; otherwise 7 rows, which divide no chunk
+    ma = LinearModelSpec(coeffs=(1.0, -0.7, 0.5), noise=NoiseSpec(law="pareto", alpha=1.3))
+
+    def run():
+        return (ld_ratio_mc(ma, 30, 1.3, 50.0, 3_001, 6),
+                ld_ratio_centered_mc(ma, 30, 1.0, 1.3, 50.0, 3_001, 7, pilot_reps=3_000),
+                pilot_level(AR1_STUDENT, 30, 0.5, 0.95, reps=3_001, seed=8))
+
+    whole = run()
+    assert whole[0].numerator_hits > 0 and whole[0].denominator_hits > 0
+    monkeypatch.setattr(seqcore, "_TILE_BYTES", tile_bytes)
+    assert run() == whole

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lpblocks import seqcore
+from lpblocks.largedev import _hit_chunk
 from lpblocks.seqcore import (
     INF,
     PExponent,
@@ -19,6 +21,7 @@ from lpblocks.seqcore import (
     truncate_above,
     truncate_below,
 )
+from lpblocks.spectral import _abs_ratios, _ratio_alpha_pow
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0,
                           allow_nan=False, allow_infinity=False)
@@ -200,3 +203,53 @@ def test_p_modulus_extreme_scales_no_overflow():
     assert p_modulus(big, 2) == pytest.approx(math.sqrt(2) * 1e300, rel=1e-12)
     assert p_modulus(small, 2) == pytest.approx(math.sqrt(2) * 1e-300, rel=1e-12)
     assert p_modulus(big, 0.5) == pytest.approx(4 * 1e300, rel=1e-12)
+
+
+def test_map_row_tiles_splits_rows_by_tile_bytes(monkeypatch):
+    seen = []
+
+    def rows_of(tile):
+        seen.append(tile.shape[0])
+        return tile[:, 0].copy()
+
+    matrix = np.arange(70.0).reshape(10, 7)
+    # 3 rows of 7 float64 = 168 bytes; 170 is not a multiple of a row
+    monkeypatch.setattr(seqcore, "_TILE_BYTES", 170)
+    assert np.array_equal(seqcore._map_row_tiles(rows_of, matrix), matrix[:, 0])
+    assert seen == [3, 3, 3, 1]
+    # a tile smaller than one row still holds one row
+    seen.clear()
+    monkeypatch.setattr(seqcore, "_TILE_BYTES", 1)
+    seqcore._map_row_tiles(rows_of, matrix)
+    assert seen == [1] * 10
+    # a matrix that fits one tile is passed whole
+    seen.clear()
+    monkeypatch.setattr(seqcore, "_TILE_BYTES", 10 ** 6)
+    seqcore._map_row_tiles(rows_of, matrix)
+    assert seen == [10]
+
+
+@given(rows=st.integers(min_value=1, max_value=40),
+       cols=st.integers(min_value=1, max_value=200),
+       tile_bytes=st.one_of(st.just(1), st.integers(min_value=2, max_value=20_000)),
+       zero_rows=st.lists(st.integers(min_value=0, max_value=39), max_size=6),
+       seed=st.integers(min_value=0, max_value=10_000))
+@settings(deadline=None)
+def test_row_tiles_equal_untiled(rows, cols, tile_bytes, zero_rows, seed):
+    """Tiled Monte Carlo reductions are == the whole-matrix kernels: norms,
+    hit counts and the spectral ratios, at any tile size."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.standard_t(1.3, size=(rows, cols))
+    matrix[[r for r in zero_rows if r < rows]] = 0.0
+    for p in (0.5, 1.0, 1.3, 2.0, INF):
+        pe = as_p(p)
+        norms = row_p_moduli(matrix, pe)
+        level = float(np.median(norms))
+        hits = int(np.sum(norms > level))
+        ratios = _ratio_alpha_pow(np.abs(matrix), 1.3, pe)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(seqcore, "_TILE_BYTES", tile_bytes)
+            assert np.array_equal(seqcore._map_row_tiles(row_p_moduli, matrix, pe), norms)
+            assert _hit_chunk(matrix, pe, level) == hits
+            assert np.array_equal(seqcore._map_row_tiles(_abs_ratios, matrix, 1.3, pe),
+                                  ratios)

@@ -1,15 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpblocks.models import AR1ModelSpec, LinearModelSpec, NoiseSpec, SeedSpec
-from lpblocks.seqcore import INF, p_modulus
+from lpblocks import seqcore
+from lpblocks.models import AR1ModelSpec, LinearModelSpec, NoiseSpec, SeedSpec, _rng_of
+from lpblocks.seqcore import INF, as_p, p_modulus
 from lpblocks.spectral import (
     ShiftLaw,
     SpectralDraw,
+    _ratio_alpha_pow,
     ThresholdTooHigh,
     cluster_constant_linear,
     cluster_constant_mc,
@@ -178,6 +181,73 @@ def test_cluster_constant_mc_ar1_matches_closed_form():
     est = cluster_constant_mc(sampler, 1.3, INF, 1_000, SeedSpec(master_seed=9))
     assert est.value == pytest.approx(0.25180124174190294, rel=1e-9)
     assert est.std_error == pytest.approx(0.0, abs=1e-8)
+
+
+def heavy_sampler(count, rng):
+    """Non-degenerate ratios: Student rows, about one in ten all zero."""
+    draws = rng.standard_t(1.3, size=(count, 9))
+    draws[rng.random(count) < 0.1] = 0.0
+    return draws
+
+
+def test_cluster_constant_mc_rejects_bad_input():
+    sampler = theta_sampler_linear(AR1_08)
+    with pytest.raises(ValueError, match="batch_size must be at least 1, got 0"):
+        cluster_constant_mc(sampler, 1.3, 1, 10, 0, batch_size=0)
+    with pytest.raises(ValueError, match=r"2-d array of 10 rows.*shape \(10,\)"):
+        cluster_constant_mc(lambda count, rng: rng.random(count), 1.3, 1, 10, 0)
+    with pytest.raises(ValueError, match=r"2-d array of 10 rows.*shape \(11, 3\)"):
+        cluster_constant_mc(lambda count, rng: rng.random((count + 1, 3)), 1.3, 1, 10, 0)
+    with pytest.raises(ValueError, match=r"at least one column, got shape \(10, 0\)"):
+        cluster_constant_mc(lambda count, rng: np.zeros((count, 0)), 1.3, 1, 10, 0)
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0, INF])
+def test_cluster_constant_mc_constant_ratio_has_zero_std_error(p):
+    # every AR(1) draw has the same ratio up to rounding, so the reported
+    # s.e. must not be the cancellation error of a raw second moment
+    est = cluster_constant_mc(theta_sampler_linear(AR1_08), 1.3, p, 30_000, 4,
+                              batch_size=7_000)
+    assert est.value == pytest.approx(cluster_constant_linear(AR1_08, 1.3, p), rel=1e-12)
+    assert est.std_error <= 1e-15 * est.value
+
+
+def test_cluster_constant_mc_std_error_is_std_of_ratios():
+    n_draws, batch = 10_001, 3_000
+    pe = as_p(2.0)
+    est = cluster_constant_mc(heavy_sampler, 1.3, pe, n_draws, 8, batch_size=batch)
+    rng = _rng_of(8)
+    ratios = np.concatenate([
+        _ratio_alpha_pow(np.abs(heavy_sampler(count, rng)), 1.3, pe)
+        for count in (batch, batch, batch, n_draws - 3 * batch)])
+    assert est.value == pytest.approx(float(np.mean(ratios)), rel=1e-12)
+    assert est.std_error == pytest.approx(
+        float(np.std(ratios)) / math.sqrt(n_draws), rel=1e-12)
+    assert est.std_error > 0
+
+
+@pytest.mark.parametrize("tile_bytes", [1, 8 * 9 * 5 + 3, 8 * 9 * 1000])
+def test_cluster_constant_mc_tiles_do_not_change_estimates(monkeypatch, tile_bytes):
+    args = (heavy_sampler, 1.3, 0.5, 5_003, 3)
+    whole = cluster_constant_mc(*args, batch_size=2_000)
+    monkeypatch.setattr(seqcore, "_TILE_BYTES", tile_bytes)
+    tiled = cluster_constant_mc(*args, batch_size=2_000)
+    assert tiled == whole
+
+
+def test_cluster_constant_mc_peak_memory_is_one_batch():
+    # the batch is reduced tile by tile: no batch-sized |x| copy or power
+    # temporary is made, and one batch is freed before the next is drawn
+    sampler = theta_sampler_linear(AR1_08)
+    batch = 50_000
+    batch_bytes = batch * sampler(1, _rng_of(0)).shape[1] * 8
+    tracemalloc.start()
+    try:
+        cluster_constant_mc(sampler, 1.3, 0.5, 2 * batch, 1, batch_size=batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * batch_bytes
 
 
 def test_serial_dependence_oracle_examples():
