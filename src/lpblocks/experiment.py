@@ -2,7 +2,8 @@
 
 Runs estimator grids over simulated series with one derived RNG stream per
 replication, so every estimator at a grid point sees the same sample (paired
-boxplots) and output files are byte-identical for any worker count. Also
+boxplots) and output files are byte-identical for any worker count; a
+batch of replications is filtered at once, one noise stream per row. Also
 hosts config parsing, series-file ingestion, and the closed-form report.
 """
 
@@ -10,8 +11,8 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -35,8 +36,10 @@ from .models import (
     Model,
     NoiseSpec,
     SeedSpec,
+    _batch_rows,
+    _pool_map,
     model_coefficients,
-    simulate,
+    sample_noise,
 )
 from .seqcore import INF, as_p, as_series
 from .spectral import (
@@ -204,6 +207,16 @@ def get_estimator(estimator_id: str) -> EstimatorEntry:
 # configuration
 
 
+def _integer(name: str, value) -> int:
+    """value as an int; bools, floats and strings fail, naming the key."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     model: Model
@@ -224,8 +237,10 @@ class ExperimentConfig:
             raise ValueError("n_grid and b_grid must be nonempty")
         if any(n < 1 for n in self.n_grid) or any(b < 1 for b in self.b_grid):
             raise ValueError("grid entries must be positive")
-        if self.reps < 1:
+        if _integer("reps", self.reps) < 1:
             raise ValueError("reps must be at least 1")
+        if not 0 <= _integer("master_seed", self.master_seed) < 2 ** 64:
+            raise ValueError(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
         if not self.estimators:
             raise ValueError("estimator list must be nonempty")
         for estimator_id in self.estimators:
@@ -246,14 +261,17 @@ _CONFIG_KEYS = {"model", "n_grid", "b_grid", "reps", "estimators",
                 "kappa", "alpha_mode", "master_seed", "output"}
 
 
-def _check_keys(data: dict, allowed: set, where: str) -> None:
+def _check_keys(data: dict, allowed: set, where: str, required=()) -> None:
     unknown = sorted(set(data) - allowed)
     if unknown:
         raise ValueError(f"unknown {where} keys: {', '.join(unknown)}")
+    missing = sorted(k for k in required if k not in data)
+    if missing:
+        raise ValueError(f"missing {where} keys: {', '.join(missing)}")
 
 
 def _noise_from_dict(data: dict) -> NoiseSpec:
-    _check_keys(data, _NOISE_KEYS, "noise")
+    _check_keys(data, _NOISE_KEYS, "noise", _NOISE_KEYS)
     return NoiseSpec(law=data["law"], alpha=float(data["alpha"]))
 
 
@@ -261,7 +279,7 @@ def model_from_dict(data: dict) -> Model:
     kind = data.get("kind")
     if kind not in _MODEL_KEYS:
         raise ValueError("model kind must be 'ar1' or 'linear'")
-    _check_keys(data, _MODEL_KEYS[kind], "model")
+    _check_keys(data, _MODEL_KEYS[kind], "model", _MODEL_KEYS[kind] - {"burn_in"})
     noise = _noise_from_dict(data["noise"])
     if kind == "ar1":
         kwargs = {}
@@ -280,11 +298,8 @@ def model_to_dict(model: Model) -> dict:
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    _check_keys(data, _CONFIG_KEYS, "config")
-    missing = sorted(k for k in ("model", "n_grid", "b_grid", "reps", "estimators")
-                     if k not in data)
-    if missing:
-        raise ValueError(f"missing config keys: {', '.join(missing)}")
+    _check_keys(data, _CONFIG_KEYS, "config",
+                ("model", "n_grid", "b_grid", "reps", "estimators"))
     kwargs = dict(data)
     kwargs["model"] = model_from_dict(data["model"])
     return ExperimentConfig(**kwargs)
@@ -328,62 +343,57 @@ class ResultRow:
     degenerate: bool
 
 
-def _replication_rows(args) -> tuple[list[ResultRow], list[str]]:
-    """Rows of one replication and the reasons for its degenerate rows.
+def _replication_rows(config, reps) -> tuple[list[ResultRow], list[str]]:
+    """Rows of a range of replications (noise of rep from SeedSpec(master_seed,
+    rep), filtered as one batch) and the reasons for their degenerate rows.
 
     When the tail index cannot be resolved at some n (a Hill estimate
     fails), the estimators that need it record degenerate rows at that n,
     the others still run, and the cause is returned for the caller to warn
     about (a warning raised in a worker process would not reach it).
     """
-    config, rep = args
-    seed = SeedSpec(config.master_seed, rep)
-    series = simulate(config.model, max(config.n_grid), seed)
+    model, width = config.model, max(config.n_grid) + config.model.lead
+    z = np.empty((len(reps), width))
+    for i, rep in enumerate(reps):
+        z[i] = sample_noise(model.noise, width, SeedSpec(config.master_seed, rep))
     mode = parse_alpha_mode(config.alpha_mode)
+    entries = [get_estimator(e) for e in config.estimators]
     rows = []
     problems = []
-    for n in config.n_grid:
-        x = series[:n]
-        try:
-            alpha = resolve_alpha(mode, x, config.model)
-        except ValueError as exc:
-            problems.append(f"rep {rep}, n={n}: no tail index ({exc}); estimators "
-                            "that need alpha are recorded as degenerate")
-            alpha = None
-        for b in config.b_grid:
-            if n // b < 2:
-                # grid point skipped: too few blocks at this (n, b)
-                for estimator_id in config.estimators:
-                    rows.append(ResultRow(estimator_id, n, b, 0, rep,
-                                          config.master_seed, float("nan"),
-                                          True))
-                continue
-            frame = partition(x, b)
-            k = default_k(n, b, config.kappa)
-            for estimator_id in config.estimators:
-                entry = get_estimator(estimator_id)
-                if alpha is None and entry.needs_alpha:
-                    rows.append(ResultRow(estimator_id, n, b, k, rep,
-                                          config.master_seed, float("nan"), True))
-                    continue
-                report = entry.run(frame, alpha, k)
-                rows.append(ResultRow(estimator_id, n, b, k, rep,
-                                      config.master_seed, report.value,
-                                      report.degenerate))
+    for rep, series in zip(reps, model.filter(z)):
+        for n in config.n_grid:
+            x = series[:n]
+            try:
+                alpha = resolve_alpha(mode, x, model)
+            except ValueError as exc:
+                problems.append(f"rep {rep}, n={n}: no tail index ({exc}); estimators "
+                                "that need alpha are recorded as degenerate")
+                alpha = None
+            for b in config.b_grid:
+                # a grid point with too few blocks (m < 2) is skipped, k = 0
+                frame = partition(x, b) if n // b >= 2 else None
+                k = 0 if frame is None else default_k(n, b, config.kappa)
+                for entry in entries:
+                    if frame is None or (alpha is None and entry.needs_alpha):
+                        value, degenerate = float("nan"), True
+                    else:
+                        report = entry.run(frame, alpha, k)
+                        value, degenerate = report.value, report.degenerate
+                    rows.append(ResultRow(entry.estimator_id, n, b, k, rep,
+                                          config.master_seed, value, degenerate))
     return rows, problems
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1,
                    output=None) -> tuple[list[ResultRow], list[dict]]:
     """Run the full grid; returns (rows, summary) and writes CSV/JSON files
-    when an output directory is configured. Byte-identical for any threads."""
-    tasks = [(config, rep) for rep in range(config.reps)]
-    if threads <= 1 or config.reps == 1:
-        chunks = [_replication_rows(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(_replication_rows, tasks,
-                                   chunksize=max(1, config.reps // (4 * threads))))
+    when an output directory is configured. Byte-identical for any threads:
+    a task is ceil(reps / threads) replications, capped by the element budget."""
+    size = min(math.ceil(config.reps / max(threads, 1)),
+               _batch_rows(max(config.n_grid) + config.model.lead))
+    tasks = [(config, range(start, min(start + size, config.reps)))
+             for start in range(0, config.reps, size)]
+    chunks = _pool_map(_replication_rows, tasks, threads)
     for _, problems in chunks:
         for problem in problems:
             warnings.warn(problem, RuntimeWarning, stacklevel=2)

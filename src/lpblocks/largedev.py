@@ -16,13 +16,12 @@ and peak memory is the chunk's noise and filter arrays.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .models import Model, SeedSpec, _as_seed, simulate_batch
+from .models import Model, SeedSpec, _as_seed, _batch_rows, _pool_map, simulate_batch
 from .seqcore import PExponent, _map_row_tiles, as_p, row_p_moduli
 
 __all__ = [
@@ -33,12 +32,7 @@ __all__ = [
     "pilot_level",
 ]
 
-# rows per simulation chunk are capped by element count to bound memory
-_CHUNK_ELEMENTS = 12_000_000
-
-
-def _run_chunk(task):
-    reduce, model, n, count, seed, subkey, extra = task
+def _run_chunk(reduce, model, n, count, seed, subkey, extra):
     return reduce(simulate_batch(model, n, count, seed.generator(*subkey)), *extra)
 
 
@@ -49,15 +43,12 @@ def _map_chunks(reduce, model: Model, n: int, reps: int, seed: SeedSpec,
     Chunk i draws from seed.generator(stream, i). ``reduce`` must be a
     module-level function so that worker processes can unpickle it.
     """
-    rows = max(1, _CHUNK_ELEMENTS // (n + model.lead))
+    rows = _batch_rows(n + model.lead)
     full, rem = divmod(reps, rows)
     counts = [rows] * full + ([rem] if rem else [])
     tasks = [(reduce, model, n, count, seed, (stream, i), extra)
              for i, count in enumerate(counts)]
-    if threads <= 1 or len(tasks) <= 1:
-        return [_run_chunk(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(_run_chunk, tasks))
+    return _pool_map(_run_chunk, tasks, threads)
 
 
 def _norms_chunk(sims, pe) -> np.ndarray:

@@ -18,13 +18,14 @@ is the one that reference computes:
   not swap its operands and the newest comes first (byte-identical up to 11
   taps; with more, ``np.convolve`` hands the sum to the BLAS dot, whose
   summation order is the library's own);
-- AR(1) steps as ``z_t + phi * y_{t-1}`` in place on the noise matrix: one
-  vector step per column for a batch, Python floats for a single row.
+- AR(1) steps as ``z_t + phi * y_{t-1}`` in place on the noise matrix, one
+  vector step per column, whatever the number of rows.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,8 @@ __all__ = [
 ]
 
 _NOISE_LAWS = ("pareto", "student")
+# noise values per simulation batch: the memory budget of every batched caller
+_CHUNK_ELEMENTS = 12_000_000
 
 
 @dataclass(frozen=True)
@@ -127,18 +130,10 @@ class AR1ModelSpec:
         """(count, n) AR(1) values of a (count, n + burn_in) noise matrix.
 
         The recursion y_t = z_t + phi * y_{t-1}, started at 0, overwrites z
-        and the kept columns are returned as a view. A batch steps one column
-        at a time; a single row steps on Python floats, which is far cheaper
-        than a numpy call per value.
+        one column at a time and the kept columns are returned as a view.
         """
-        phi = self.phi
-        if z.shape[0] == 1:
-            acc = 0.0
-            # iterating the buffer yields Python floats without a list copy
-            z[0] = [acc := v + phi * acc for v in memoryview(z[0])]
-        else:
-            for t in range(1, z.shape[1]):
-                z[:, t] += phi * z[:, t - 1]
+        for t in range(1, z.shape[1]):
+            z[:, t] += self.phi * z[:, t - 1]
         return z[:, self.burn_in:]
 
 
@@ -230,6 +225,19 @@ def simulate_batch(model: Model, n: int, count: int, seed) -> np.ndarray:
         raise ValueError("n and count must be at least 1")
     z = _noise_matrix(model.noise, (count, n + model.lead), _rng_of(seed))
     return model.filter(z)
+
+
+def _batch_rows(width: int) -> int:
+    """Rows of `width` noise values that fit the element budget (at least 1)."""
+    return max(1, _CHUNK_ELEMENTS // width)
+
+
+def _pool_map(fn, tasks: list, threads: int) -> list:
+    """[fn(*t) for t in tasks] over `threads` processes; `fn` must be module-level."""
+    if threads <= 1 or len(tasks) <= 1:
+        return [fn(*t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, *zip(*tasks)))
 
 
 def ar1_coefficients(phi: float, tol: float = 1e-12) -> np.ndarray:

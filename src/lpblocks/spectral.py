@@ -38,6 +38,8 @@ __all__ = [
     "conditional_block_sampler",
 ]
 
+_SAMPLER_BATCH = 8192  # blocks simulated per round of conditional_block_sampler
+
 
 class ThresholdTooHigh(RuntimeError):
     """Rejection sampling gave up: acceptance rate too small at this level."""
@@ -294,8 +296,8 @@ def supwalk_constant_oracle_linear(coeffs, alpha: float, noise_sign_balance: flo
 
 
 def conditional_block_sampler(model: Model, h: int, p, x_threshold: float, seed,
-                              count: int = 1, max_attempts: int = 10 ** 8,
-                              batch_size: int = 8192) -> list[SpectralDraw]:
+                              count: int = 1,
+                              max_attempts: int = 10 ** 8) -> list[SpectralDraw]:
     """Rejection sampler for the conditional spectral component Q^(p)(h).
 
     Simulates blocks X_[0, h], keeps those with p-modulus above x_threshold,
@@ -321,7 +323,7 @@ def conditional_block_sampler(model: Model, h: int, p, x_threshold: float, seed,
                 f"acceptance rate {rate:.2e} after {attempts} attempts "
                 f"at threshold {x_threshold!r}"
             )
-        todo = min(batch_size, max_attempts - attempts)
+        todo = min(_SAMPLER_BATCH, max_attempts - attempts)
         sims = simulate_batch(model, h + 1, todo, seed.generator(chunk))
         norms = row_p_moduli(sims, pe)
         for row in np.flatnonzero(norms > x_threshold):

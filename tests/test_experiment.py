@@ -231,6 +231,33 @@ def test_config_validation():
         small_config(alpha_mode="hill:")
     with pytest.raises(ValueError, match="k_tail=120 .* n=120"):
         small_config(n_grid=(120, 240), alpha_mode="hill:120")
+    # reps and master_seed must be integers; master_seed must fit 64 bits
+    for reps in ("3", 2.5, True, None):
+        with pytest.raises(ValueError, match=f"reps must be an integer, got {reps!r}"):
+            small_config(reps=reps)
+    for seed in ("7", 1.5):
+        with pytest.raises(ValueError, match="master_seed must be an integer"):
+            small_config(master_seed=seed)
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ValueError, match=rf"master_seed must lie in \[0, 2\*\*64\), "
+                                             rf"got {seed}"):
+            small_config(master_seed=seed)
+    assert small_config(master_seed=2 ** 64 - 1, reps=np.int64(2)).reps == 2
+    # a JSON config is checked the same way when it is loaded
+    data = config_to_dict(small_config())
+    for key, value, cause in (("reps", "3", "reps must be an integer"),
+                              ("reps", 2.5, "reps must be an integer"),
+                              ("master_seed", -1, "master_seed must lie in")):
+        with pytest.raises(ValueError, match=cause):
+            config_from_dict({**data, key: value})
+    # a model or noise without a required key names the key
+    no_phi = {"kind": "ar1", "noise": {"law": "student", "alpha": 1.3}}
+    with pytest.raises(ValueError, match="missing model keys: phi"):
+        config_from_dict({**data, "model": no_phi})
+    with pytest.raises(ValueError, match="missing model keys: coeffs, noise"):
+        model_from_dict({"kind": "linear"})
+    with pytest.raises(ValueError, match="missing noise keys: alpha"):
+        model_from_dict({"kind": "ar1", "phi": 0.5, "noise": {"law": "pareto"}})
 
 
 def test_config_dict_round_trip():
@@ -387,6 +414,22 @@ def test_run_experiment_threads_byte_identical(tmp_path):
     assert [persisted(r) for r in rows1] == [persisted(r) for r in rows2]
     for name in ("results.csv", "summary.csv", "summary.json"):
         assert (one / name).read_bytes() == (two / name).read_bytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_run_experiment_batches_byte_identical(monkeypatch, tmp_path, threads):
+    # tasks are batches of ceil(reps / threads) replications, capped by the
+    # simulation element budget; neither cut changes a byte of the outputs
+    import lpblocks.models as models
+
+    config = small_config(model=AR1_STUDENT, reps=7, alpha_mode="oracle")
+    run_experiment(config, output=tmp_path / "default")
+    width = max(config.n_grid) + config.model.lead
+    monkeypatch.setattr(models, "_CHUNK_ELEMENTS", 2 * width)
+    run_experiment(config, threads=threads, output=tmp_path / "capped")
+    for name in ("results.csv", "summary.csv", "summary.json"):
+        assert (tmp_path / "capped" / name).read_bytes() == \
+            (tmp_path / "default" / name).read_bytes()
 
 
 def test_run_experiment_output_argument_overrides_config(tmp_path):
@@ -606,6 +649,12 @@ def test_cli_error_exit_code(tmp_path, capsys):
                "--tail-index", "1.3", "--n", "10"])
     assert rc == 2
     assert "requires --phi" in capsys.readouterr().err
+    # a bad config value is named before any replication runs
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({**config_to_dict(small_config()), "reps": 2.5}),
+                        encoding="utf-8")
+    assert main(["experiment", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == "error: reps must be an integer, got 2.5\n"
 
 
 def test_cli_experiment_with_output(tmp_path, capsys):

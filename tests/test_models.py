@@ -133,6 +133,8 @@ def test_ar1_determinism():
 
 FOLD_MODELS = {
     "ar1-student-burn300": AR1ModelSpec(phi=0.8, noise=STUDENT13, burn_in=300),
+    "ar1-student-burn0": AR1ModelSpec(phi=0.8, noise=STUDENT13, burn_in=0),
+    "ar1-negative-phi": AR1ModelSpec(phi=-0.6, noise=PARETO2, burn_in=150),
     "ar1-phi0-burn0": AR1ModelSpec(phi=0.0, noise=PARETO2, burn_in=0),
     "ar1-pareto-burn10": AR1ModelSpec(phi=0.5, noise=PARETO2, burn_in=10),
     "ma3-pareto": LinearModelSpec(coeffs=(1.0, -0.7, 0.5, 0.3), noise=PARETO2),
@@ -156,6 +158,15 @@ def test_simulate_dispatch_and_batch(name):
         # batch rows come from one stream: first row consumes the same leading
         # noise (student noise draws every normal before any chi-square)
         np.testing.assert_array_equal(batch[0], x)
+    # noise rows drawn one stream each and filtered as one batch, as the
+    # experiment does, give every row the bytes of simulate on its stream
+    seeds = [SeedSpec(9, rep) for rep in range(30)]
+    for n in (1, 7, 500):
+        z = np.empty((len(seeds), n + spec.lead))
+        for i, seed in enumerate(seeds):
+            z[i] = sample_noise(spec.noise, n + spec.lead, seed)
+        want = np.stack([simulate(spec, n, seed) for seed in seeds])
+        assert spec.filter(z).tobytes() == want.tobytes()
 
 
 def _noise_rows(seed, rows, cols):
