@@ -22,6 +22,7 @@ user-supplied functionals (cluster_functional_estimate, psi and theta).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -91,7 +92,6 @@ class ClusterFunctional:
 
     fn: Callable[[np.ndarray], float]
     vanish_radius: float
-    shift_invariant: bool = True
 
     def __post_init__(self):
         if not self.vanish_radius > 0:
@@ -146,8 +146,8 @@ def cluster_functional_estimate(frame: BlockFrame, p, k: int, g: ClusterFunction
     norms = frame.norms(pe)
     selected = np.flatnonzero(norms > g.vanish_radius * thr)
     total = 0.0
-    for t in selected:
-        total += float(g.fn(frame.matrix[t] / thr))
+    for x in _over_threshold(frame, selected, thr):
+        total += float(g.fn(x))
     return EstimateReport(
         estimator_id=estimator_id, value=total / k, p=pe, b=frame.b, k=k,
         m=frame.m, threshold=thr, selected_blocks=int(selected.size),
@@ -162,6 +162,17 @@ def _selected_rows(frame: BlockFrame, pe: PExponent, k: int):
     if not thr > 0:
         return thr, None
     return thr, np.flatnonzero(frame.norms(pe) > thr)
+
+
+def _over_threshold(frame: BlockFrame, selected: np.ndarray, thr: float) -> np.ndarray:
+    """The selected blocks divided by the threshold; raises instead of
+    returning inf when a ratio overflows the float range (only a threshold
+    below 1 can make a finite entry overflow)."""
+    rows = frame.matrix[selected]
+    if thr < 1.0 and rows.size and math.isinf(float(np.abs(rows).max()) / thr):
+        raise ValueError(f"a selected block exceeds the threshold {thr!r} by more "
+                         "than the float range; the normalized block overflows")
+    return rows / thr
 
 
 def _pow_sum(ratios: np.ndarray, alpha: float) -> float:
@@ -188,7 +199,7 @@ def extremal_index_alpha_blocks(frame: BlockFrame, alpha: float, k: int) -> Esti
         return _degenerate("extremal_index_alpha", pe, frame, k, thr, alpha)
     # norms of the normalized rows, as the kernel sees them; the cached
     # norms divided by thr can differ in the last ulp
-    x = frame.matrix[selected] / thr
+    x = _over_threshold(frame, selected, thr)
     na = row_p_moduli(x, pe)
     keep = na > 1.0
     ratios = np.abs(x[keep]).max(axis=1) / na[keep]
@@ -231,7 +242,7 @@ def cluster_index_c1(frame: BlockFrame, alpha: float, k: int) -> EstimateReport:
     thr, selected = _selected_rows(frame, pe, k)
     mean = 0.0
     if selected is not None:
-        x = frame.matrix[selected] / thr
+        x = _over_threshold(frame, selected, thr)
         n1 = np.abs(x).sum(axis=1)
         keep = n1 > 1.0
         mean = _pow_sum(row_p_moduli(x[keep], PExponent(alpha)) / n1[keep], alpha) / k
@@ -327,7 +338,7 @@ def supwalk_constant_estimate(frame: BlockFrame, alpha: float, k: int) -> Estima
     l^1 norm; the denominator is the 1/c(1) mean over the same selection.
     """
     if not alpha >= 1:
-        raise ValueError("requires alpha >= 1")
+        raise ValueError(f"requires alpha >= 1, got {alpha!r}")
     pe = PExponent(1.0)
     thr, selected = _selected_rows(frame, pe, k)
     if selected is None:

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -189,18 +191,26 @@ def known_estimators() -> list[str]:
 def get_estimator(estimator_id: str) -> EstimatorEntry:
     if estimator_id in _BUILTIN:
         return _BUILTIN[estimator_id]
-    if estimator_id.startswith("serial:"):
-        try:
-            h = int(estimator_id.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(f"bad serial lag in {estimator_id!r}") from None
-        if h < 0:
-            raise ValueError("serial lag must be nonnegative")
+    h = _serial_lag(estimator_id)
+    if h is not None:
         return EstimatorEntry(
             estimator_id, True,
             lambda frame, alpha, k, h=h: serial_dependence_estimate(frame, alpha, k, h))
     raise ValueError(
         f"unknown estimator {estimator_id!r}; known: {', '.join(known_estimators())}")
+
+
+def _serial_lag(estimator_id: str) -> Optional[int]:
+    """The lag h of a 'serial:<h>' id; None for any other id."""
+    if not estimator_id.startswith("serial:"):
+        return None
+    try:
+        h = int(estimator_id.split(":", 1)[1])
+    except ValueError:
+        raise ValueError(f"bad serial lag in {estimator_id!r}") from None
+    if h < 0:
+        raise ValueError("serial lag must be nonnegative")
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +227,38 @@ def _integer(name: str, value) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _real(name: str, value) -> float:
+    """value as a float; bools, strings and other types fail, naming the key."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+def _listed(name: str, value) -> tuple:
+    """A JSON list (or tuple) as a tuple; a string or scalar fails, naming the key."""
+    if isinstance(value, (list, tuple)):
+        return tuple(value)
+    raise ValueError(f"{name} must be a list, got {value!r}")
+
+
+def _grid(name: str, value) -> tuple:
+    """A grid as a tuple of ints; integral floats (120.0) are taken, any other
+    entry fails, naming the key."""
+    entries = []
+    for v in _listed(name, value):
+        if isinstance(v, float) and v.is_integer():
+            v = int(v)
+        entries.append(_integer(f"{name} entry", v))
+    return tuple(entries)
+
+
+def _mapping(name: str, value) -> dict:
+    """A JSON object as given; anything else fails, naming the key."""
+    if isinstance(value, dict):
+        return value
+    raise ValueError(f"{name} must be a JSON object, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     model: Model
@@ -230,28 +272,47 @@ class ExperimentConfig:
     output: Optional[str] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
-        object.__setattr__(self, "b_grid", tuple(int(b) for b in self.b_grid))
-        object.__setattr__(self, "estimators", tuple(str(e) for e in self.estimators))
+        object.__setattr__(self, "n_grid", _grid("n_grid", self.n_grid))
+        object.__setattr__(self, "b_grid", _grid("b_grid", self.b_grid))
+        object.__setattr__(self, "estimators", _listed("estimators", self.estimators))
         if not self.n_grid or not self.b_grid:
             raise ValueError("n_grid and b_grid must be nonempty")
         if any(n < 1 for n in self.n_grid) or any(b < 1 for b in self.b_grid):
             raise ValueError("grid entries must be positive")
-        if _integer("reps", self.reps) < 1:
+        object.__setattr__(self, "reps", _integer("reps", self.reps))
+        object.__setattr__(self, "master_seed", _integer("master_seed", self.master_seed))
+        if self.reps < 1:
             raise ValueError("reps must be at least 1")
-        if not 0 <= _integer("master_seed", self.master_seed) < 2 ** 64:
+        if not 0 <= self.master_seed < 2 ** 64:
             raise ValueError(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
         if not self.estimators:
             raise ValueError("estimator list must be nonempty")
-        for estimator_id in self.estimators:
-            get_estimator(estimator_id)
         mode = parse_alpha_mode(self.alpha_mode)
+        for estimator_id in self.estimators:
+            if not isinstance(estimator_id, str):
+                raise ValueError(f"estimators entry must be a name, got {estimator_id!r}")
+            get_estimator(estimator_id)
+            self._check_estimator(estimator_id, mode)
         n_min = min(self.n_grid)
         if mode.kind == "hill" and mode.value is not None and mode.value >= n_min:
             raise ValueError(f"hill k_tail={int(mode.value)} must be below the "
                              f"smallest sample size n={n_min}")
-        if not self.kappa > 0:
+        if not _real("kappa", self.kappa) > 0:
             raise ValueError("kappa must be positive")
+        if self.output is not None and not isinstance(self.output, (str, os.PathLike)):
+            raise ValueError(f"output must be a directory path, got {self.output!r}")
+
+    def _check_estimator(self, estimator_id: str, mode: AlphaMode) -> None:
+        """Reject settings under which an estimator fails at every replication."""
+        h = _serial_lag(estimator_id)
+        if h is not None and h >= min(self.b_grid):
+            raise ValueError(f"estimator {estimator_id!r} needs lag {h} < b, but "
+                             f"b_grid holds {min(self.b_grid)}")
+        if estimator_id == "supwalk" and mode.kind != "hill":
+            alpha = resolve_alpha(mode, model=self.model)
+            if not alpha >= 1:
+                raise ValueError(f"estimator 'supwalk' needs alpha >= 1, but "
+                                 f"alpha_mode {self.alpha_mode!r} gives {alpha!r}")
 
 
 _MODEL_KEYS = {"ar1": {"kind", "phi", "noise", "burn_in"},
@@ -271,12 +332,12 @@ def _check_keys(data: dict, allowed: set, where: str, required=()) -> None:
 
 
 def _noise_from_dict(data: dict) -> NoiseSpec:
-    _check_keys(data, _NOISE_KEYS, "noise", _NOISE_KEYS)
-    return NoiseSpec(law=data["law"], alpha=float(data["alpha"]))
+    _check_keys(_mapping("noise", data), _NOISE_KEYS, "noise", _NOISE_KEYS)
+    return NoiseSpec(law=data["law"], alpha=_real("alpha", data["alpha"]))
 
 
 def model_from_dict(data: dict) -> Model:
-    kind = data.get("kind")
+    kind = _mapping("model", data).get("kind")
     if kind not in _MODEL_KEYS:
         raise ValueError("model kind must be 'ar1' or 'linear'")
     _check_keys(data, _MODEL_KEYS[kind], "model", _MODEL_KEYS[kind] - {"burn_in"})
@@ -284,9 +345,10 @@ def model_from_dict(data: dict) -> Model:
     if kind == "ar1":
         kwargs = {}
         if "burn_in" in data:
-            kwargs["burn_in"] = int(data["burn_in"])
-        return AR1ModelSpec(phi=float(data["phi"]), noise=noise, **kwargs)
-    return LinearModelSpec(coeffs=tuple(float(c) for c in data["coeffs"]), noise=noise)
+            kwargs["burn_in"] = _integer("burn_in", data["burn_in"])
+        return AR1ModelSpec(phi=_real("phi", data["phi"]), noise=noise, **kwargs)
+    coeffs = tuple(_real("coeffs entry", c) for c in _listed("coeffs", data["coeffs"]))
+    return LinearModelSpec(coeffs=coeffs, noise=noise)
 
 
 def model_to_dict(model: Model) -> dict:
@@ -350,7 +412,10 @@ def _replication_rows(config, reps) -> tuple[list[ResultRow], list[str]]:
     When the tail index cannot be resolved at some n (a Hill estimate
     fails), the estimators that need it record degenerate rows at that n,
     the others still run, and the cause is returned for the caller to warn
-    about (a warning raised in a worker process would not reach it).
+    about (a warning raised in a worker process would not reach it). An
+    estimator that rejects this replication's data (a Hill alpha below 1
+    for supwalk, a block that overflows when normalized) is recorded and
+    reported the same way, for its own (n, b) only.
     """
     model, width = config.model, max(config.n_grid) + config.model.lead
     z = np.empty((len(reps), width))
@@ -374,11 +439,15 @@ def _replication_rows(config, reps) -> tuple[list[ResultRow], list[str]]:
                 frame = partition(x, b) if n // b >= 2 else None
                 k = 0 if frame is None else default_k(n, b, config.kappa)
                 for entry in entries:
-                    if frame is None or (alpha is None and entry.needs_alpha):
-                        value, degenerate = float("nan"), True
-                    else:
-                        report = entry.run(frame, alpha, k)
-                        value, degenerate = report.value, report.degenerate
+                    value, degenerate = float("nan"), True
+                    if frame is not None and (alpha is not None or not entry.needs_alpha):
+                        try:
+                            report = entry.run(frame, alpha, k)
+                        except ValueError as exc:
+                            problems.append(f"rep {rep}, n={n}, b={b}: {entry.estimator_id} "
+                                            f"failed ({exc}); recorded as degenerate")
+                        else:
+                            value, degenerate = report.value, report.degenerate
                     rows.append(ResultRow(entry.estimator_id, n, b, k, rep,
                                           config.master_seed, value, degenerate))
     return rows, problems

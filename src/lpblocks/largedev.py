@@ -7,10 +7,10 @@ denominator uses a matched count of independent stationary marginal draws.
 Every simulation here, tail hits, pilot moment and pilot level, goes through
 one chunk loop, :func:`_map_chunks`: replications are split into fixed-size
 chunks, chunk i of substream s drawn from ``seed.generator(s, i)``, so
-results are byte-identical for any worker count. Within a chunk, the
-p-norms of the simulated rows are taken one cache-sized row tile at a time
-(:func:`seqcore._map_row_tiles`), so the kernel's temporaries stay small
-and peak memory is the chunk's noise and filter arrays.
+results are byte-identical for any worker count. Within a chunk,
+:func:`seqcore.row_p_moduli` takes the p-norms of the simulated rows one
+cache-sized row tile at a time, so the kernel's temporaries stay small and
+peak memory is the chunk's noise and filter arrays.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .models import Model, SeedSpec, _as_seed, _batch_rows, _pool_map, simulate_batch
-from .seqcore import PExponent, _map_row_tiles, as_p, row_p_moduli
+from .seqcore import PExponent, as_p, row_p_moduli
 
 __all__ = [
     "RatioEstimate",
@@ -51,12 +51,8 @@ def _map_chunks(reduce, model: Model, n: int, reps: int, seed: SeedSpec,
     return _pool_map(_run_chunk, tasks, threads)
 
 
-def _norms_chunk(sims, pe) -> np.ndarray:
-    return _map_row_tiles(row_p_moduli, sims, pe)
-
-
 def _hit_chunk(sims, pe, level) -> int:
-    return int(np.sum(_norms_chunk(sims, pe) > level))
+    return int(np.sum(row_p_moduli(sims, pe) > level))
 
 
 def _moment_chunk(sims, pv, cap) -> float:
@@ -160,7 +156,7 @@ def ld_ratio_centered_mc(model: Model, n: int, p, alpha: float, x: float,
     else:
         cap = x if pe.value == alpha else None
         moment = sum(_map_chunks(_moment_chunk, model, 1, pilot_reps, seed, 2,
-                                 (pe.value, cap))) / pilot_reps
+                                 (pe.value, cap), threads)) / pilot_reps
         if not moment > 0:
             raise ValueError("pilot moment estimate is zero; increase pilot_reps")
     z = centered_level(pe, alpha, x, n, moment)
@@ -174,5 +170,5 @@ def pilot_level(model: Model, n: int, p, q: float, reps: int = 20_000, seed=0) -
         raise ValueError("q must lie in (0, 1)")
     if reps < 1:
         raise ValueError("reps must be at least 1")
-    norms = _map_chunks(_norms_chunk, model, n, reps, _as_seed(seed), 3, (as_p(p),))
+    norms = _map_chunks(row_p_moduli, model, n, reps, _as_seed(seed), 3, (as_p(p),))
     return float(np.quantile(np.concatenate(norms), q))

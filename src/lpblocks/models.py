@@ -158,9 +158,6 @@ class SeedSpec:
         entropy = (self.master_seed, self.stream_id, *subkey)
         return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
-    def stream(self, stream_id: int) -> "SeedSpec":
-        return SeedSpec(self.master_seed, stream_id)
-
 
 def _as_seed(seed) -> SeedSpec:
     if isinstance(seed, SeedSpec):

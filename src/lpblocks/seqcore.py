@@ -6,12 +6,11 @@ lives in (0, inf] and is carried by :class:`PExponent`. Every p-modulus goes
 through one kernel: :func:`row_p_moduli` rescales rows by their max and sums
 powers with :func:`_row_power_sums`; :func:`p_modulus` is its one-row case.
 
-The Monte Carlo reductions over large sample matrices (the spectral oracle's
-ratio kernel, the large-deviation hit counts and pilot norms) run their
-row-wise kernel through :func:`_map_row_tiles`, one row tile of about 2 MB at
-a time, so each tile's temporaries (the ``np.abs`` copy, the powers) stay in
-cache instead of being matrix-sized. Every row is computed by the same
-operations as on the whole matrix, so the results are identical.
+The row kernels, :func:`row_p_moduli` and the c(p) ratio kernel
+:func:`_ratio_alpha_pow`, tile themselves: a matrix above ``_TILE_BYTES``
+(about 2 MB) is reduced one row tile at a time (:func:`_map_row_tiles`), so
+the temporaries (the ``np.abs`` copy, the powers) stay in cache instead of
+being matrix-sized. Each row takes the same operations, so results are equal.
 """
 
 from __future__ import annotations
@@ -196,24 +195,54 @@ def _row_power_sums(u: np.ndarray, q: float) -> np.ndarray:
     return (u ** q).sum(axis=1)
 
 
+def _rescale_rows(u: np.ndarray) -> np.ndarray:
+    """Divide each row of a nonnegative 2-d u by its max in place; return the
+    maxima. All-zero rows are divided by the smallest subnormal and stay 0."""
+    rowmax = u.max(axis=1)
+    u /= np.maximum(rowmax, _SMALLEST_SUBNORMAL)[:, None]
+    return rowmax
+
+
 def row_p_moduli(matrix, p) -> np.ndarray:
     """Per-row p-moduli of a 2-d array.
 
     Rows are rescaled by their max before powering so large entries do not
     overflow; all-zero rows yield 0. Fast paths cover p in {0.5, 1, 2, inf}.
     """
-    a = np.abs(np.asarray(matrix, dtype=np.float64))
-    if a.ndim != 2:
+    m = np.asarray(matrix, dtype=np.float64)
+    if m.ndim != 2:
         raise ValueError("expected a 2-d array")
     pe = as_p(p)
-    rowmax = a.max(axis=1)
+    if m.shape[0] > 1 and m.nbytes > _TILE_BYTES:
+        return _map_row_tiles(row_p_moduli, m, pe)
+    a = np.abs(m)
     if pe.is_inf:
-        return rowmax
-    # all-zero rows are divided by the smallest subnormal and stay 0; every
-    # other row by its max exactly
-    a /= np.maximum(rowmax, _SMALLEST_SUBNORMAL)[:, None]
+        return a.max(axis=1)
+    rowmax = _rescale_rows(a)
     pv = pe.value
     return rowmax * _row_power_sums(a, pv) ** (1.0 / pv)
+
+
+def _ratio_alpha_pow(draws: np.ndarray, alpha: float, pe: PExponent) -> np.ndarray:
+    """Per-row (||x||_p / ||x||_alpha)^alpha of 2-d draws x via max-rescaled
+    power sums: S_p^(alpha/p) / S_alpha, and 1 / S_alpha for p = inf; all-zero
+    rows give 0."""
+    if draws.shape[0] > 1 and draws.nbytes > _TILE_BYTES:
+        return _map_row_tiles(_ratio_alpha_pow, draws, alpha, pe)
+    u = np.abs(draws)
+    top = _rescale_rows(u)
+    s_alpha = _row_power_sums(u, alpha)
+    # all-zero rows divide 0 by 0 here; they are set to 0 below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if pe.is_inf:
+            ratios = 1.0 / s_alpha
+        elif pe.value == alpha:
+            ratios = np.ones_like(s_alpha)
+        else:
+            s_p = _row_power_sums(u, pe.value)
+            ratios = s_p ** (alpha / pe.value) / s_alpha
+    ratios[top == 0.0] = 0.0
+    return ratios
 
 
 def _map_row_tiles(fn, matrix: np.ndarray, *args) -> np.ndarray:

@@ -8,6 +8,7 @@ drawn from |phi_j|^alpha / ||phi||_alpha^alpha, and the change-of-norms weight
 ||Theta / ||Theta||_alpha||_p is the deterministic constant
 ||phi||_p / ||phi||_alpha. Samplers exploit this degeneracy; a non-linear
 model would need importance reweighting instead.
+Both Monte Carlo routes draw ``_SAMPLER_BATCH`` rows at a time.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ import numpy as np
 
 from .models import (AR1ModelSpec, LinearModelSpec, Model, _as_seed, _rng_of,
                      model_coefficients, simulate_batch)
-from .seqcore import (PExponent, _map_row_tiles, _row_power_sums, as_p, p_modulus,
-                      row_p_moduli)
+from .seqcore import PExponent, _ratio_alpha_pow, as_p, p_modulus, row_p_moduli
 
 __all__ = [
     "SpectralDraw",
@@ -38,7 +38,7 @@ __all__ = [
     "conditional_block_sampler",
 ]
 
-_SAMPLER_BATCH = 8192  # blocks simulated per round of conditional_block_sampler
+_SAMPLER_BATCH = 8192  # rows per batch of cluster_constant_mc and conditional_block_sampler
 
 
 class ThresholdTooHigh(RuntimeError):
@@ -161,35 +161,8 @@ class MCEstimate:
     n_draws: int
 
 
-def _ratio_alpha_pow(u: np.ndarray, alpha: float, pe: PExponent) -> np.ndarray:
-    """Per-row (||x||_p / ||x||_alpha)^alpha via max-rescaled power sums:
-    S_p^(alpha/p) / S_alpha, and 1 / S_alpha for p = inf; all-zero rows give 0.
-
-    ``u`` holds absolute draws |x| and is rescaled in place, so callers pass
-    a fresh array: :func:`_abs_ratios` passes the ``np.abs`` copy of a tile.
-    """
-    top = u.max(axis=1)
-    u /= np.where(top > 0.0, top, 1.0)[:, None]
-    s_alpha = _row_power_sums(u, alpha)
-    # all-zero rows divide 0 by 0 here; they are set to 0 below
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if pe.is_inf:
-            ratios = 1.0 / s_alpha
-        elif pe.value == alpha:
-            ratios = np.ones_like(s_alpha)
-        else:
-            s_p = _row_power_sums(u, pe.value)
-            ratios = s_p ** (alpha / pe.value) / s_alpha
-    ratios[top == 0.0] = 0.0
-    return ratios
-
-
-def _abs_ratios(draws: np.ndarray, alpha: float, pe: PExponent) -> np.ndarray:
-    return _ratio_alpha_pow(np.abs(draws), alpha, pe)
-
-
 def _batch_ratios(sampler, count: int, rng, alpha: float, pe: PExponent) -> np.ndarray:
-    """Ratios of one sampler batch, reduced tile by tile.
+    """Ratios of one sampler batch.
 
     The batch is referenced only from this call, so it is freed before the
     caller asks the sampler for the next one.
@@ -198,30 +171,28 @@ def _batch_ratios(sampler, count: int, rng, alpha: float, pe: PExponent) -> np.n
     if draws.ndim != 2 or draws.shape[0] != count or draws.shape[1] < 1:
         raise ValueError(f"sampler must return a 2-d array of {count} rows and at "
                          f"least one column, got shape {draws.shape}")
-    return _map_row_tiles(_abs_ratios, draws, alpha, pe)
+    return _ratio_alpha_pow(draws, alpha, pe)
 
 
-def cluster_constant_mc(sampler, alpha: float, p, n_draws: int, seed,
-                        batch_size: int = 250_000) -> MCEstimate:
+def cluster_constant_mc(sampler, alpha: float, p, n_draws: int, seed) -> MCEstimate:
     """Monte Carlo c(p) = E[(||Theta||_p / ||Theta||_alpha)^alpha].
 
     ``sampler`` is fn(count, rng) -> (count, width) array of draws (rows
     zero-padded); Theta draws and rescaled Q^(alpha) draws are both fine
-    since the ratio is scale-free. The standard error is the population
-    standard deviation of the per-draw ratios over sqrt(n_draws), from
-    centered sums of squares per batch combined by Chan's formula.
+    since the ratio is scale-free. Draws come in batches of _SAMPLER_BATCH
+    rows. The standard error is the population standard deviation of the
+    per-draw ratios over sqrt(n_draws), from centered sums of squares per
+    batch combined by Chan's formula.
     """
     if n_draws < 1:
         raise ValueError("n_draws must be at least 1")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     rng = _rng_of(seed)
     pe = as_p(p)
     total = 0.0
     m2 = 0.0
     done = 0
     while done < n_draws:
-        count = min(n_draws - done, batch_size)
+        count = min(n_draws - done, _SAMPLER_BATCH)
         ratios = _batch_ratios(sampler, count, rng, alpha, pe)
         batch_sum = float(ratios.sum())
         dev = ratios - batch_sum / count

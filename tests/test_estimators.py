@@ -543,6 +543,9 @@ def block_frames(draw):
 @example(frame=BlockFrame(np.zeros(12), 3), data=None, alpha=1.3)
 @example(frame=BlockFrame(np.array([3.0, -1.0, 0.0, 2.0, -2.0, 5.0]), 1),
          data=None, alpha=2.0)
+# the top block over the threshold overflows the float range
+@example(frame=BlockFrame(1e6 * np.array([1e3, 1e-306, 1e-306]), 1),
+         data=None, alpha=0.5)
 @settings(max_examples=300, deadline=None)
 def test_vectorized_estimators_match_block_loops(frame, data, alpha):
     if data is None:
@@ -550,10 +553,17 @@ def test_vectorized_estimators_match_block_loops(frame, data, alpha):
     else:
         k = data.draw(st.integers(min_value=2, max_value=frame.m), label="k")
         h = data.draw(st.integers(min_value=0, max_value=frame.b - 1), label="h")
-    assert (report_fields(extremal_index_alpha_blocks(frame, alpha, k))
-            == loop_extremal_index_alpha(frame, alpha, k))
-    assert (report_fields(cluster_index_c1(frame, alpha, k))
-            == loop_cluster_index_c1(frame, alpha, k))
+    # the loops raise where a normalized block is not finite; the vectorized
+    # estimators must raise exactly then, naming the cause
+    for estimate, loop in ((extremal_index_alpha_blocks, loop_extremal_index_alpha),
+                           (cluster_index_c1, loop_cluster_index_c1)):
+        try:
+            want = loop(frame, alpha, k)
+        except ValueError:
+            with pytest.raises(ValueError, match="float range"):
+                estimate(frame, alpha, k)
+        else:
+            assert report_fields(estimate(frame, alpha, k)) == want
     assert (report_fields(serial_dependence_estimate(frame, alpha, k, h))
             == loop_serial_dependence(frame, alpha, k, h))
     if alpha >= 1:

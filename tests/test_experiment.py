@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import multiprocessing
+import re
 
 import numpy as np
 import pytest
@@ -242,7 +243,9 @@ def test_config_validation():
         with pytest.raises(ValueError, match=rf"master_seed must lie in \[0, 2\*\*64\), "
                                              rf"got {seed}"):
             small_config(master_seed=seed)
-    assert small_config(master_seed=2 ** 64 - 1, reps=np.int64(2)).reps == 2
+    config = small_config(master_seed=2 ** 64 - 1, reps=np.int64(2))
+    assert type(config.reps) is int and config.reps == 2
+    assert json.loads(json.dumps(config_to_dict(config)))["reps"] == 2
     # a JSON config is checked the same way when it is loaded
     data = config_to_dict(small_config())
     for key, value, cause in (("reps", "3", "reps must be an integer"),
@@ -258,6 +261,48 @@ def test_config_validation():
         model_from_dict({"kind": "linear"})
     with pytest.raises(ValueError, match="missing noise keys: alpha"):
         model_from_dict({"kind": "ar1", "phi": 0.5, "noise": {"law": "pareto"}})
+    # settings under which an estimator fails at every replication
+    with pytest.raises(ValueError, match=r"'serial:1' needs lag 1 < b, but b_grid holds 1"):
+        small_config(b_grid=(10, 1))
+    heavy = LinearModelSpec(coeffs=(1.0,), noise=NoiseSpec(law="pareto", alpha=0.8))
+    for mode in ("oracle", 0.8):
+        with pytest.raises(ValueError, match=rf"'supwalk' needs alpha >= 1, but "
+                                             rf"alpha_mode {mode!r} gives 0.8"):
+            small_config(model=heavy, alpha_mode=mode, estimators=("supwalk",))
+    # every value is type-checked, naming its key; strings are not lists
+    model = data["model"]
+    for key, value, cause in (
+            ("n_grid", [100.7], "n_grid entry must be an integer, got 100.7"),
+            ("b_grid", [10, True], "b_grid entry must be an integer, got True"),
+            ("b_grid", "10", "b_grid must be a list, got '10'"),
+            ("estimators", "supwalk", "estimators must be a list, got 'supwalk'"),
+            ("estimators", ["supwalk", 3], "estimators entry must be a name, got 3"),
+            ("kappa", True, "kappa must be a number, got True"),
+            ("kappa", "x", "kappa must be a number, got 'x'"),
+            ("output", 5, "output must be a directory path, got 5"),
+            ("model", "ar1", "model must be a JSON object, got 'ar1'"),
+            ("model", {"kind": "ar1", "phi": "abc", "noise": model["noise"]},
+             "phi must be a number, got 'abc'"),
+            ("model", {"kind": "ar1", "phi": 0.5, "burn_in": 2.7, "noise": model["noise"]},
+             "burn_in must be an integer, got 2.7"),
+            ("model", {"kind": "linear", "coeffs": "1,2", "noise": model["noise"]},
+             "coeffs must be a list, got '1,2'"),
+            ("model", {"kind": "linear", "coeffs": [1, None], "noise": model["noise"]},
+             "coeffs entry must be a number, got None"),
+            ("model", {**model, "noise": "student"},
+             "noise must be a JSON object, got 'student'"),
+            ("model", {**model, "noise": {"law": "student", "alpha": "1.3"}},
+             "alpha must be a number, got '1.3'")):
+        with pytest.raises(ValueError, match=re.escape(cause)):
+            config_from_dict({**data, key: value})
+
+
+def test_cli_experiment_bad_config_exits_2(tmp_path, capsys):
+    data = config_to_dict(small_config())
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**data, "kappa": "x"}), encoding="utf-8")
+    assert main(["experiment", str(path)]) == 2
+    assert "error: kappa must be a number, got 'x'" in capsys.readouterr().err
 
 
 def test_config_dict_round_trip():
@@ -402,6 +447,47 @@ def test_run_experiment_hill_failure_keeps_grid(monkeypatch, tmp_path, threads):
         assert by_key[key]["degenerate"] == (0 if alpha_free else 1)
         if alpha_free:
             assert by_key[key] == record
+
+    # an estimator that rejects one replication's data is recorded the same
+    # way, for that (rep, n, b) only: a block that overflows when normalized
+    real_estimate = experiment.extremal_index_alpha_blocks
+
+    def overflowing(frame, alpha, k):
+        if np.array_equal(frame.values, bad[frame.n][: frame.m * frame.b]):
+            frame = partition(1e6 * np.array([1e3, 1e-306, 1e-306]), 1)
+            k = 2
+        return real_estimate(frame, alpha, k)
+
+    monkeypatch.undo()
+    monkeypatch.setattr(experiment, "extremal_index_alpha_blocks", overflowing)
+    with pytest.warns(RuntimeWarning, match="float range") as caught:
+        rows, _ = run_experiment(config, threads=threads)
+    assert [str(w.message) for w in caught] == [
+        f"rep 1, n={n}, b={b}: extremal_index_alpha failed (a selected block exceeds "
+        "the threshold 1e-300 by more than the float range; the normalized block "
+        "overflows); recorded as degenerate"
+        for n in config.n_grid for b in config.b_grid]
+    for row, ref in zip(rows, clean):
+        if row.rep == 1 and row.estimator_id == "extremal_index_alpha":
+            assert row.degenerate and np.isnan(row.value)
+        else:
+            assert persisted(row) == persisted(ref)
+    # and supwalk on a replication whose Hill alpha is below 1
+    monkeypatch.undo()
+    heavy = small_config(model=AR1ModelSpec(phi=0.5, noise=NoiseSpec("student", 1.3)),
+                         n_grid=(200,), reps=40, alpha_mode="hill:20",
+                         estimators=("supwalk", "extremal_index_infty"))
+    alphas = [hill_alpha(simulate(heavy.model, 200, SeedSpec(heavy.master_seed, rep)), 20)
+              for rep in range(heavy.reps)]
+    below_1 = [rep for rep, alpha in enumerate(alphas) if alpha < 1]
+    assert below_1
+    with pytest.warns(RuntimeWarning, match="supwalk failed") as caught:
+        rows, summary = run_experiment(heavy, threads=threads)
+    assert [str(w.message) for w in caught] == [
+        f"rep {rep}, n=200, b=10: supwalk failed (requires alpha >= 1, got "
+        f"{alphas[rep]!r}); recorded as degenerate" for rep in below_1]
+    assert [r.rep for r in rows if r.degenerate] == below_1
+    assert [r["degenerate"] for r in summary] == [0, len(below_1)]
 
 
 def test_run_experiment_threads_byte_identical(tmp_path):

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from lpblocks import seqcore
+from lpblocks import largedev, seqcore
 from lpblocks.largedev import (
     RatioEstimate,
     _ratio_from_hits,
@@ -134,6 +134,22 @@ def test_threads_do_not_change_results():
     parallel = ld_ratio_mc(IID_PARETO13, 50, 1.3, 200.0, 260_000, 5, threads=2)
     assert isinstance(serial, RatioEstimate)
     assert serial == parallel
+
+
+def test_centered_pilot_moment_runs_on_the_requested_workers(monkeypatch):
+    # every chunk loop of the centered ratio, the pilot moment included,
+    # gets the worker count; the pool runs in-process here
+    seen = []
+
+    def spy(fn, tasks, threads):
+        seen.append((tasks[0][5][0], threads))
+        return [fn(*t) for t in tasks]
+
+    monkeypatch.setattr(largedev, "_pool_map", spy)
+    ld_ratio_centered_mc(IID_PARETO13, 10, 1.0, 1.3, 50.0, 1_000, 3,
+                         pilot_reps=1_000, threads=2)
+    # substreams: 2 is the pilot moment, 0 and 1 the ratio's hit counts
+    assert sorted(seen) == [(0, 2), (1, 2), (2, 2)]
 
 
 def test_pilot_level_monotone_in_q():

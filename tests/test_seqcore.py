@@ -10,6 +10,7 @@ from lpblocks.largedev import _hit_chunk
 from lpblocks.seqcore import (
     INF,
     PExponent,
+    _ratio_alpha_pow,
     as_p,
     as_series,
     backshift,
@@ -21,7 +22,6 @@ from lpblocks.seqcore import (
     truncate_above,
     truncate_below,
 )
-from lpblocks.spectral import _abs_ratios, _ratio_alpha_pow
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0,
                           allow_nan=False, allow_infinity=False)
@@ -236,20 +236,41 @@ def test_map_row_tiles_splits_rows_by_tile_bytes(monkeypatch):
        seed=st.integers(min_value=0, max_value=10_000))
 @settings(deadline=None)
 def test_row_tiles_equal_untiled(rows, cols, tile_bytes, zero_rows, seed):
-    """Tiled Monte Carlo reductions are == the whole-matrix kernels: norms,
-    hit counts and the spectral ratios, at any tile size."""
+    """The self-tiling kernels are == their whole-matrix results: norms, hit
+    counts and the spectral ratios, at any tile size."""
     rng = np.random.default_rng(seed)
     matrix = rng.standard_t(1.3, size=(rows, cols))
     matrix[[r for r in zero_rows if r < rows]] = 0.0
+    # the reference runs at the default tile size, which holds the matrix whole
+    assert matrix.nbytes <= seqcore._TILE_BYTES
     for p in (0.5, 1.0, 1.3, 2.0, INF):
         pe = as_p(p)
         norms = row_p_moduli(matrix, pe)
         level = float(np.median(norms))
         hits = int(np.sum(norms > level))
-        ratios = _ratio_alpha_pow(np.abs(matrix), 1.3, pe)
+        ratios = _ratio_alpha_pow(matrix, 1.3, pe)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(seqcore, "_TILE_BYTES", tile_bytes)
-            assert np.array_equal(seqcore._map_row_tiles(row_p_moduli, matrix, pe), norms)
+            assert np.array_equal(row_p_moduli(matrix, pe), norms)
             assert _hit_chunk(matrix, pe, level) == hits
-            assert np.array_equal(seqcore._map_row_tiles(_abs_ratios, matrix, 1.3, pe),
-                                  ratios)
+            assert np.array_equal(_ratio_alpha_pow(matrix, 1.3, pe), ratios)
+
+
+def test_row_kernels_tile_only_above_one_tile(monkeypatch):
+    tiled = []
+    real = seqcore._map_row_tiles
+
+    def spy(fn, matrix, *args):
+        tiled.append(matrix.shape)
+        return real(fn, matrix, *args)
+
+    monkeypatch.setattr(seqcore, "_map_row_tiles", spy)
+    monkeypatch.setattr(seqcore, "_TILE_BYTES", 8 * 7 * 3)
+    pe = as_p(1.3)
+    for kernel in (lambda m: row_p_moduli(m, pe), lambda m: _ratio_alpha_pow(m, 1.3, pe)):
+        tiled.clear()
+        kernel(np.ones((3, 7)))    # one tile: computed whole
+        kernel(np.ones((1, 100)))  # one row above a tile: a row is never split
+        assert tiled == []
+        kernel(np.ones((10, 7)))
+        assert tiled == [(10, 7)]

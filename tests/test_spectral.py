@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpblocks import seqcore
+from lpblocks import seqcore, spectral
 from lpblocks.models import AR1ModelSpec, LinearModelSpec, NoiseSpec, SeedSpec, _rng_of
-from lpblocks.seqcore import INF, as_p, p_modulus
+from lpblocks.seqcore import INF, _ratio_alpha_pow, as_p, p_modulus
 from lpblocks.spectral import (
     ShiftLaw,
     SpectralDraw,
-    _ratio_alpha_pow,
     ThresholdTooHigh,
     cluster_constant_linear,
     cluster_constant_mc,
@@ -191,9 +190,6 @@ def heavy_sampler(count, rng):
 
 
 def test_cluster_constant_mc_rejects_bad_input():
-    sampler = theta_sampler_linear(AR1_08)
-    with pytest.raises(ValueError, match="batch_size must be at least 1, got 0"):
-        cluster_constant_mc(sampler, 1.3, 1, 10, 0, batch_size=0)
     with pytest.raises(ValueError, match=r"2-d array of 10 rows.*shape \(10,\)"):
         cluster_constant_mc(lambda count, rng: rng.random(count), 1.3, 1, 10, 0)
     with pytest.raises(ValueError, match=r"2-d array of 10 rows.*shape \(11, 3\)"):
@@ -203,22 +199,23 @@ def test_cluster_constant_mc_rejects_bad_input():
 
 
 @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, INF])
-def test_cluster_constant_mc_constant_ratio_has_zero_std_error(p):
+def test_cluster_constant_mc_constant_ratio_has_zero_std_error(monkeypatch, p):
     # every AR(1) draw has the same ratio up to rounding, so the reported
     # s.e. must not be the cancellation error of a raw second moment
-    est = cluster_constant_mc(theta_sampler_linear(AR1_08), 1.3, p, 30_000, 4,
-                              batch_size=7_000)
+    monkeypatch.setattr(spectral, "_SAMPLER_BATCH", 7_000)
+    est = cluster_constant_mc(theta_sampler_linear(AR1_08), 1.3, p, 30_000, 4)
     assert est.value == pytest.approx(cluster_constant_linear(AR1_08, 1.3, p), rel=1e-12)
     assert est.std_error <= 1e-15 * est.value
 
 
-def test_cluster_constant_mc_std_error_is_std_of_ratios():
+def test_cluster_constant_mc_std_error_is_std_of_ratios(monkeypatch):
     n_draws, batch = 10_001, 3_000
     pe = as_p(2.0)
-    est = cluster_constant_mc(heavy_sampler, 1.3, pe, n_draws, 8, batch_size=batch)
+    monkeypatch.setattr(spectral, "_SAMPLER_BATCH", batch)
+    est = cluster_constant_mc(heavy_sampler, 1.3, pe, n_draws, 8)
     rng = _rng_of(8)
     ratios = np.concatenate([
-        _ratio_alpha_pow(np.abs(heavy_sampler(count, rng)), 1.3, pe)
+        _ratio_alpha_pow(heavy_sampler(count, rng), 1.3, pe)
         for count in (batch, batch, batch, n_draws - 3 * batch)])
     assert est.value == pytest.approx(float(np.mean(ratios)), rel=1e-12)
     assert est.std_error == pytest.approx(
@@ -229,21 +226,34 @@ def test_cluster_constant_mc_std_error_is_std_of_ratios():
 @pytest.mark.parametrize("tile_bytes", [1, 8 * 9 * 5 + 3, 8 * 9 * 1000])
 def test_cluster_constant_mc_tiles_do_not_change_estimates(monkeypatch, tile_bytes):
     args = (heavy_sampler, 1.3, 0.5, 5_003, 3)
-    whole = cluster_constant_mc(*args, batch_size=2_000)
+    monkeypatch.setattr(spectral, "_SAMPLER_BATCH", 2_000)
+    whole = cluster_constant_mc(*args)
     monkeypatch.setattr(seqcore, "_TILE_BYTES", tile_bytes)
-    tiled = cluster_constant_mc(*args, batch_size=2_000)
+    tiled = cluster_constant_mc(*args)
     assert tiled == whole
 
 
-def test_cluster_constant_mc_peak_memory_is_one_batch():
+def test_cluster_constant_mc_draws_sampler_batches():
+    counts = []
+
+    def sampler(count, rng):
+        counts.append(count)
+        return heavy_sampler(count, rng)
+
+    cluster_constant_mc(sampler, 1.3, 1, 20_000, 0)
+    assert counts == [8192, 8192, 20_000 - 2 * 8192]
+
+
+def test_cluster_constant_mc_peak_memory_is_one_batch(monkeypatch):
     # the batch is reduced tile by tile: no batch-sized |x| copy or power
     # temporary is made, and one batch is freed before the next is drawn
     sampler = theta_sampler_linear(AR1_08)
     batch = 50_000
     batch_bytes = batch * sampler(1, _rng_of(0)).shape[1] * 8
+    monkeypatch.setattr(spectral, "_SAMPLER_BATCH", batch)
     tracemalloc.start()
     try:
-        cluster_constant_mc(sampler, 1.3, 0.5, 2 * batch, 1, batch_size=batch)
+        cluster_constant_mc(sampler, 1.3, 0.5, 2 * batch, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
