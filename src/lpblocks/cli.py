@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import time
 
 from .experiment import (
     estimate_from_file,
@@ -15,6 +16,7 @@ from .experiment import (
     run_experiment,
     summary_csv_text,
 )
+from . import largedev
 from .largedev import ld_ratio_centered_mc, ld_ratio_mc, pilot_level
 from .models import AR1ModelSpec, LinearModelSpec, NoiseSpec, simulate
 from .seqcore import as_p
@@ -108,6 +110,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_ldratio(args: argparse.Namespace) -> int:
     model = _build_model(args)
+    drawn = largedev._drawn.copy()
+    start = time.perf_counter()
     if args.x is not None:
         x = args.x
     else:
@@ -122,12 +126,18 @@ def _cmd_ldratio(args: argparse.Namespace) -> int:
     else:
         est = ld_ratio_mc(model, args.n, args.p, x, args.reps, args.seed,
                           threads=args.threads)
+    elapsed = time.perf_counter() - start
+    used = largedev._drawn - drawn
+    # on stderr: stdout stays the same bytes for any worker count and run time
+    print(f"ld: values={used['values']} rows={used['rows']} chunks={used['chunks']} "
+          f"elapsed_s={elapsed:.3f} values_per_s={used['values'] / elapsed:.4g}",
+          file=sys.stderr)
     print(f"ratio={est.ratio!r}")
     print(f"std_error={est.std_error!r}")
     print(f"hits: numerator={est.numerator_hits} denominator={est.denominator_hits}")
     print(f"n={est.n} x={est.x!r} p={est.p} reps={est.reps}")
     if est.z is not None:
-        print(f"z={est.z!r}")
+        print(f"z={est.z!r} z_std_error={est.z_std_error!r}")
     print(f"degenerate={int(est.degenerate)}")
     return 0
 

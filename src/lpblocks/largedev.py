@@ -2,25 +2,41 @@
 P(||X_[1,n]||_p > x) / (n P(|X_0| > x)) estimated by Monte Carlo, and the
 centered threshold levels z_n that remove the small-value bias for p <= alpha.
 
-Both tails are estimated empirically (no analytic tail constants); the
-denominator uses a matched count of independent stationary marginal draws.
-Every simulation here, tail hits, pilot moment and pilot level, goes through
-one chunk loop, :func:`_map_chunks`: replications are split into fixed-size
-chunks, chunk i of substream s drawn from ``seed.generator(s, i)``, so
-results are byte-identical for any worker count. Within a chunk,
-:func:`seqcore.row_p_moduli` takes the p-norms of the simulated rows one
-cache-sized row tile at a time, so the kernel's temporaries stay small and
-peak memory is the chunk's noise and filter arrays.
+Both tails are estimated empirically (no analytic tail constants). The Monte
+Carlo simulates long rows: each row keeps k * n values after a single
+``model.lead`` (k = ``_WINDOWS``, lowered only where one row would exceed the
+chunk budget) and is cut into k length-n windows. The numerator counts the
+windows with ||w||_p above the level; the denominator takes one marginal
+draw per window, its first entry, against x, so it costs no extra draws.
+``reps`` is the exact window count: when k does not divide it, the last row
+is shorter. Windows of one row are dependent, rows are independent, so the
+row is the iid unit: each chunk returns per-row sums of N (windows hit), D
+(marginal hits), N^2, D^2 and N*D, and the standard error of
+sum N / (n sum D) is the delta method over rows, covariance included.
+
+The pilot level cuts the same rows into the same windows, and the pilot
+moment of the centered level averages every kept entry of rows of the same
+kind; its standard error is taken over rows too and carried into the
+level's (``RatioEstimate.z_std_error``).
+
+Every simulation goes through one chunk loop, :func:`_map_chunks`: rows are
+split into chunks of fixed size, chunk i of substream s drawn from
+``seed.generator(s, i)``, so results are byte-identical for any worker
+count. Within a chunk, :func:`seqcore.row_p_moduli` takes the window norms
+one cache-sized row tile at a time, so the kernel's temporaries stay small
+and peak memory is the chunk's noise and filter arrays.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from . import models
 from .models import Model, SeedSpec, _as_seed, _batch_rows, _pool_map, simulate_batch
 from .seqcore import PExponent, as_p, row_p_moduli
 
@@ -32,39 +48,82 @@ __all__ = [
     "pilot_level",
 ]
 
-def _run_chunk(reduce, model, n, count, seed, subkey, extra):
-    return reduce(simulate_batch(model, n, count, seed.generator(*subkey)), *extra)
+# length-n windows per simulated row: one lead is paid per _WINDOWS windows
+_WINDOWS = 40
+
+# values drawn, rows and chunks over every chunk loop run in this process;
+# a caller reads the difference across a call (``lpblocks ldratio`` prints it)
+_drawn: Counter = Counter()
 
 
-def _map_chunks(reduce, model: Model, n: int, reps: int, seed: SeedSpec,
+def _row_values(model: Model, n: int) -> int:
+    """Kept values of a full row: _WINDOWS windows of n, fewer where one row
+    would exceed the chunk budget, and never less than one window."""
+    fit = (models._CHUNK_ELEMENTS - model.lead) // n
+    return n * max(1, min(_WINDOWS, fit))
+
+
+def _chunk_shapes(model: Model, row_values: int, total: int) -> list:
+    """(kept values per row, rows) of each chunk holding `total` kept values:
+    full rows of `row_values`, as many to a chunk as fit the budget, then one
+    shorter last row for the remainder."""
+    full, rest = divmod(total, row_values)
+    per_chunk = _batch_rows(row_values + model.lead)
+    whole, part = divmod(full, per_chunk)
+    shapes = [(row_values, per_chunk)] * whole + ([(row_values, part)] if part else [])
+    return shapes + ([(rest, 1)] if rest else [])
+
+
+def _run_chunk(reduce, model, width, count, seed, subkey, extra):
+    return reduce(simulate_batch(model, width, count, seed.generator(*subkey)), *extra)
+
+
+def _map_chunks(reduce, model: Model, row_values: int, total: int, seed: SeedSpec,
                 stream: int, extra=(), threads: int = 1) -> list:
-    """reduce(sims, *extra) over chunks of `reps` simulated length-n rows.
+    """reduce(rows, *extra) over the chunks of :func:`_chunk_shapes`.
 
     Chunk i draws from seed.generator(stream, i). ``reduce`` must be a
     module-level function so that worker processes can unpickle it.
     """
-    rows = _batch_rows(n + model.lead)
-    full, rem = divmod(reps, rows)
-    counts = [rows] * full + ([rem] if rem else [])
-    tasks = [(reduce, model, n, count, seed, (stream, i), extra)
-             for i, count in enumerate(counts)]
+    shapes = _chunk_shapes(model, row_values, total)
+    for width, count in shapes:
+        _drawn.update(values=count * (width + model.lead), rows=count, chunks=1)
+    tasks = [(reduce, model, width, count, seed, (stream, i), extra)
+             for i, (width, count) in enumerate(shapes)]
     return _pool_map(_run_chunk, tasks, threads)
 
 
-def _hit_chunk(sims, pe, level) -> int:
-    return int(np.sum(row_p_moduli(sims, pe) > level))
+def _window_chunk(rows, n, pe, level, x) -> tuple:
+    """Sums over rows of N, D, N^2, D^2 and N*D, and the row count, as Python
+    ints. N counts a row's length-n windows with p-norm above `level`, D the
+    windows whose first entry exceeds x in absolute value."""
+    count = rows.shape[0]
+    windows = rows.reshape(-1, n)
+    num = (row_p_moduli(windows, pe) > level).reshape(count, -1).sum(axis=1)
+    den = (np.abs(windows[:, 0]) > x).reshape(count, -1).sum(axis=1)
+    return (int(num.sum()), int(den.sum()), int(num @ num), int(den @ den),
+            int(num @ den), count)
 
 
-def _moment_chunk(sims, pv, cap) -> float:
-    draws = np.abs(sims[:, 0])
+def _norms_chunk(rows, n, pe) -> np.ndarray:
+    return row_p_moduli(rows.reshape(-1, n), pe)
+
+
+def _moment_chunk(rows, pv, cap) -> np.ndarray:
+    """Per-row sums of |x|^pv, entries above `cap` counted as 0."""
+    a = np.abs(rows)
     if cap is not None:
-        draws = np.where(draws <= cap, draws, 0.0)
-    return float(np.sum(draws ** pv))
+        a[a > cap] = 0.0
+    a **= pv
+    return a.sum(axis=1)
 
 
 @dataclass(frozen=True)
 class RatioEstimate:
-    """Monte Carlo large-deviation ratio with delta-method standard error."""
+    """Monte Carlo large-deviation ratio with its standard error, the delta
+    method over independent rows of windows. ``z_std_error`` is the s.e. of
+    the centered level z from its pilot moment: 0.0 where z = x exactly, inf
+    where that moment has infinite variance."""
 
     numerator_hits: int
     denominator_hits: int
@@ -76,36 +135,52 @@ class RatioEstimate:
     reps: int
     degenerate: bool = False
     z: Optional[float] = None
+    z_std_error: Optional[float] = None
 
 
-def _ratio_from_hits(num_hits, den_hits, n, x, pe, reps, z=None) -> RatioEstimate:
-    if den_hits == 0:
-        return RatioEstimate(num_hits, 0, 0.0, 0.0, n, x, pe, reps,
-                             degenerate=True, z=z)
-    pn = num_hits / reps
-    pd = den_hits / reps
-    ratio = pn / (n * pd)
-    if num_hits == 0:
-        return RatioEstimate(0, den_hits, 0.0, 0.0, n, x, pe, reps, z=z)
-    se = ratio * math.sqrt((1 - pn) / (reps * pn) + (1 - pd) / (reps * pd))
-    return RatioEstimate(num_hits, den_hits, ratio, se, n, x, pe, reps, z=z)
+def _ratio_from_hits(sums, n, x, pe, reps, z=None, z_std_error=None) -> RatioEstimate:
+    """Ratio sum N / (n sum D) from per-row sums (N, D, N^2, D^2, N*D, rows).
+
+    Its variance is sum_r (N_r - R' D_r)^2 / (n sum D)^2 with R' = sum N / sum D,
+    scaled by rows / (rows - 1): the delta method with sample covariances. The
+    residual sum times (sum D)^2 is formed in exact integers; one row leaves
+    the spread unmeasured and gives an infinite s.e.
+    """
+    num, den, num2, den2, cross, rows = sums
+    if den == 0:
+        return RatioEstimate(num, 0, 0.0, 0.0, n, x, pe, reps, degenerate=True,
+                             z=z, z_std_error=z_std_error)
+    if num == 0:
+        return RatioEstimate(0, den, 0.0, 0.0, n, x, pe, reps, z=z,
+                             z_std_error=z_std_error)
+    ratio = num / (n * den)
+    resid = den * den * num2 - 2 * num * den * cross + num * num * den2
+    if rows > 1:
+        se = math.sqrt(resid * rows / (rows - 1)) / (n * den * den)
+    else:
+        se = math.inf
+    return RatioEstimate(num, den, ratio, se, n, x, pe, reps, z=z,
+                         z_std_error=z_std_error)
 
 
-def _ratio_mc(model, n, pe, level, x, reps, seed, threads, z=None) -> RatioEstimate:
-    """Numerator hits of ||X_[1,n]||_p > level on substream 0, denominator
-    hits of |X_0| > x on substream 1."""
-    num = sum(_map_chunks(_hit_chunk, model, n, reps, seed, 0, (pe, level), threads))
-    den = sum(_map_chunks(_hit_chunk, model, 1, reps, seed, 1, (pe, x), threads))
-    return _ratio_from_hits(num, den, n, x, pe, reps, z=z)
+def _ratio_mc(model, n, pe, level, x, reps, seed, threads, z=None,
+              z_std_error=None) -> RatioEstimate:
+    """Windows with ||w||_p > level and first entries with |w_1| > x, counted
+    on substream 0."""
+    chunks = _map_chunks(_window_chunk, model, _row_values(model, n), reps * n,
+                         seed, 0, (n, pe, level, x), threads)
+    sums = [sum(column) for column in zip(*chunks)]
+    return _ratio_from_hits(sums, n, x, pe, reps, z=z, z_std_error=z_std_error)
 
 
 def ld_ratio_mc(model: Model, n: int, p, x: float, reps: int, seed,
                 threads: int = 1) -> RatioEstimate:
     """Estimate P(||X_[1,n]||_p > x) / (n P(|X_0| > x)) by simulation.
 
-    The numerator simulates `reps` length-n samples; the denominator uses
-    `reps` independent stationary marginal draws against the same level x.
-    The limit of this ratio along far-tail levels is c(p).
+    The numerator counts `reps` length-n windows cut from long rows; the
+    denominator takes the first entry of each window as a stationary marginal
+    draw against the same level x. The limit of this ratio along far-tail
+    levels is c(p).
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
@@ -136,14 +211,35 @@ def centered_level(p, alpha: float, x: float, n: int, moment_p: Optional[float] 
     return x * (n * moment_p / x ** pv + 1.0) ** (1.0 / pv)
 
 
+def _pilot_moment(model, n, pv, alpha, x, total, seed, threads) -> tuple:
+    """(moment, s.e.) of E|X|^pv from `total` kept entries on substream 2,
+    truncated at x where pv == alpha. The s.e. is over rows; it is inf where
+    E|X|^(2 pv) is infinite (alpha <= 2 pv without truncation) or one row
+    leaves the spread unmeasured."""
+    cap = x if pv == alpha else None
+    row_values = _row_values(model, n)
+    sums = np.concatenate(_map_chunks(_moment_chunk, model, row_values, total,
+                                      seed, 2, (pv, cap), threads))
+    moment = float(sums.sum()) / total
+    rows = len(sums)
+    if (cap is None and alpha <= 2 * pv) or rows < 2:
+        return moment, math.inf
+    lengths = np.full(rows, float(row_values))
+    lengths[-1] = total - row_values * (rows - 1)
+    resid = sums - moment * lengths
+    return moment, math.sqrt(float(resid @ resid) * rows / (rows - 1)) / total
+
+
 def ld_ratio_centered_mc(model: Model, n: int, p, alpha: float, x: float,
                          reps: int, seed, pilot_reps: int = 1_000_000,
                          threads: int = 1) -> RatioEstimate:
     """Centered variant of ld_ratio_mc.
 
     The numerator level is z_n from centered_level, with the required moment
-    estimated from a pilot sample of stationary marginal draws; the
-    denominator stays at x. For p > alpha this coincides with ld_ratio_mc.
+    averaged over `pilot_reps` kept entries of the same long rows; the
+    denominator stays at x. The moment's s.e. over rows, carried through z's
+    derivative in the moment, is ``z_std_error``. For p > alpha this
+    coincides with ld_ratio_mc and z_std_error is 0.
     """
     if reps < 1 or pilot_reps < 1:
         raise ValueError("reps and pilot_reps must be at least 1")
@@ -151,24 +247,28 @@ def ld_ratio_centered_mc(model: Model, n: int, p, alpha: float, x: float,
         raise ValueError("x must be positive")
     seed = _as_seed(seed)
     pe = as_p(p)
-    if pe.is_inf or pe.value > alpha:
-        moment = None
-    else:
-        cap = x if pe.value == alpha else None
-        moment = sum(_map_chunks(_moment_chunk, model, 1, pilot_reps, seed, 2,
-                                 (pe.value, cap), threads)) / pilot_reps
+    pv = pe.value
+    moment, z_se = None, 0.0
+    if not (pe.is_inf or pv > alpha):
+        moment, moment_se = _pilot_moment(model, n, pv, alpha, x, pilot_reps, seed,
+                                          threads)
         if not moment > 0:
             raise ValueError("pilot moment estimate is zero; increase pilot_reps")
     z = centered_level(pe, alpha, x, n, moment)
-    return _ratio_mc(model, n, pe, z, x, reps, seed, threads, z=z)
+    if moment is not None:
+        # dz/dm = z n / (p (n m + x^p))
+        z_se = z * n * moment_se / (pv * (n * moment + x ** pv))
+    return _ratio_mc(model, n, pe, z, x, reps, seed, threads, z=z, z_std_error=z_se)
 
 
 def pilot_level(model: Model, n: int, p, q: float, reps: int = 20_000, seed=0) -> float:
-    """q-quantile of ||X_[1,n]||_p over a pilot sample; far-tail levels for
-    the ratio checks are usually placed at q in [0.99, 0.9999]."""
+    """q-quantile of ||X_[1,n]||_p over `reps` windows of the same long rows;
+    far-tail levels for the ratio checks are usually placed at q in
+    [0.99, 0.9999]."""
     if not 0 < q < 1:
         raise ValueError("q must lie in (0, 1)")
     if reps < 1:
         raise ValueError("reps must be at least 1")
-    norms = _map_chunks(row_p_moduli, model, n, reps, _as_seed(seed), 3, (as_p(p),))
+    norms = _map_chunks(_norms_chunk, model, _row_values(model, n), reps * n,
+                        _as_seed(seed), 3, (n, as_p(p)))
     return float(np.quantile(np.concatenate(norms), q))

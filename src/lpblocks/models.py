@@ -44,8 +44,9 @@ __all__ = [
 ]
 
 _NOISE_LAWS = ("pareto", "student")
-# noise values per simulation batch: the memory budget of every batched caller
-_CHUNK_ELEMENTS = 12_000_000
+# noise values per simulation batch (16 MB as float64): the memory budget of
+# every batched caller
+_CHUNK_ELEMENTS = 2_000_000
 
 
 @dataclass(frozen=True)

@@ -798,3 +798,24 @@ def test_cli_ldratio_pilot_and_centered(capsys):
     out = capsys.readouterr().out
     assert "pilot level: x=" in out
     assert "z=" in out
+
+
+def test_cli_ldratio_reports_draws_on_stderr(capsys):
+    # 20,001 windows of 10 are 500 rows of 40 windows and a last row of 1,
+    # drawn as 2 chunks; iid noise has no lead
+    argv = ["ldratio", "--model", "linear", "--coeffs", "1", "--noise", "pareto",
+            "--tail-index", "1.5", "--n", "10", "--p", "1", "--reps", "20001",
+            "--x", "50"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    line, = captured.err.splitlines()
+    fields = dict(tok.split("=") for tok in line.split()[1:])
+    assert line.startswith("ld: ")
+    assert (fields["values"], fields["rows"], fields["chunks"]) == ("200010", "501", "2")
+    assert float(fields["elapsed_s"]) >= 0 and float(fields["values_per_s"]) > 0
+    assert "values=" not in captured.out
+
+    assert main(argv[:-2] + ["--centered", "--moment-reps", "20000", "--x", "50"]) == 0
+    out = capsys.readouterr().out
+    z_line, = [ln for ln in out.splitlines() if ln.startswith("z=")]
+    assert re.fullmatch(r"z=\S+ z_std_error=\S+", z_line)

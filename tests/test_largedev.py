@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from lpblocks import largedev, seqcore
@@ -11,8 +12,8 @@ from lpblocks.largedev import (
     ld_ratio_mc,
     pilot_level,
 )
-from lpblocks.models import AR1ModelSpec, LinearModelSpec, NoiseSpec
-from lpblocks.seqcore import INF, as_p
+from lpblocks.models import AR1ModelSpec, LinearModelSpec, NoiseSpec, SeedSpec, simulate_batch
+from lpblocks.seqcore import INF, as_p, row_p_moduli
 
 IID_PARETO13 = LinearModelSpec(coeffs=(1.0,), noise=NoiseSpec(law="pareto", alpha=1.3))
 IID_PARETO15 = LinearModelSpec(coeffs=(1.0,), noise=NoiseSpec(law="pareto", alpha=1.5))
@@ -22,20 +23,43 @@ THETA_08_13 = 0.25180124174190294
 C1_08_13 = 2.040416717420179
 
 
+def row_sums(num, den):
+    """(sum N, sum D, sum N^2, sum D^2, sum N*D, rows) of per-row counts."""
+    return (sum(num), sum(den), sum(a * a for a in num), sum(b * b for b in den),
+            sum(a * b for a, b in zip(num, den)), len(num))
+
+
+def delta_se(num, den, n):
+    """Delta-method s.e. of mean(N) / (n mean(D)) over rows, with the
+    covariance of N and D, from sample moments."""
+    N, D = np.asarray(num, float), np.asarray(den, float)
+    m = len(N)
+    (var_n, cov), (_, var_d) = np.cov(N, D, ddof=1)
+    ratio = N.mean() / (n * D.mean())
+    rel = var_n / N.mean() ** 2 + var_d / D.mean() ** 2 - 2 * cov / (N.mean() * D.mean())
+    return ratio * math.sqrt(rel / m)
+
+
 def test_ratio_from_hits_branches():
     pe = as_p(1.0)
-    degenerate = _ratio_from_hits(3, 0, 10, 5.0, pe, 100)
+    degenerate = _ratio_from_hits(row_sums([3, 0], [0, 0]), 10, 5.0, pe, 80)
     assert degenerate.degenerate and degenerate.ratio == 0.0
 
-    empty = _ratio_from_hits(0, 5, 10, 5.0, pe, 100)
+    empty = _ratio_from_hits(row_sums([0, 0], [5, 0]), 10, 5.0, pe, 80)
     assert not empty.degenerate
     assert empty.ratio == 0.0 and empty.std_error == 0.0
 
-    est = _ratio_from_hits(50, 100, 10, 5.0, pe, 1000, z=7.0)
-    assert est.ratio == pytest.approx(0.05 / (10 * 0.1), rel=1e-12)
-    expected_se = est.ratio * math.sqrt(0.95 / 50 + 0.9 / 100)
-    assert est.std_error == pytest.approx(expected_se, rel=1e-12)
-    assert est.z == 7.0
+    # per-row counts of 5 rows: windows hit and marginal hits
+    num, den = [12, 0, 7, 30, 1], [3, 1, 2, 4, 0]
+    est = _ratio_from_hits(row_sums(num, den), 10, 5.0, pe, 200, z=7.0,
+                           z_std_error=0.5)
+    assert est.ratio == pytest.approx(50 / (10 * 10), rel=1e-12)
+    assert est.std_error == pytest.approx(delta_se(num, den, 10), rel=1e-12)
+    assert (est.numerator_hits, est.denominator_hits) == (50, 10)
+    assert est.z == 7.0 and est.z_std_error == 0.5
+
+    # one row measures no spread
+    assert _ratio_from_hits(row_sums([4], [2]), 10, 5.0, pe, 40).std_error == math.inf
 
 
 def test_validation_errors():
@@ -129,7 +153,7 @@ def test_degenerate_when_level_unreachable():
 
 
 def test_threads_do_not_change_results():
-    # 260k reps at n=50 spans two chunks, so the pool actually runs
+    # 260k windows at n=50 span seven chunks, so the pool actually runs
     serial = ld_ratio_mc(IID_PARETO13, 50, 1.3, 200.0, 260_000, 5, threads=1)
     parallel = ld_ratio_mc(IID_PARETO13, 50, 1.3, 200.0, 260_000, 5, threads=2)
     assert isinstance(serial, RatioEstimate)
@@ -148,8 +172,9 @@ def test_centered_pilot_moment_runs_on_the_requested_workers(monkeypatch):
     monkeypatch.setattr(largedev, "_pool_map", spy)
     ld_ratio_centered_mc(IID_PARETO13, 10, 1.0, 1.3, 50.0, 1_000, 3,
                          pilot_reps=1_000, threads=2)
-    # substreams: 2 is the pilot moment, 0 and 1 the ratio's hit counts
-    assert sorted(seen) == [(0, 2), (1, 2), (2, 2)]
+    # substreams: 2 is the pilot moment, 0 the ratio's windows, whose first
+    # entries are also the denominator's draws
+    assert sorted(seen) == [(0, 2), (2, 2)]
 
 
 def test_pilot_level_monotone_in_q():
@@ -176,3 +201,99 @@ def test_row_tiles_do_not_change_results(monkeypatch, tile_bytes):
     assert whole[0].numerator_hits > 0 and whole[0].denominator_hits > 0
     monkeypatch.setattr(seqcore, "_TILE_BYTES", tile_bytes)
     assert run() == whole
+
+
+MA_PARETO13 = LinearModelSpec(coeffs=(1.0, -0.7, 0.5), noise=NoiseSpec(law="pareto", alpha=1.3))
+K = largedev._WINDOWS
+
+
+def hand_cut_counts(model, n, p, x, reps, seed):
+    """Per-row (N, D) of `reps` windows cut by hand: rows of K windows drawn
+    on substream 0 as one chunk, then the shorter last row as the next."""
+    seed, pe = SeedSpec(seed), as_p(p)
+    full, short = divmod(reps, K)
+    shapes = [(w, r) for w, r in ((K, full), (short, 1)) if w and r]
+    num, den = [], []
+    for i, (windows, rows) in enumerate(shapes):
+        for row in simulate_batch(model, windows * n, rows, seed.generator(0, i)):
+            cut = row.reshape(windows, n)
+            num.append(int(np.sum(row_p_moduli(cut, pe) > x)))
+            den.append(int(np.sum(np.abs(cut[:, 0]) > x)))
+    return num, den
+
+
+@pytest.mark.parametrize("model, p, x, reps", [
+    (AR1_STUDENT, 1.3, 15.0, 1200),
+    (AR1_STUDENT, INF, 10.0, 1001),
+    (MA_PARETO13, 1.0, 30.0, 1001),
+    (MA_PARETO13, 1.3, 2.0, 7),
+])
+def test_window_counts_equal_hand_cut_rows(model, p, x, reps):
+    n = 20
+    num, den = hand_cut_counts(model, n, p, x, reps, 11)
+    assert sum(num) > 0 and sum(den) > 0
+    est = ld_ratio_mc(model, n, p, x, reps, 11)
+    assert (est.numerator_hits, est.denominator_hits) == (sum(num), sum(den))
+    assert est.ratio == sum(num) / (n * sum(den))
+    if len(num) > 1:
+        assert est.std_error == pytest.approx(delta_se(num, den, n), rel=1e-12)
+    else:
+        assert est.std_error == math.inf
+
+
+@pytest.mark.parametrize("reps, shapes", [
+    (1001, [(40 * 20, 25), (1 * 20, 1)]),
+    (1000, [(40 * 20, 25)]),
+    (7, [(7 * 20, 1)]),
+])
+def test_reps_is_the_exact_window_count(monkeypatch, reps, shapes):
+    # a remainder of reps over K windows is one shorter last row
+    drawn = []
+
+    def spy(model, width, count, seed):
+        drawn.append((width, count))
+        return simulate_batch(model, width, count, seed)
+
+    monkeypatch.setattr(largedev, "simulate_batch", spy)
+    est = ld_ratio_mc(AR1_STUDENT, 20, 1.3, 15.0, reps, 2)
+    assert est.reps == reps
+    assert drawn == shapes
+    assert sum(width for width, count in drawn for _ in range(count)) == 20 * reps
+
+
+def test_level_error_from_hand_cut_moment_rows():
+    # p = alpha: the moment is truncated at x, so it has a finite variance;
+    # 5,000 entries are 6 rows of 40 * 20 and a last row of 200
+    n, x, pilot = 20, 30.0, 5_000
+    seed = SeedSpec(4)
+    rows = [*simulate_batch(MA_PARETO13, 800, 6, seed.generator(2, 0)),
+            *simulate_batch(MA_PARETO13, 200, 1, seed.generator(2, 1))]
+    a = [np.abs(row) for row in rows]
+    sums = np.array([np.sum(np.where(v <= x, v, 0.0) ** 1.3) for v in a])
+    lengths = np.array([len(v) for v in a], float)
+    moment = sums.sum() / pilot
+    resid = sums - moment * lengths
+    moment_se = math.sqrt(resid @ resid * 7 / 6) / pilot
+    z = centered_level(1.3, 1.3, x, n, moment)
+    h = 1e-6 * moment
+    dz = (centered_level(1.3, 1.3, x, n, moment + h)
+          - centered_level(1.3, 1.3, x, n, moment - h)) / (2 * h)
+
+    est = ld_ratio_centered_mc(MA_PARETO13, n, 1.3, 1.3, x, 1_000, 4, pilot_reps=pilot)
+    assert est.z == pytest.approx(z, rel=1e-12)
+    assert 0 < est.z_std_error < math.inf
+    assert est.z_std_error == pytest.approx(dz * moment_se, rel=1e-6)
+
+
+def test_level_error_is_infinite_where_the_moment_variance_is():
+    def z_se(p):
+        return ld_ratio_centered_mc(MA_PARETO13, 20, p, 1.3, 30.0, 1_000, 4,
+                                    pilot_reps=5_000).z_std_error
+
+    # p < alpha <= 2p: E|X|^(2p) is infinite, so no finite s.e. covers z
+    assert z_se(1.0) == math.inf
+    assert z_se(0.65) == math.inf
+    # 2p < alpha: finite; p > alpha: z = x exactly
+    assert 0 < z_se(0.5) < math.inf
+    assert z_se(2.0) == 0.0
+    assert ld_ratio_mc(MA_PARETO13, 20, 1.0, 30.0, 1_000, 4).z_std_error is None

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpblocks import seqcore
-from lpblocks.largedev import _hit_chunk
+from lpblocks.largedev import _window_chunk
 from lpblocks.seqcore import (
     INF,
     PExponent,
@@ -252,7 +252,7 @@ def test_row_tiles_equal_untiled(rows, cols, tile_bytes, zero_rows, seed):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(seqcore, "_TILE_BYTES", tile_bytes)
             assert np.array_equal(row_p_moduli(matrix, pe), norms)
-            assert _hit_chunk(matrix, pe, level) == hits
+            assert _window_chunk(matrix, cols, pe, level, level)[0] == hits
             assert np.array_equal(_ratio_alpha_pow(matrix, 1.3, pe), ratios)
 
 
