@@ -36,6 +36,7 @@ from .blocks import (
     threshold_from_order_stat,
 )
 from .spectral import (
+    IndexedRows,
     MCEstimate,
     ShiftLaw,
     SpectralDraw,

@@ -11,8 +11,10 @@ selects its rows once (the blocks whose cached p-norm exceeds the k-th
 largest one) and computes every per-block term on that sub-matrix at once.
 The extremal index averages (||B||_inf / ||B||_a)^a and c(1) inverts the
 average of (||B||_a / ||B||_1)^a, both on the threshold-normalized rows
-the kernels see; serial dependence takes one dot product per row of the
-signed-power matrix and the sup-walk numerator a row-wise cumsum maximum.
+the kernels see (where those overflow the float range, on each row over
+its own max instead, as the terms are scale-free); serial dependence takes
+one dot product per row of the signed-power matrix and the sup-walk
+numerator a row-wise cumsum maximum.
 Each result equals (==) the per-block loop over the kernels: the final
 power is taken per term on Python floats (libm pow; numpy's vectorized
 power can differ by an ulp) and the terms are summed left to right (not
@@ -164,15 +166,34 @@ def _selected_rows(frame: BlockFrame, pe: PExponent, k: int):
     return thr, np.flatnonzero(frame.norms(pe) > thr)
 
 
+def _overflows(rows: np.ndarray, thr: float) -> bool:
+    """Whether rows / thr overflows the float range (only a threshold below 1
+    can make a finite entry overflow)."""
+    return bool(thr < 1.0 and rows.size and math.isinf(float(np.abs(rows).max()) / thr))
+
+
 def _over_threshold(frame: BlockFrame, selected: np.ndarray, thr: float) -> np.ndarray:
     """The selected blocks divided by the threshold; raises instead of
-    returning inf when a ratio overflows the float range (only a threshold
-    below 1 can make a finite entry overflow)."""
+    returning inf when a ratio overflows the float range."""
     rows = frame.matrix[selected]
-    if thr < 1.0 and rows.size and math.isinf(float(np.abs(rows).max()) / thr):
+    if _overflows(rows, thr):
         raise ValueError(f"a selected block exceeds the threshold {thr!r} by more "
                          "than the float range; the normalized block overflows")
     return rows / thr
+
+
+def _scale_free_rows(frame: BlockFrame, selected: np.ndarray, thr: float):
+    """(x, scale) with x * scale the selected blocks divided by the threshold,
+    for terms that are scale-free per block: x is that quotient and scale 1,
+    unless it overflows the float range; then each row of x is the block over
+    its own max, and scale is that max over thr per row (inf where it
+    overflows)."""
+    rows = frame.matrix[selected]
+    if not _overflows(rows, thr):
+        return rows / thr, 1.0
+    top = np.abs(rows).max(axis=1)
+    with np.errstate(over="ignore"):
+        return rows / top[:, None], top / thr
 
 
 def _pow_sum(ratios: np.ndarray, alpha: float) -> float:
@@ -199,9 +220,9 @@ def extremal_index_alpha_blocks(frame: BlockFrame, alpha: float, k: int) -> Esti
         return _degenerate("extremal_index_alpha", pe, frame, k, thr, alpha)
     # norms of the normalized rows, as the kernel sees them; the cached
     # norms divided by thr can differ in the last ulp
-    x = _over_threshold(frame, selected, thr)
+    x, scale = _scale_free_rows(frame, selected, thr)
     na = row_p_moduli(x, pe)
-    keep = na > 1.0
+    keep = na * scale > 1.0
     ratios = np.abs(x[keep]).max(axis=1) / na[keep]
     return EstimateReport(
         estimator_id="extremal_index_alpha", value=_pow_sum(ratios, alpha) / k,
@@ -242,9 +263,9 @@ def cluster_index_c1(frame: BlockFrame, alpha: float, k: int) -> EstimateReport:
     thr, selected = _selected_rows(frame, pe, k)
     mean = 0.0
     if selected is not None:
-        x = _over_threshold(frame, selected, thr)
+        x, scale = _scale_free_rows(frame, selected, thr)
         n1 = np.abs(x).sum(axis=1)
-        keep = n1 > 1.0
+        keep = n1 * scale > 1.0
         mean = _pow_sum(row_p_moduli(x[keep], PExponent(alpha)) / n1[keep], alpha) / k
     if not mean > 0:
         return _degenerate("cluster_index_c1", pe, frame, k, thr, alpha, mean=0.0)

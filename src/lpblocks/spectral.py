@@ -9,6 +9,14 @@ drawn from |phi_j|^alpha / ||phi||_alpha^alpha, and the change-of-norms weight
 ||phi||_p / ||phi||_alpha. Samplers exploit this degeneracy; a non-linear
 model would need importance reweighting instead.
 Both Monte Carlo routes draw ``_SAMPLER_BATCH`` rows at a time.
+
+A Theta draw of a linear process is one of 2(q+1) rows sign * phi / |phi_j|.
+``theta_sampler_linear`` builds this row table once and returns each batch
+as an :class:`IndexedRows`: the table plus one row index per draw. It is
+array-like (``np.asarray`` gives the (count, q+1) draws, and ``shape`` and
+``nbytes`` are those of the batch as stored), and ``cluster_constant_mc``
+reduces the table rather than the draws, then picks each draw's ratio by its
+index. Every ratio is the one the materialized row gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ __all__ = [
     "SpectralDraw",
     "ShiftLaw",
     "MCEstimate",
+    "IndexedRows",
     "ThresholdTooHigh",
     "shift_law",
     "sample_cluster_linear",
@@ -131,17 +140,53 @@ def sample_cluster_linear(model: Model, p, seed) -> SpectralDraw:
     return SpectralDraw(values=values, origin=int(j[0]))
 
 
+@dataclass(frozen=True, eq=False)
+class IndexedRows:
+    """A batch of draws stored as rows ``table[index]``, not materialized.
+
+    Array-like: ``np.asarray(batch)`` builds the (len(index), width) draws,
+    ``shape`` is their shape and ``nbytes`` counts what is stored, the table
+    and the index.
+    """
+
+    table: np.ndarray
+    index: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.index), self.table.shape[1])
+
+    @property
+    def nbytes(self) -> int:
+        return self.table.nbytes + self.index.nbytes
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("IndexedRows cannot give its rows without a copy")
+        return np.asarray(self.table[self.index], dtype=dtype)
+
+
 def theta_sampler_linear(model: Model):
     """Batch sampler of spectral tail process draws for cluster_constant_mc.
 
-    Returns fn(count, rng) -> (count, q+1) array whose rows are
-    sign * phi / |phi_J|, zero-padded implicitly by the fixed support.
+    Returns fn(count, rng) -> IndexedRows of shape (count, q+1) whose rows
+    are sign * phi / |phi_J|, zero-padded implicitly by the fixed support.
+    The table of the 2(q+1) possible rows is built once: row j is
+    (1 / |phi_j|) * phi and row q+1+j is (-1 / |phi_j|) * phi, and a draw
+    (J, sign) has index J + (q+1) * (sign < 0). Rows of zero coefficients
+    are never drawn and are 0 in the table.
     """
     coeffs, draw_shift_sign = _shift_sign_sampler(model)
+    inverse = np.zeros(len(coeffs))
+    nonzero = coeffs != 0
+    inverse[nonzero] = 1.0 / np.abs(coeffs[nonzero])
+    # sign / |phi_J| for sign = +1 and -1: the factors np.outer(sign /
+    # np.abs(coeffs[j]), coeffs) takes, so each table row is that draw's row
+    table = np.outer(np.concatenate([inverse, -inverse]), coeffs)
 
-    def draw(count: int, rng: np.random.Generator) -> np.ndarray:
+    def draw(count: int, rng: np.random.Generator) -> IndexedRows:
         j, sign = draw_shift_sign(count, rng)
-        return np.outer(sign / np.abs(coeffs[j]), coeffs)
+        return IndexedRows(table, j + len(coeffs) * (sign < 0))
 
     return draw
 
@@ -162,25 +207,31 @@ class MCEstimate:
 
 
 def _batch_ratios(sampler, count: int, rng, alpha: float, pe: PExponent) -> np.ndarray:
-    """Ratios of one sampler batch.
+    """Ratios of one sampler batch; an IndexedRows batch is reduced on its
+    table, and each draw takes its row's ratio.
 
     The batch is referenced only from this call, so it is freed before the
     caller asks the sampler for the next one.
     """
-    draws = np.asarray(sampler(count, rng), dtype=np.float64)
-    if draws.ndim != 2 or draws.shape[0] != count or draws.shape[1] < 1:
+    batch = sampler(count, rng)
+    if not isinstance(batch, IndexedRows):
+        batch = np.asarray(batch, dtype=np.float64)
+    shape = batch.shape
+    if len(shape) != 2 or shape[0] != count or shape[1] < 1:
         raise ValueError(f"sampler must return a 2-d array of {count} rows and at "
-                         f"least one column, got shape {draws.shape}")
-    return _ratio_alpha_pow(draws, alpha, pe)
+                         f"least one column, got shape {shape}")
+    if isinstance(batch, IndexedRows):
+        return _ratio_alpha_pow(batch.table, alpha, pe)[batch.index]
+    return _ratio_alpha_pow(batch, alpha, pe)
 
 
 def cluster_constant_mc(sampler, alpha: float, p, n_draws: int, seed) -> MCEstimate:
     """Monte Carlo c(p) = E[(||Theta||_p / ||Theta||_alpha)^alpha].
 
     ``sampler`` is fn(count, rng) -> (count, width) array of draws (rows
-    zero-padded); Theta draws and rescaled Q^(alpha) draws are both fine
-    since the ratio is scale-free. Draws come in batches of _SAMPLER_BATCH
-    rows. The standard error is the population standard deviation of the
+    zero-padded) or an IndexedRows of that shape; Theta draws and rescaled
+    Q^(alpha) draws are both fine since the ratio is scale-free. Draws come
+    in batches of _SAMPLER_BATCH rows. The standard error is the population standard deviation of the
     per-draw ratios over sqrt(n_draws), from centered sums of squares per
     batch combined by Chan's formula.
     """

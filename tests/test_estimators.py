@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -554,14 +556,16 @@ def test_vectorized_estimators_match_block_loops(frame, data, alpha):
         k = data.draw(st.integers(min_value=2, max_value=frame.m), label="k")
         h = data.draw(st.integers(min_value=0, max_value=frame.b - 1), label="h")
     # the loops raise where a normalized block is not finite; the vectorized
-    # estimators must raise exactly then, naming the cause
+    # estimators then rescale each selected block by its own max instead, and
+    # their scale-free statistics stay finite
     for estimate, loop in ((extremal_index_alpha_blocks, loop_extremal_index_alpha),
                            (cluster_index_c1, loop_cluster_index_c1)):
         try:
             want = loop(frame, alpha, k)
         except ValueError:
-            with pytest.raises(ValueError, match="float range"):
-                estimate(frame, alpha, k)
+            report = estimate(frame, alpha, k)
+            assert not report.degenerate
+            assert 0.0 < report.value < math.inf
         else:
             assert report_fields(estimate(frame, alpha, k)) == want
     assert (report_fields(serial_dependence_estimate(frame, alpha, k, h))
@@ -569,3 +573,18 @@ def test_vectorized_estimators_match_block_loops(frame, data, alpha):
     if alpha >= 1:
         assert (report_fields(supwalk_constant_estimate(frame, alpha, k))
                 == loop_supwalk(frame, alpha, k))
+
+
+def test_scale_free_estimators_survive_an_overflowing_block():
+    # the top block over the threshold overflows the float range at both
+    # scales; scaling by a power of two is exact, so the values are equal
+    values = 1e6 * np.array([1e3, 1e-306, 1e-306])
+    frame, scaled = BlockFrame(values, 1), BlockFrame(values * 2.0 ** 600, 1)
+    ea = extremal_index_alpha_blocks(frame, 0.5, 2)
+    assert ea.value == extremal_index_alpha_blocks(scaled, 0.5, 2).value == 0.5
+    assert ea.selected_blocks == 1 and not ea.degenerate
+    c1 = cluster_index_c1(frame, 0.5, 2)
+    assert c1.value == cluster_index_c1(scaled, 0.5, 2).value == 2.0
+    # a user functional need not be scale-free: the generic loop still raises
+    with pytest.raises(ValueError, match="float range"):
+        cluster_functional_estimate(frame, 0.5, 2, extremal_index_kernel(0.5))

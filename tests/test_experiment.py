@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from lpblocks.blocks import default_k, partition
 from lpblocks.cli import main
 from lpblocks.estimators import (
+    cluster_functional_estimate,
     extremal_index_alpha_blocks,
+    extremal_index_kernel,
     hill_alpha,
     serial_dependence_estimate,
 )
@@ -449,13 +451,14 @@ def test_run_experiment_hill_failure_keeps_grid(monkeypatch, tmp_path, threads):
             assert by_key[key] == record
 
     # an estimator that rejects one replication's data is recorded the same
-    # way, for that (rep, n, b) only: a block that overflows when normalized
+    # way, for that (rep, n, b) only: a block that overflows when normalized,
+    # which the generic functional loop rejects
     real_estimate = experiment.extremal_index_alpha_blocks
 
     def overflowing(frame, alpha, k):
         if np.array_equal(frame.values, bad[frame.n][: frame.m * frame.b]):
             frame = partition(1e6 * np.array([1e3, 1e-306, 1e-306]), 1)
-            k = 2
+            return cluster_functional_estimate(frame, alpha, 2, extremal_index_kernel(alpha))
         return real_estimate(frame, alpha, k)
 
     monkeypatch.undo()

@@ -1,13 +1,15 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpblocks import seqcore, spectral
-from lpblocks.models import AR1ModelSpec, LinearModelSpec, NoiseSpec, SeedSpec, _rng_of
+from lpblocks.models import (AR1ModelSpec, LinearModelSpec, NoiseSpec, SeedSpec, _rng_of,
+                             model_coefficients)
 from lpblocks.seqcore import INF, _ratio_alpha_pow, as_p, p_modulus
 from lpblocks.spectral import (
     ShiftLaw,
@@ -28,11 +30,8 @@ STUDENT13 = NoiseSpec(law="student", alpha=1.3)
 PARETO13 = NoiseSpec(law="pareto", alpha=1.3)
 AR1_08 = AR1ModelSpec(phi=0.8, noise=STUDENT13)
 
-coeff_vectors = st.lists(
-    st.floats(min_value=-3.0, max_value=3.0).filter(lambda v: abs(v) > 1e-3),
-    min_size=1,
-    max_size=8,
-)
+nonzero_taps = st.floats(min_value=-3.0, max_value=3.0).filter(lambda v: abs(v) > 1e-3)
+coeff_vectors = st.lists(nonzero_taps, min_size=1, max_size=8)
 alphas = st.sampled_from([0.8, 1.3, 2.0, 2.5])
 p_values = st.sampled_from([0.5, 1.0, 1.3, 2.0, INF])
 
@@ -244,10 +243,76 @@ def test_cluster_constant_mc_draws_sampler_batches():
     assert counts == [8192, 8192, 20_000 - 2 * 8192]
 
 
+def materialized(sampler):
+    """The sampler's draws as a plain array, for the generic path."""
+    return lambda count, rng: np.asarray(sampler(count, rng))
+
+
+# coefficient vectors with zero taps
+tap_vectors = st.lists(st.one_of(st.just(0.0), nonzero_taps),
+                       min_size=1, max_size=8).filter(any)
+
+
+@given(coeffs=tap_vectors, alpha=st.sampled_from([0.8, 1.3, 2.0]),
+       p=st.sampled_from(["alpha", 0.5, 1.0, 2.0, 3.0, INF]),
+       batch=st.integers(min_value=1, max_value=300),
+       tile_bytes=st.sampled_from([1, 100, 2 ** 21]),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+@example(coeffs=[0.7], alpha=1.3, p=1.0, batch=300, tile_bytes=2 ** 21, seed=0)
+@settings(max_examples=80, deadline=None)
+def test_cluster_constant_mc_row_table_is_bit_identical(coeffs, alpha, p, batch,
+                                                        tile_bytes, seed):
+    # reducing the 2(q+1) table rows gives each draw the ratio its
+    # materialized row gives
+    p = alpha if p == "alpha" else p
+    sampler = theta_sampler_linear(
+        LinearModelSpec(coeffs=tuple(coeffs), noise=NoiseSpec(law="student", alpha=alpha)))
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        mp.setattr(spectral, "_SAMPLER_BATCH", batch)
+        mp.setattr(seqcore, "_TILE_BYTES", tile_bytes)
+        warnings.simplefilter("error", RuntimeWarning)
+        table = cluster_constant_mc(sampler, alpha, p, 700, seed)
+        assert table == cluster_constant_mc(materialized(sampler), alpha, p, 700, seed)
+
+
+def test_theta_sampler_linear_batch_is_array_like():
+    coeffs = (0.7, 0.0, -0.3, 1.1)
+    sampler = theta_sampler_linear(LinearModelSpec(coeffs=coeffs, noise=STUDENT13))
+    batch = sampler(1_000, _rng_of(3))
+    draws = np.asarray(batch)
+    assert batch.shape == draws.shape == (1_000, 4)
+    assert batch.nbytes == 8 * 4 * 8 + 1_000 * batch.index.itemsize
+    # each row is sign * phi / |phi_J| for a drawn shift J with phi_J != 0
+    rng = _rng_of(3)
+    law = shift_law(coeffs, 1.3)
+    j = law.sample(rng, size=1_000)
+    sign = np.where(rng.random(1_000) < STUDENT13.positive_prob, 1.0, -1.0)
+    assert np.array_equal(draws, np.outer(sign / np.abs(np.asarray(coeffs)[j]), coeffs))
+    assert np.isfinite(batch.table).all()
+    with pytest.raises(ValueError, match="without a copy"):
+        np.asarray(batch, copy=False)
+
+
+def test_cluster_constant_mc_reduces_only_table_rows(monkeypatch):
+    # the linear sampler's batches are never materialized: the ratio kernel
+    # sees at most the 2(q+1) table rows at a time
+    rows = []
+    kernel = spectral._ratio_alpha_pow
+
+    def recording(draws, alpha, pe):
+        rows.append(draws.shape[0])
+        return kernel(draws, alpha, pe)
+
+    monkeypatch.setattr(spectral, "_ratio_alpha_pow", recording)
+    est = cluster_constant_mc(theta_sampler_linear(AR1_08), 1.3, 2.0, 20_000, 5)
+    assert est.n_draws == 20_000
+    assert rows and max(rows) <= 2 * len(model_coefficients(AR1_08))
+
+
 def test_cluster_constant_mc_peak_memory_is_one_batch(monkeypatch):
-    # the batch is reduced tile by tile: no batch-sized |x| copy or power
-    # temporary is made, and one batch is freed before the next is drawn
-    sampler = theta_sampler_linear(AR1_08)
+    # a materialized batch is reduced tile by tile: no batch-sized |x| copy or
+    # power temporary is made, and one batch is freed before the next is drawn
+    sampler = materialized(theta_sampler_linear(AR1_08))
     batch = 50_000
     batch_bytes = batch * sampler(1, _rng_of(0)).shape[1] * 8
     monkeypatch.setattr(spectral, "_SAMPLER_BATCH", batch)
