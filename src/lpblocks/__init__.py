@@ -36,7 +36,6 @@ from .blocks import (
     threshold_from_order_stat,
 )
 from .spectral import (
-    IndexedRows,
     MCEstimate,
     ShiftLaw,
     SpectralDraw,

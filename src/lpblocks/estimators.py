@@ -15,11 +15,13 @@ the kernels see (where those overflow the float range, on each row over
 its own max instead, as the terms are scale-free); serial dependence takes
 one dot product per row of the signed-power matrix and the sup-walk
 numerator a row-wise cumsum maximum.
-Each result equals (==) the per-block loop over the kernels: the final
-power is taken per term on Python floats (libm pow; numpy's vectorized
-power can differ by an ulp) and the terms are summed left to right (not
-pairwise, as np.sum does). The generic ClusterFunctional loop remains for
-user-supplied functionals (cluster_functional_estimate, psi and theta).
+Wherever the normalized blocks are finite, each result equals (==) the
+per-block loop over the kernels (on an overflowing block that loop raises):
+the final power is taken per term on Python floats (libm pow; numpy's
+vectorized power can differ by an ulp) and the terms are summed left to
+right (not pairwise, as np.sum does). The generic ClusterFunctional loop
+remains for user-supplied functionals (cluster_functional_estimate, psi and
+theta).
 """
 
 from __future__ import annotations
@@ -183,17 +185,18 @@ def _over_threshold(frame: BlockFrame, selected: np.ndarray, thr: float) -> np.n
 
 
 def _scale_free_rows(frame: BlockFrame, selected: np.ndarray, thr: float):
-    """(x, scale) with x * scale the selected blocks divided by the threshold,
-    for terms that are scale-free per block: x is that quotient and scale 1,
-    unless it overflows the float range; then each row of x is the block over
-    its own max, and scale is that max over thr per row (inf where it
-    overflows)."""
+    """(x, limit) for terms that are scale-free per block: a row's norm over
+    thr exceeds 1 exactly when the norm of its row of x exceeds limit.
+
+    x is the selected blocks divided by thr and limit 1.0, unless that
+    quotient overflows the float range; then each row of x is the block over
+    its own max, and limit is thr over that max, per row.
+    """
     rows = frame.matrix[selected]
     if not _overflows(rows, thr):
         return rows / thr, 1.0
     top = np.abs(rows).max(axis=1)
-    with np.errstate(over="ignore"):
-        return rows / top[:, None], top / thr
+    return rows / top[:, None], thr / top
 
 
 def _pow_sum(ratios: np.ndarray, alpha: float) -> float:
@@ -210,7 +213,9 @@ def extremal_index_alpha_blocks(frame: BlockFrame, alpha: float, k: int) -> Esti
 
     (1/k) sum_t (||B_t||_inf^a / ||B_t||_a^a) 1(||B_t||_a > ||B||_{a,(k)}),
     consistent for c(inf) = theta_|X|. Equal (==) to cluster_functional_estimate
-    with extremal_index_kernel(alpha).
+    with extremal_index_kernel(alpha) wherever the normalized blocks are
+    finite; on an overflowing block that generic functional raises and this
+    estimator rescales each selected row by its own max.
     """
     if not alpha > 0:
         raise ValueError("alpha must be positive")
@@ -220,9 +225,9 @@ def extremal_index_alpha_blocks(frame: BlockFrame, alpha: float, k: int) -> Esti
         return _degenerate("extremal_index_alpha", pe, frame, k, thr, alpha)
     # norms of the normalized rows, as the kernel sees them; the cached
     # norms divided by thr can differ in the last ulp
-    x, scale = _scale_free_rows(frame, selected, thr)
+    x, limit = _scale_free_rows(frame, selected, thr)
     na = row_p_moduli(x, pe)
-    keep = na * scale > 1.0
+    keep = na > limit
     ratios = np.abs(x[keep]).max(axis=1) / na[keep]
     return EstimateReport(
         estimator_id="extremal_index_alpha", value=_pow_sum(ratios, alpha) / k,
@@ -255,7 +260,10 @@ def cluster_index_c1(frame: BlockFrame, alpha: float, k: int) -> EstimateReport:
 
     Inverts the threshold mean of ||B_t||_a^a / ||B_t||_1^a; the un-inverted
     mean (the 1/c(1) scale) is kept in extras["mean"] and equals (==)
-    cluster_functional_estimate with cluster_index_kernel(alpha).
+    cluster_functional_estimate with cluster_index_kernel(alpha) wherever the
+    normalized blocks are finite; on an overflowing block that generic
+    functional raises and this estimator rescales each selected row by its
+    own max.
     """
     if not alpha > 0:
         raise ValueError("alpha must be positive")
@@ -263,9 +271,9 @@ def cluster_index_c1(frame: BlockFrame, alpha: float, k: int) -> EstimateReport:
     thr, selected = _selected_rows(frame, pe, k)
     mean = 0.0
     if selected is not None:
-        x, scale = _scale_free_rows(frame, selected, thr)
+        x, limit = _scale_free_rows(frame, selected, thr)
         n1 = np.abs(x).sum(axis=1)
-        keep = n1 * scale > 1.0
+        keep = n1 > limit
         mean = _pow_sum(row_p_moduli(x[keep], PExponent(alpha)) / n1[keep], alpha) / k
     if not mean > 0:
         return _degenerate("cluster_index_c1", pe, frame, k, thr, alpha, mean=0.0)

@@ -12,7 +12,7 @@ Both Monte Carlo routes draw ``_SAMPLER_BATCH`` rows at a time.
 
 A Theta draw of a linear process is one of 2(q+1) rows sign * phi / |phi_j|.
 ``theta_sampler_linear`` builds this row table once and returns each batch
-as an :class:`IndexedRows`: the table plus one row index per draw. It is
+as an ``_IndexedRows``: the table plus one row index per draw. It is
 array-like (``np.asarray`` gives the (count, q+1) draws, and ``shape`` and
 ``nbytes`` are those of the batch as stored), and ``cluster_constant_mc``
 reduces the table rather than the draws, then picks each draw's ratio by its
@@ -34,7 +34,6 @@ __all__ = [
     "SpectralDraw",
     "ShiftLaw",
     "MCEstimate",
-    "IndexedRows",
     "ThresholdTooHigh",
     "shift_law",
     "sample_cluster_linear",
@@ -141,7 +140,7 @@ def sample_cluster_linear(model: Model, p, seed) -> SpectralDraw:
 
 
 @dataclass(frozen=True, eq=False)
-class IndexedRows:
+class _IndexedRows:
     """A batch of draws stored as rows ``table[index]``, not materialized.
 
     Array-like: ``np.asarray(batch)`` builds the (len(index), width) draws,
@@ -161,15 +160,13 @@ class IndexedRows:
         return self.table.nbytes + self.index.nbytes
 
     def __array__(self, dtype=None, copy=None):
-        if copy is False:
-            raise ValueError("IndexedRows cannot give its rows without a copy")
         return np.asarray(self.table[self.index], dtype=dtype)
 
 
 def theta_sampler_linear(model: Model):
     """Batch sampler of spectral tail process draws for cluster_constant_mc.
 
-    Returns fn(count, rng) -> IndexedRows of shape (count, q+1) whose rows
+    Returns fn(count, rng) -> _IndexedRows of shape (count, q+1) whose rows
     are sign * phi / |phi_J|, zero-padded implicitly by the fixed support.
     The table of the 2(q+1) possible rows is built once: row j is
     (1 / |phi_j|) * phi and row q+1+j is (-1 / |phi_j|) * phi, and a draw
@@ -184,9 +181,9 @@ def theta_sampler_linear(model: Model):
     # np.abs(coeffs[j]), coeffs) takes, so each table row is that draw's row
     table = np.outer(np.concatenate([inverse, -inverse]), coeffs)
 
-    def draw(count: int, rng: np.random.Generator) -> IndexedRows:
+    def draw(count: int, rng: np.random.Generator) -> _IndexedRows:
         j, sign = draw_shift_sign(count, rng)
-        return IndexedRows(table, j + len(coeffs) * (sign < 0))
+        return _IndexedRows(table, j + len(coeffs) * (sign < 0))
 
     return draw
 
@@ -207,31 +204,33 @@ class MCEstimate:
 
 
 def _batch_ratios(sampler, count: int, rng, alpha: float, pe: PExponent) -> np.ndarray:
-    """Ratios of one sampler batch; an IndexedRows batch is reduced on its
+    """Ratios of one sampler batch; an _IndexedRows batch is reduced on its
     table, and each draw takes its row's ratio.
 
     The batch is referenced only from this call, so it is freed before the
     caller asks the sampler for the next one.
     """
     batch = sampler(count, rng)
-    if not isinstance(batch, IndexedRows):
-        batch = np.asarray(batch, dtype=np.float64)
+    if isinstance(batch, _IndexedRows):
+        rows, index = batch.table, batch.index
+    else:
+        batch = rows = np.asarray(batch, dtype=np.float64)
+        index = None
     shape = batch.shape
     if len(shape) != 2 or shape[0] != count or shape[1] < 1:
         raise ValueError(f"sampler must return a 2-d array of {count} rows and at "
                          f"least one column, got shape {shape}")
-    if isinstance(batch, IndexedRows):
-        return _ratio_alpha_pow(batch.table, alpha, pe)[batch.index]
-    return _ratio_alpha_pow(batch, alpha, pe)
+    ratios = _ratio_alpha_pow(rows, alpha, pe)
+    return ratios if index is None else ratios[index]
 
 
 def cluster_constant_mc(sampler, alpha: float, p, n_draws: int, seed) -> MCEstimate:
     """Monte Carlo c(p) = E[(||Theta||_p / ||Theta||_alpha)^alpha].
 
     ``sampler`` is fn(count, rng) -> (count, width) array of draws (rows
-    zero-padded) or an IndexedRows of that shape; Theta draws and rescaled
-    Q^(alpha) draws are both fine since the ratio is scale-free. Draws come
-    in batches of _SAMPLER_BATCH rows. The standard error is the population standard deviation of the
+    zero-padded) or theta_sampler_linear's array-like batch of that shape;
+    Theta draws and rescaled Q^(alpha) draws are both fine since the ratio is
+    scale-free. Draws come in batches of _SAMPLER_BATCH rows. The standard error is the population standard deviation of the
     per-draw ratios over sqrt(n_draws), from centered sums of squares per
     batch combined by Chan's formula.
     """

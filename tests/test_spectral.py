@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +24,10 @@ from lpblocks.spectral import (
     supwalk_constant_oracle_linear,
     theta_sampler_linear,
 )
+
+# the spectral layer runs warning-free: a zero-tap row of the linear
+# sampler's row table that divided by zero would fail here
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 STUDENT13 = NoiseSpec(law="student", alpha=1.3)
 PARETO13 = NoiseSpec(law="pareto", alpha=1.3)
@@ -267,10 +270,9 @@ def test_cluster_constant_mc_row_table_is_bit_identical(coeffs, alpha, p, batch,
     p = alpha if p == "alpha" else p
     sampler = theta_sampler_linear(
         LinearModelSpec(coeffs=tuple(coeffs), noise=NoiseSpec(law="student", alpha=alpha)))
-    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+    with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral, "_SAMPLER_BATCH", batch)
         mp.setattr(seqcore, "_TILE_BYTES", tile_bytes)
-        warnings.simplefilter("error", RuntimeWarning)
         table = cluster_constant_mc(sampler, alpha, p, 700, seed)
         assert table == cluster_constant_mc(materialized(sampler), alpha, p, 700, seed)
 
@@ -289,8 +291,6 @@ def test_theta_sampler_linear_batch_is_array_like():
     sign = np.where(rng.random(1_000) < STUDENT13.positive_prob, 1.0, -1.0)
     assert np.array_equal(draws, np.outer(sign / np.abs(np.asarray(coeffs)[j]), coeffs))
     assert np.isfinite(batch.table).all()
-    with pytest.raises(ValueError, match="without a copy"):
-        np.asarray(batch, copy=False)
 
 
 def test_cluster_constant_mc_reduces_only_table_rows(monkeypatch):
