@@ -1,5 +1,14 @@
 """Disjoint-block frames, cached block norms, the default k-rule, and
-order-statistic thresholds."""
+order-statistic thresholds.
+
+The norms and thresholds live on a block stack (``_BlockStack``, private):
+R frames of m blocks of length b as one (R*m, b) matrix, frame r in rows
+r*m to r*m + m - 1. Each p's norms are one ``row_p_moduli`` call and each
+(p, k) threshold one ``np.partition`` along the frames' axis, both cached
+for all R frames. A ``BlockFrame`` is the one-frame stack; the experiment
+stacks the frames of many replications at one (n, b) grid point, about
+256 KB of series values per stack.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +16,7 @@ import math
 
 import numpy as np
 
-from .seqcore import as_p, as_series, kth_order_stat, row_p_moduli
+from .seqcore import as_p, as_series, row_p_moduli
 
 __all__ = [
     "BlockFrame",
@@ -37,7 +46,7 @@ class BlockFrame:
         self.n = int(n)
         self._matrix = x[: m * b].reshape(m, b).copy()
         self._matrix.setflags(write=False)
-        self._norm_cache: dict[float, np.ndarray] = {}
+        self._stack = _BlockStack(self._matrix, self.m, self.n)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -55,14 +64,64 @@ class BlockFrame:
 
     def norms(self, p) -> np.ndarray:
         """Per-block p-moduli ||B_t||_p, cached per exponent."""
+        return self._stack.norms(p)
+
+
+class _BlockStack:
+    """R frames of m blocks of length b as one (R*m, b) ``matrix``, frame r
+    in rows r*m to r*m + m - 1, each cut from n values.
+
+    ``norms(p)`` (flat, block t of frame r at r*m + t) and ``thresholds(p,
+    k)`` (one per frame) are computed once for all R frames and cached. Every
+    value is the one the frame's own BlockFrame gives: the norm kernel is
+    row-wise, and the k-th largest norm does not depend on how it is found.
+    """
+
+    def __init__(self, matrix: np.ndarray, m: int, n: int):
+        self.matrix = matrix
+        self.m, self.n, self.b = m, n, matrix.shape[1]
+        self.reps = matrix.shape[0] // m
+        self._norms: dict[float, np.ndarray] = {}
+        self._thresholds: dict[tuple, np.ndarray] = {}
+
+    @classmethod
+    def cut(cls, rows: np.ndarray, b: int) -> "_BlockStack":
+        """The frames of block length b of each row of a 2-d array of series
+        (the caller checks that m = n // b >= 2)."""
+        n = rows.shape[1]
+        m = n // b
+        return cls(rows[:, : m * b].reshape(-1, b), m, n)
+
+    def norms(self, p) -> np.ndarray:
         pe = as_p(p)
-        key = pe.value
-        got = self._norm_cache.get(key)
+        got = self._norms.get(pe.value)
         if got is None:
-            got = row_p_moduli(self._matrix, pe)
+            got = row_p_moduli(self.matrix, pe)
             got.setflags(write=False)
-            self._norm_cache[key] = got
+            self._norms[pe.value] = got
         return got
+
+    def thresholds(self, p, k: int) -> np.ndarray:
+        """The k-th largest block p-norm of each frame."""
+        if not 2 <= k <= self.m:
+            raise ValueError(f"k must satisfy 2 <= k <= m={self.m}, got {k}")
+        key = (as_p(p).value, k)
+        got = self._thresholds.get(key)
+        if got is None:
+            norms = self.norms(p).reshape(self.reps, self.m)
+            got = np.partition(norms, self.m - k, axis=1)[:, self.m - k]
+            self._thresholds[key] = got
+        return got
+
+    def take(self, frames) -> "_BlockStack":
+        """The stack of the given frames (indices, in order), with the cached
+        norms and thresholds of those frames carried over."""
+        frames = np.asarray(frames)
+        rows = (frames[:, None] * self.m + np.arange(self.m)).ravel()
+        sub = _BlockStack(self.matrix[rows], self.m, self.n)
+        sub._norms = {key: got[rows] for key, got in self._norms.items()}
+        sub._thresholds = {key: got[frames] for key, got in self._thresholds.items()}
+        return sub
 
 
 def partition(series, b: int) -> BlockFrame:
@@ -82,6 +141,4 @@ def default_k(n: int, b: int, kappa: float = 1.0) -> int:
 
 def threshold_from_order_stat(frame: BlockFrame, p, k: int) -> float:
     """Empirical threshold ||B||_{p,(k)}: the k-th largest block p-norm."""
-    if not 2 <= k <= frame.m:
-        raise ValueError(f"k must satisfy 2 <= k <= m={frame.m}, got {k}")
-    return kth_order_stat(frame.norms(p), k)
+    return float(frame._stack.thresholds(p, k)[0])

@@ -6,33 +6,38 @@ series. Selection comparators are strict (norm > threshold) except for
 extremal_index_infty_blocks, whose point-level comparator is >= by
 definition of that classical estimator.
 
-The built-in estimators are written over the frame's norm vectors: each
-selects its rows once (the blocks whose cached p-norm exceeds the k-th
-largest one) and computes every per-block term on that sub-matrix at once.
-The extremal index averages (||B||_inf / ||B||_a)^a and c(1) inverts the
+The built-in estimators are written over a block stack (blocks._BlockStack:
+the frames of many replications at one (n, b), a BlockFrame being the
+one-frame case) and its cached norm vectors and thresholds: each selects,
+in every frame at once, the blocks whose p-norm exceeds that frame's k-th
+largest one, and computes every per-block term on those rows together. The
+experiment runs them on its grid-point stacks; each public per-frame
+function is the one-frame case and returns its EstimateReport. The
+extremal index averages (||B||_inf / ||B||_a)^a and c(1) inverts the
 average of (||B||_a / ||B||_1)^a, both on the threshold-normalized rows
-the kernels see (where those overflow the float range, on each row over
-its own max instead, as the terms are scale-free); serial dependence takes
-one dot product per row of the signed-power matrix and the sup-walk
-numerator a row-wise cumsum maximum.
+the kernels see (where those overflow the float range in a frame, on each
+of that frame's rows over its own max instead, as the terms are
+scale-free); serial dependence takes one dot product per row of the
+signed-power matrix and the sup-walk numerator a row-wise cumsum maximum.
+The two l^inf-thresholded estimators count point exceedances only in the
+blocks whose max reaches the threshold, which hold all of them.
 Wherever the normalized blocks are finite, each result equals (==) the
 per-block loop over the kernels (on an overflowing block that loop raises):
 the final power is taken per term on Python floats (libm pow; numpy's
-vectorized power can differ by an ulp) and the terms are summed left to
-right (not pairwise, as np.sum does). The generic ClusterFunctional loop
-remains for user-supplied functionals (cluster_functional_estimate, psi and
-theta).
+vectorized power can differ by an ulp) and each frame's terms are summed
+left to right (not pairwise, as np.sum does). The generic ClusterFunctional
+loop remains for user-supplied functionals (cluster_functional_estimate,
+psi and theta).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .blocks import BlockFrame, threshold_from_order_stat
+from .blocks import BlockFrame, _BlockStack, threshold_from_order_stat
 from .seqcore import INF, PExponent, as_p, as_series, p_modulus, row_p_moduli
 from .spectral import SpectralDraw
 
@@ -149,8 +154,12 @@ def cluster_functional_estimate(frame: BlockFrame, p, k: int, g: ClusterFunction
         return _degenerate(estimator_id, pe, frame, k, thr, alpha_used)
     norms = frame.norms(pe)
     selected = np.flatnonzero(norms > g.vanish_radius * thr)
+    rows = frame.matrix[selected]
+    if _overflowing(rows, thr)[0].any():
+        raise ValueError(f"a selected block exceeds the threshold {thr!r} by more "
+                         "than the float range; the normalized block overflows")
     total = 0.0
-    for x in _over_threshold(frame, selected, thr):
+    for x in rows / thr:
         total += float(g.fn(x))
     return EstimateReport(
         estimator_id=estimator_id, value=total / k, p=pe, b=frame.b, k=k,
@@ -159,53 +168,100 @@ def cluster_functional_estimate(frame: BlockFrame, p, k: int, g: ClusterFunction
     )
 
 
-def _selected_rows(frame: BlockFrame, pe: PExponent, k: int):
-    """(threshold, indices of blocks with norm > threshold); indices is None
-    when the threshold is not positive."""
-    thr = threshold_from_order_stat(frame, pe, k)
-    if not thr > 0:
-        return thr, None
-    return thr, np.flatnonzero(frame.norms(pe) > thr)
+class _Stacked(NamedTuple):
+    """A built-in estimator over a block stack, one entry per frame.
 
-
-def _overflows(rows: np.ndarray, thr: float) -> bool:
-    """Whether rows / thr overflows the float range (only a threshold below 1
-    can make a finite entry overflow)."""
-    return bool(thr < 1.0 and rows.size and math.isinf(float(np.abs(rows).max()) / thr))
-
-
-def _over_threshold(frame: BlockFrame, selected: np.ndarray, thr: float) -> np.ndarray:
-    """The selected blocks divided by the threshold; raises instead of
-    returning inf when a ratio overflows the float range."""
-    rows = frame.matrix[selected]
-    if _overflows(rows, thr):
-        raise ValueError(f"a selected block exceeds the threshold {thr!r} by more "
-                         "than the float range; the normalized block overflows")
-    return rows / thr
-
-
-def _scale_free_rows(frame: BlockFrame, selected: np.ndarray, thr: float):
-    """(x, limit) for terms that are scale-free per block: a row's norm over
-    thr exceeds 1 exactly when the norm of its row of x exceeds limit.
-
-    x is the selected blocks divided by thr and limit 1.0, unless that
-    quotient overflows the float range; then each row of x is the block over
-    its own max, and limit is thr over that max, per row.
+    ``value`` is 0.0 where ``degenerate``; ``extras`` maps each report extra
+    to its per-frame values, None where that frame's report omits it.
     """
-    rows = frame.matrix[selected]
-    if not _overflows(rows, thr):
-        return rows / thr, 1.0
+
+    p: PExponent
+    threshold: np.ndarray
+    value: list
+    degenerate: list
+    selected: list
+    extras: dict
+
+
+def _frame_report(estimator_id: str, frame: BlockFrame, k: int,
+                  alpha_used: Optional[float], out: _Stacked) -> EstimateReport:
+    """The EstimateReport of a one-frame stack's result."""
+    return EstimateReport(
+        estimator_id=estimator_id, value=out.value[0], p=out.p, b=frame.b, k=k,
+        m=frame.m, threshold=float(out.threshold[0]),
+        selected_blocks=out.selected[0], alpha_used=alpha_used,
+        degenerate=out.degenerate[0],
+        extras={name: got[0] for name, got in out.extras.items() if got[0] is not None},
+    )
+
+
+def _selected_rows(stack: _BlockStack, pe: PExponent, k: int):
+    """(thr, live, rows): per frame the k-th largest block p-norm and whether
+    it is positive, and the flat indices of the blocks of live frames whose
+    norm exceeds their frame's threshold, frame by frame."""
+    thr = stack.thresholds(pe, k)
+    live = thr > 0
+    above = stack.norms(pe).reshape(stack.reps, stack.m) > thr[:, None]
+    above &= live[:, None]
+    return thr, live, np.flatnonzero(above)
+
+
+def _overflowing(rows: np.ndarray, thr: np.ndarray):
+    """(flags, top): per row, whether the row over its threshold overflows
+    the float range, and the row's max |entry| (only a threshold below 1 can
+    make a finite entry overflow)."""
     top = np.abs(rows).max(axis=1)
-    return rows / top[:, None], thr / top
+    with np.errstate(over="ignore"):
+        return (thr < 1.0) & np.isinf(top / thr), top
 
 
-def _pow_sum(ratios: np.ndarray, alpha: float) -> float:
-    """Left-to-right sum of r ** alpha over Python floats: libm pow per term
-    and sequential addition, the arithmetic of the per-block kernels."""
-    total = 0.0
-    for r in ratios.tolist():
-        total += r ** alpha
-    return total
+def _scale_free_rows(rows: np.ndarray, thr: np.ndarray, owner: np.ndarray):
+    """(x, limit) for terms that are scale-free per block: a selected block's
+    norm over its frame's threshold thr exceeds 1 exactly when the norm of
+    its row of x exceeds limit (``owner`` gives each row's frame).
+
+    x is the blocks divided by thr and limit 1.0, unless that quotient
+    overflows the float range in a frame; then each row of that frame is the
+    block over its own max, and limit is thr over that max, per row.
+    """
+    if not (thr < 1.0).any():
+        return rows / thr[:, None], 1.0
+    flags, top = _overflowing(rows, thr)
+    if not flags.any():
+        return rows / thr[:, None], 1.0
+    own = np.isin(owner, owner[flags])
+    scale = np.where(own, top, thr)
+    return rows / scale[:, None], np.where(own, thr / top, 1.0)
+
+
+def _pow_sums(terms: np.ndarray, alpha: float, owner: np.ndarray, reps: int) -> list:
+    """Per frame, the left-to-right sum of t ** alpha over its terms as
+    Python floats (owner gives each term's frame, a frame's terms in order):
+    libm pow per term and sequential addition, the arithmetic of the
+    per-block kernels."""
+    totals = [0.0] * reps
+    for r, t in zip(owner.tolist(), terms.tolist()):
+        totals[r] += t ** alpha
+    return totals
+
+
+def _extremal_index_alpha(stack: _BlockStack, alpha: float, k: int) -> _Stacked:
+    if not alpha > 0:
+        raise ValueError("alpha must be positive")
+    pe = PExponent(alpha)
+    thr, live, rows = _selected_rows(stack, pe, k)
+    owner = rows // stack.m
+    # norms of the normalized rows, as the kernel sees them; the cached
+    # norms divided by thr can differ in the last ulp
+    x, limit = _scale_free_rows(stack.matrix[rows], thr[owner], owner)
+    na = row_p_moduli(x, pe)
+    keep = na > limit
+    ratios = np.abs(x[keep]).max(axis=1) / na[keep]
+    totals = _pow_sums(ratios, alpha, owner[keep], stack.reps)
+    return _Stacked(p=pe, threshold=thr, value=[t / k for t in totals],
+                    degenerate=(~live).tolist(),
+                    selected=np.bincount(owner, minlength=stack.reps).tolist(),
+                    extras={})
 
 
 def extremal_index_alpha_blocks(frame: BlockFrame, alpha: float, k: int) -> EstimateReport:
@@ -217,42 +273,58 @@ def extremal_index_alpha_blocks(frame: BlockFrame, alpha: float, k: int) -> Esti
     finite; on an overflowing block that generic functional raises and this
     estimator rescales each selected row by its own max.
     """
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
-    pe = PExponent(alpha)
-    thr, selected = _selected_rows(frame, pe, k)
-    if selected is None:
-        return _degenerate("extremal_index_alpha", pe, frame, k, thr, alpha)
-    # norms of the normalized rows, as the kernel sees them; the cached
-    # norms divided by thr can differ in the last ulp
-    x, limit = _scale_free_rows(frame, selected, thr)
-    na = row_p_moduli(x, pe)
-    keep = na > limit
-    ratios = np.abs(x[keep]).max(axis=1) / na[keep]
-    return EstimateReport(
-        estimator_id="extremal_index_alpha", value=_pow_sum(ratios, alpha) / k,
-        p=pe, b=frame.b, k=k, m=frame.m, threshold=thr,
-        selected_blocks=int(selected.size), alpha_used=alpha,
-    )
+    return _frame_report("extremal_index_alpha", frame, k, alpha,
+                         _extremal_index_alpha(frame._stack, alpha, k))
+
+
+def _point_counts(stack: _BlockStack, thr: np.ndarray, blocks: np.ndarray, above) -> list:
+    """Per frame, the entries of the given blocks (flat indices) that
+    ``above(|entry|, thr)`` says pass their frame's threshold."""
+    owner = blocks // stack.m
+    hits = above(np.abs(stack.matrix[blocks]), thr[owner][:, None]).sum(axis=1)
+    return [int(c) for c in np.bincount(owner, hits, minlength=stack.reps)]
+
+
+def _extremal_index_infty(stack: _BlockStack, k_prime: int) -> _Stacked:
+    thr = stack.thresholds(INF, k_prime)
+    live = thr > 0
+    # every point >= thr lies in a block whose max is >= thr, so only those
+    # blocks are counted
+    at = stack.norms(INF).reshape(stack.reps, stack.m) >= thr[:, None]
+    at &= live[:, None]
+    count = _point_counts(stack, thr, np.flatnonzero(at), np.greater_equal)
+    blocks_at = at.sum(axis=1).tolist()
+    return _Stacked(p=INF, threshold=thr, value=[k_prime / c if c else 0.0 for c in count],
+                    degenerate=[not c for c in count],
+                    selected=[a if c else 0 for a, c in zip(blocks_at, count)],
+                    extras={"point_exceedances": [c if lv else None for c, lv
+                                                  in zip(count, live.tolist())]})
 
 
 def extremal_index_infty_blocks(frame: BlockFrame, k_prime: int) -> EstimateReport:
     """Classical blocks estimator: inverse mean number of point exceedances
     (comparator >=) of the k'-th largest block maximum."""
-    thr = threshold_from_order_stat(frame, INF, k_prime)
-    if not thr > 0:
-        return _degenerate("extremal_index_infty", INF, frame, k_prime, thr, None)
-    count = int(np.sum(np.abs(frame.values) >= thr))
-    blocks_at = int(np.sum(frame.norms(INF) >= thr))
-    if count == 0:
-        return _degenerate("extremal_index_infty", INF, frame, k_prime, thr, None,
-                           point_exceedances=0)
-    return EstimateReport(
-        estimator_id="extremal_index_infty", value=k_prime / count, p=INF,
-        b=frame.b, k=k_prime, m=frame.m, threshold=thr,
-        selected_blocks=blocks_at, alpha_used=None,
-        extras={"point_exceedances": count},
-    )
+    return _frame_report("extremal_index_infty", frame, k_prime, None,
+                         _extremal_index_infty(frame._stack, k_prime))
+
+
+def _cluster_index_c1(stack: _BlockStack, alpha: float, k: int) -> _Stacked:
+    if not alpha > 0:
+        raise ValueError("alpha must be positive")
+    pe = PExponent(1.0)
+    thr, live, rows = _selected_rows(stack, pe, k)
+    owner = rows // stack.m
+    x, limit = _scale_free_rows(stack.matrix[rows], thr[owner], owner)
+    n1 = np.abs(x).sum(axis=1)
+    keep = n1 > limit
+    totals = _pow_sums(row_p_moduli(x[keep], PExponent(alpha)) / n1[keep], alpha,
+                       owner[keep], stack.reps)
+    mean = [t / k for t in totals]
+    selected = np.bincount(owner, minlength=stack.reps).tolist()
+    return _Stacked(p=pe, threshold=thr, value=[1.0 / u if u else 0.0 for u in mean],
+                    degenerate=[not u for u in mean],
+                    selected=[c if u else 0 for c, u in zip(selected, mean)],
+                    extras={"mean": mean})
 
 
 def cluster_index_c1(frame: BlockFrame, alpha: float, k: int) -> EstimateReport:
@@ -265,43 +337,35 @@ def cluster_index_c1(frame: BlockFrame, alpha: float, k: int) -> EstimateReport:
     functional raises and this estimator rescales each selected row by its
     own max.
     """
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
-    pe = PExponent(1.0)
-    thr, selected = _selected_rows(frame, pe, k)
-    mean = 0.0
-    if selected is not None:
-        x, limit = _scale_free_rows(frame, selected, thr)
-        n1 = np.abs(x).sum(axis=1)
-        keep = n1 > limit
-        mean = _pow_sum(row_p_moduli(x[keep], PExponent(alpha)) / n1[keep], alpha) / k
-    if not mean > 0:
-        return _degenerate("cluster_index_c1", pe, frame, k, thr, alpha, mean=0.0)
-    return EstimateReport(
-        estimator_id="cluster_index_c1", value=1.0 / mean, p=pe,
-        b=frame.b, k=k, m=frame.m, threshold=thr,
-        selected_blocks=int(selected.size), alpha_used=alpha,
-        extras={"mean": mean},
-    )
+    return _frame_report("cluster_index_c1", frame, k, alpha,
+                         _cluster_index_c1(frame._stack, alpha, k))
+
+
+def _cluster_index_c1_infty(stack: _BlockStack, k_prime: int) -> _Stacked:
+    thr = stack.thresholds(INF, k_prime)
+    live = thr > 0
+    numerator = np.sum(stack.norms(1).reshape(stack.reps, stack.m) > thr[:, None],
+                       axis=1).tolist()
+    # every point > thr lies in a block whose max is > thr
+    over = stack.norms(INF).reshape(stack.reps, stack.m) > thr[:, None]
+    over &= live[:, None]
+    denominator = _point_counts(stack, thr, np.flatnonzero(over), np.greater)
+    live = live.tolist()
+    return _Stacked(p=INF, threshold=thr,
+                    value=[u / d if d else 0.0 for u, d in zip(numerator, denominator)],
+                    degenerate=[not d for d in denominator],
+                    selected=[u if d else 0 for u, d in zip(numerator, denominator)],
+                    extras={"numerator": [u if lv else None
+                                          for u, lv in zip(numerator, live)],
+                            "denominator": [d if lv else None
+                                            for d, lv in zip(denominator, live)]})
 
 
 def cluster_index_c1_infty(frame: BlockFrame, k_prime: int) -> EstimateReport:
     """c(1) competitor thresholding on block maxima: count of blocks whose
     l^1 norm exceeds ||B||_{inf,(k')} over the count of point exceedances."""
-    thr = threshold_from_order_stat(frame, INF, k_prime)
-    if not thr > 0:
-        return _degenerate("cluster_index_c1_infty", INF, frame, k_prime, thr, None)
-    numerator = int(np.sum(frame.norms(1) > thr))
-    denominator = int(np.sum(np.abs(frame.values) > thr))
-    if denominator == 0:
-        return _degenerate("cluster_index_c1_infty", INF, frame, k_prime, thr, None,
-                           numerator=numerator, denominator=0)
-    return EstimateReport(
-        estimator_id="cluster_index_c1_infty", value=numerator / denominator,
-        p=INF, b=frame.b, k=k_prime, m=frame.m, threshold=thr,
-        selected_blocks=numerator, alpha_used=None,
-        extras={"numerator": numerator, "denominator": denominator},
-    )
+    return _frame_report("cluster_index_c1_infty", frame, k_prime, None,
+                         _cluster_index_c1_infty(frame._stack, k_prime))
 
 
 def psi_functional_estimate(frame: BlockFrame, p, alpha: float, k: int, g,
@@ -316,8 +380,9 @@ def psi_functional_estimate(frame: BlockFrame, p, alpha: float, k: int, g,
     pe = as_p(p)
     if pe.is_inf or pe.value > alpha:
         raise ValueError(f"requires p <= alpha, got p={pe} and alpha={alpha}")
-    thr, selected = _selected_rows(frame, pe, k)
-    if selected is None:
+    thr, live, selected = _selected_rows(frame._stack, pe, k)
+    thr = float(thr[0])
+    if not live[0]:
         return _degenerate(estimator_id, pe, frame, k, thr, alpha)
     norms = frame.norms(pe)
     total = 0.0
@@ -334,29 +399,49 @@ def psi_functional_estimate(frame: BlockFrame, p, alpha: float, k: int, g,
     )
 
 
+def _serial_dependence(stack: _BlockStack, alpha: float, k: int, h: int) -> _Stacked:
+    if not 0 <= h < stack.b:
+        raise ValueError(f"lag h must satisfy 0 <= h < b={stack.b}")
+    pe = PExponent(alpha)
+    thr, live, rows = _selected_rows(stack, pe, k)
+    owner = rows // stack.m
+    scaled = stack.matrix[rows] / stack.norms(pe)[rows, None]
+    signed = np.sign(scaled) * np.abs(scaled) ** alpha
+    totals = [0.0] * stack.reps
+    # one ddot per row; a batched row sum (einsum) adds in another order
+    for r, row in zip(owner.tolist(), signed):
+        totals[r] += float(np.dot(row[: stack.b - h], row[h:]))
+    return _Stacked(p=pe, threshold=thr, value=[t / k for t in totals],
+                    degenerate=(~live).tolist(),
+                    selected=np.bincount(owner, minlength=stack.reps).tolist(),
+                    extras={"h": [h] * stack.reps})
+
+
 def serial_dependence_estimate(frame: BlockFrame, alpha: float, k: int, h: int) -> EstimateReport:
     """Extremal serial dependence at lag h.
 
     (1/k) sum_t sum_j W_{j,t} W_{j+h,t} sign(X_{j,t}) sign(X_{j+h,t}) over
     blocks with ||B_t||_a above the threshold; consistent for E[g_h(Q^(a))].
     """
-    if not 0 <= h < frame.b:
-        raise ValueError(f"lag h must satisfy 0 <= h < b={frame.b}")
-    pe = PExponent(alpha)
-    thr, selected = _selected_rows(frame, pe, k)
-    if selected is None:
-        return _degenerate("serial_dependence", pe, frame, k, thr, alpha, h=h)
-    scaled = frame.matrix[selected] / frame.norms(pe)[selected, None]
-    signed = np.sign(scaled) * np.abs(scaled) ** alpha
-    total = 0.0
-    # one ddot per row; a batched row sum (einsum) adds in another order
-    for row in signed:
-        total += float(np.dot(row[: frame.b - h], row[h:]))
-    return EstimateReport(
-        estimator_id="serial_dependence", value=total / k, p=pe, b=frame.b,
-        k=k, m=frame.m, threshold=thr, selected_blocks=int(selected.size),
-        alpha_used=alpha, extras={"h": h},
-    )
+    return _frame_report("serial_dependence", frame, k, alpha,
+                         _serial_dependence(frame._stack, alpha, k, h))
+
+
+def _supwalk_constant(stack: _BlockStack, alpha: float, k: int) -> _Stacked:
+    if not alpha >= 1:
+        raise ValueError(f"requires alpha >= 1, got {alpha!r}")
+    pe = PExponent(1.0)
+    thr, live, rows = _selected_rows(stack, pe, k)
+    owner = rows // stack.m
+    n1 = stack.norms(pe)[rows]
+    sup = np.maximum(np.cumsum(stack.matrix[rows], axis=1).max(axis=1), 0.0)
+    num = _pow_sums(sup / n1, alpha, owner, stack.reps)
+    den = _pow_sums(stack.norms(alpha)[rows] / n1, alpha, owner, stack.reps)
+    selected = np.bincount(owner, minlength=stack.reps).tolist()
+    return _Stacked(p=pe, threshold=thr,
+                    value=[u / d if d else 0.0 for u, d in zip(num, den)],
+                    degenerate=[not d for d in den],
+                    selected=[c if d else 0 for c, d in zip(selected, den)], extras={})
 
 
 def supwalk_constant_estimate(frame: BlockFrame, alpha: float, k: int) -> EstimateReport:
@@ -366,23 +451,8 @@ def supwalk_constant_estimate(frame: BlockFrame, alpha: float, k: int) -> Estima
     (clamped at zero, matching the empty prefix), normalized by the block
     l^1 norm; the denominator is the 1/c(1) mean over the same selection.
     """
-    if not alpha >= 1:
-        raise ValueError(f"requires alpha >= 1, got {alpha!r}")
-    pe = PExponent(1.0)
-    thr, selected = _selected_rows(frame, pe, k)
-    if selected is None:
-        return _degenerate("supwalk_constant", pe, frame, k, thr, alpha)
-    n1 = frame.norms(pe)[selected]
-    sup = np.maximum(np.cumsum(frame.matrix[selected], axis=1).max(axis=1), 0.0)
-    num = _pow_sum(sup / n1, alpha)
-    den = _pow_sum(frame.norms(alpha)[selected] / n1, alpha)
-    if den == 0.0:
-        return _degenerate("supwalk_constant", pe, frame, k, thr, alpha)
-    return EstimateReport(
-        estimator_id="supwalk_constant", value=num / den, p=pe, b=frame.b,
-        k=k, m=frame.m, threshold=thr, selected_blocks=int(selected.size),
-        alpha_used=alpha,
-    )
+    return _frame_report("supwalk_constant", frame, k, alpha,
+                         _supwalk_constant(frame._stack, alpha, k))
 
 
 def _signed_sum_kernel(alpha: float, sign: float) -> ClusterFunctional:

@@ -3,7 +3,12 @@
 Runs estimator grids over simulated series with one derived RNG stream per
 replication, so every estimator at a grid point sees the same sample (paired
 boxplots) and output files are byte-identical for any worker count; a
-batch of replications is filtered at once, one noise stream per row. Also
+batch of replications (at most about a row tile, _TILE_BYTES, of noise) is
+filtered at once, one noise stream per row. Each (n, b) grid point is
+evaluated over the batch's replications together, in block stacks of about
+256 KB of series values (_TILE_BYTES / 8): one norm vector per p and one
+threshold per (p, k) per stack, and one run of each estimator's kernels
+over every frame in it, with the values of the per-frame estimators. Also
 hosts config parsing, series-file ingestion, and the closed-form report.
 """
 
@@ -21,9 +26,15 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .blocks import default_k, partition
+from .blocks import _BlockStack, default_k, partition
 from .estimators import (
     EstimateReport,
+    _cluster_index_c1,
+    _cluster_index_c1_infty,
+    _extremal_index_alpha,
+    _extremal_index_infty,
+    _serial_dependence,
+    _supwalk_constant,
     cluster_index_c1,
     cluster_index_c1_infty,
     extremal_index_alpha_blocks,
@@ -43,7 +54,7 @@ from .models import (
     model_coefficients,
     sample_noise,
 )
-from .seqcore import INF, as_p, as_series
+from .seqcore import _TILE_BYTES, INF, as_p, as_series
 from .spectral import (
     cluster_constant_linear,
     cluster_constant_telescoping,
@@ -182,6 +193,25 @@ _BUILTIN = {
         "supwalk", True,
         lambda frame, alpha, k: supwalk_constant_estimate(frame, alpha, k)),
 }
+
+
+# the built-in estimators over a grid point's block stack, fn(stack, alpha,
+# k) -> one value and degenerate flag per frame (estimators._Stacked); the
+# experiment runs these, and each entry's run is the one-frame case
+_STACKED = {
+    "extremal_index_alpha": _extremal_index_alpha,
+    "extremal_index_infty": lambda stack, alpha, k: _extremal_index_infty(stack, k),
+    "cluster_index_c1": _cluster_index_c1,
+    "cluster_index_c1_infty": lambda stack, alpha, k: _cluster_index_c1_infty(stack, k),
+    "supwalk": _supwalk_constant,
+}
+
+
+def _stacked(estimator_id: str):
+    h = _serial_lag(estimator_id)
+    if h is None:
+        return _STACKED[estimator_id]
+    return lambda stack, alpha, k: _serial_dependence(stack, alpha, k, h)
 
 
 def known_estimators() -> list[str]:
@@ -405,68 +435,133 @@ class ResultRow:
     degenerate: bool
 
 
-def _replication_rows(config, reps) -> tuple[list[ResultRow], list[str]]:
+def _stack_reps(n: int) -> int:
+    """Replications per grid-point stack: n float64 values each, an eighth
+    of a row tile (256 KB) together, so a stack and the temporaries made of
+    it stay small."""
+    return max(1, _TILE_BYTES // 8 // (8 * n))
+
+
+def _run_stacked(stacked, needs_alpha: bool, stack, alphas: list, k: int):
+    """One estimator over a grid point's stack: (values, degenerate,
+    failures), the first two per frame, failures as (frame, error).
+
+    A frame without alpha gets a nan degenerate value from an estimator that
+    needs alpha. The frames sharing an alpha value run as one stack; when
+    that raises, they are run again one frame each, so a ValueError costs
+    only the frame whose data the estimator rejects.
+    """
+    count = len(alphas)
+    values, degenerate, failures = [math.nan] * count, [True] * count, []
+    groups: dict = {}
+    for i, alpha in enumerate(alphas):
+        if alpha is not None or not needs_alpha:
+            groups.setdefault(alpha if needs_alpha else None, []).append(i)
+    for alpha, frames in groups.items():
+        sub = stack if len(frames) == count else stack.take(frames)
+        try:
+            parts = [(frames, stacked(sub, alpha, k))]
+        except ValueError:
+            parts = []
+            for i in frames:
+                try:
+                    parts.append(([i], stacked(stack.take([i]), alpha, k)))
+                except ValueError as exc:
+                    failures.append((i, exc))
+        for idx, out in parts:
+            for i, value, flag in zip(idx, out.value, out.degenerate):
+                values[i], degenerate[i] = value, flag
+    return values, degenerate, failures
+
+
+def _replication_rows(config, reps) -> tuple[list[tuple], list[str]]:
     """Rows of a range of replications (noise of rep from SeedSpec(master_seed,
     rep), filtered as one batch) and the reasons for their degenerate rows.
+    The rows come as columns, (estimator_id, n, b, k, values, degenerate)
+    over the range's replications, so the caller builds the ResultRows once
+    the simulated series are freed.
+
+    Each (n, b) grid point is evaluated over all the range's replications at
+    once, in stacks of _stack_reps(n) of them: one norm vector per p and one
+    threshold per (p, k) for the whole stack, and each estimator's kernels
+    run once over the selected blocks of every frame in it. Every value is
+    the one the per-frame estimator gives.
 
     When the tail index cannot be resolved at some n (a Hill estimate
     fails), the estimators that need it record degenerate rows at that n,
     the others still run, and the cause is returned for the caller to warn
     about (a warning raised in a worker process would not reach it). An
     estimator that rejects this replication's data (a Hill alpha below 1
-    for supwalk, a block that overflows when normalized) is recorded and
-    reported the same way, for its own (n, b) only.
+    for supwalk) is recorded and reported the same way, for its own (n, b)
+    only. Causes come replication by replication, in grid order.
     """
     model, width = config.model, max(config.n_grid) + config.model.lead
     z = np.empty((len(reps), width))
     for i, rep in enumerate(reps):
         z[i] = sample_noise(model.noise, width, SeedSpec(config.master_seed, rep))
+    series = model.filter(z)
     mode = parse_alpha_mode(config.alpha_mode)
-    entries = [get_estimator(e) for e in config.estimators]
-    rows = []
-    problems = []
-    for rep, series in zip(reps, model.filter(z)):
-        for n in config.n_grid:
-            x = series[:n]
+    entries = [(get_estimator(e), _stacked(e)) for e in config.estimators]
+    columns = []
+    problems = []  # (rep index, n index, b index, entry index, text)
+    for ni, n in enumerate(config.n_grid):
+        alphas = []
+        for i, rep in enumerate(reps):
             try:
-                alpha = resolve_alpha(mode, x, model)
+                alphas.append(resolve_alpha(mode, series[i, :n], model))
             except ValueError as exc:
-                problems.append(f"rep {rep}, n={n}: no tail index ({exc}); estimators "
-                                "that need alpha are recorded as degenerate")
-                alpha = None
-            for b in config.b_grid:
-                # a grid point with too few blocks (m < 2) is skipped, k = 0
-                frame = partition(x, b) if n // b >= 2 else None
-                k = 0 if frame is None else default_k(n, b, config.kappa)
-                for entry in entries:
-                    value, degenerate = float("nan"), True
-                    if frame is not None and (alpha is not None or not entry.needs_alpha):
-                        try:
-                            report = entry.run(frame, alpha, k)
-                        except ValueError as exc:
-                            problems.append(f"rep {rep}, n={n}, b={b}: {entry.estimator_id} "
-                                            f"failed ({exc}); recorded as degenerate")
-                        else:
-                            value, degenerate = report.value, report.degenerate
-                    rows.append(ResultRow(entry.estimator_id, n, b, k, rep,
-                                          config.master_seed, value, degenerate))
-    return rows, problems
+                problems.append((i, ni, -1, -1, f"rep {rep}, n={n}: no tail index "
+                                 f"({exc}); estimators that need alpha are "
+                                 "recorded as degenerate"))
+                alphas.append(None)
+        size = _stack_reps(n)
+        for bi, b in enumerate(config.b_grid):
+            # a grid point with too few blocks (m < 2) is skipped, k = 0
+            k = default_k(n, b, config.kappa) if n // b >= 2 else 0
+            grid = [(entry.estimator_id, n, b, k, [], []) for entry, _ in entries]
+            for lo in range(0, len(reps), size):
+                part = reps[lo:lo + size]
+                stack = _BlockStack.cut(series[lo:lo + size, :n], b) if k else None
+                for ei, (entry, stacked) in enumerate(entries):
+                    if stack is None:
+                        values, degenerate, failures = \
+                            [math.nan] * len(part), [True] * len(part), []
+                    else:
+                        values, degenerate, failures = _run_stacked(
+                            stacked, entry.needs_alpha, stack,
+                            alphas[lo:lo + size], k)
+                    for i, exc in failures:
+                        problems.append((lo + i, ni, bi, ei,
+                                         f"rep {part[i]}, n={n}, b={b}: "
+                                         f"{entry.estimator_id} failed ({exc}); "
+                                         "recorded as degenerate"))
+                    grid[ei][4].extend(values)
+                    grid[ei][5].extend(degenerate)
+            columns.extend(grid)
+    problems.sort(key=lambda problem: problem[:4])
+    return columns, [problem[4] for problem in problems]
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1,
                    output=None) -> tuple[list[ResultRow], list[dict]]:
     """Run the full grid; returns (rows, summary) and writes CSV/JSON files
     when an output directory is configured. Byte-identical for any threads:
-    a task is ceil(reps / threads) replications, capped by the element budget."""
-    size = min(math.ceil(config.reps / max(threads, 1)),
-               _batch_rows(max(config.n_grid) + config.model.lead))
+    the replications are cut into equal tasks, at least one per thread, and
+    a task's noise stays within a row tile (_TILE_BYTES) and the element
+    budget, so its series are small next to the stacks made of them."""
+    width = max(config.n_grid) + config.model.lead
+    cap = min(_batch_rows(width), max(1, _TILE_BYTES // (8 * width)))
+    size = math.ceil(config.reps / max(threads, math.ceil(config.reps / cap)))
     tasks = [(config, range(start, min(start + size, config.reps)))
              for start in range(0, config.reps, size)]
     chunks = _pool_map(_replication_rows, tasks, threads)
     for _, problems in chunks:
         for problem in problems:
             warnings.warn(problem, RuntimeWarning, stacklevel=2)
-    rows = [row for chunk, _ in chunks for row in chunk]
+    rows = [ResultRow(estimator_id, n, b, k, rep, config.master_seed, value, flag)
+            for (_, reps), (columns, _) in zip(tasks, chunks)
+            for estimator_id, n, b, k, values, degenerate in columns
+            for rep, value, flag in zip(reps, values, degenerate)]
     rows.sort(key=lambda r: (r.estimator_id, r.n, r.b, r.rep))
     summary = summarize(rows)
     out_dir = output if output is not None else config.output

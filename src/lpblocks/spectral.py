@@ -15,8 +15,9 @@ A Theta draw of a linear process is one of 2(q+1) rows sign * phi / |phi_j|.
 as an ``_IndexedRows``: the table plus one row index per draw. It is
 array-like (``np.asarray`` gives the (count, q+1) draws, and ``shape`` and
 ``nbytes`` are those of the batch as stored), and ``cluster_constant_mc``
-reduces the table rather than the draws, then picks each draw's ratio by its
-index. Every ratio is the one the materialized row gives, bit for bit.
+reduces the table rather than the draws, once per call, then picks each
+draw's ratio by its index. Every ratio is the one the materialized row
+gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -203,12 +204,15 @@ class MCEstimate:
     n_draws: int
 
 
-def _batch_ratios(sampler, count: int, rng, alpha: float, pe: PExponent) -> np.ndarray:
+def _batch_ratios(sampler, count: int, rng, alpha: float, pe: PExponent,
+                  reduced: list) -> np.ndarray:
     """Ratios of one sampler batch; an _IndexedRows batch is reduced on its
     table, and each draw takes its row's ratio.
 
-    The batch is referenced only from this call, so it is freed before the
-    caller asks the sampler for the next one.
+    ``reduced`` holds the last table and its ratios, [table, ratios], and is
+    updated when a batch brings another table object. The batch is
+    referenced only from this call, so it is freed before the caller asks the
+    sampler for the next one.
     """
     batch = sampler(count, rng)
     if isinstance(batch, _IndexedRows):
@@ -220,8 +224,11 @@ def _batch_ratios(sampler, count: int, rng, alpha: float, pe: PExponent) -> np.n
     if len(shape) != 2 or shape[0] != count or shape[1] < 1:
         raise ValueError(f"sampler must return a 2-d array of {count} rows and at "
                          f"least one column, got shape {shape}")
-    ratios = _ratio_alpha_pow(rows, alpha, pe)
-    return ratios if index is None else ratios[index]
+    if index is None:
+        return _ratio_alpha_pow(rows, alpha, pe)
+    if reduced[0] is not rows:
+        reduced[:] = [rows, _ratio_alpha_pow(rows, alpha, pe)]
+    return reduced[1][index]
 
 
 def cluster_constant_mc(sampler, alpha: float, p, n_draws: int, seed) -> MCEstimate:
@@ -230,9 +237,11 @@ def cluster_constant_mc(sampler, alpha: float, p, n_draws: int, seed) -> MCEstim
     ``sampler`` is fn(count, rng) -> (count, width) array of draws (rows
     zero-padded) or theta_sampler_linear's array-like batch of that shape;
     Theta draws and rescaled Q^(alpha) draws are both fine since the ratio is
-    scale-free. Draws come in batches of _SAMPLER_BATCH rows. The standard error is the population standard deviation of the
-    per-draw ratios over sqrt(n_draws), from centered sums of squares per
-    batch combined by Chan's formula.
+    scale-free. Draws come in batches of _SAMPLER_BATCH rows; the table of
+    an _IndexedRows batch is reduced once and its ratios reused while the
+    sampler returns the same table. The standard error is the population
+    standard deviation of the per-draw ratios over sqrt(n_draws), from
+    centered sums of squares per batch combined by Chan's formula.
     """
     if n_draws < 1:
         raise ValueError("n_draws must be at least 1")
@@ -241,9 +250,10 @@ def cluster_constant_mc(sampler, alpha: float, p, n_draws: int, seed) -> MCEstim
     total = 0.0
     m2 = 0.0
     done = 0
+    reduced = [None, None]
     while done < n_draws:
         count = min(n_draws - done, _SAMPLER_BATCH)
-        ratios = _batch_ratios(sampler, count, rng, alpha, pe)
+        ratios = _batch_ratios(sampler, count, rng, alpha, pe, reduced)
         batch_sum = float(ratios.sum())
         dev = ratios - batch_sum / count
         # Chan: the batch's own centered sum of squares, plus the shift of

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import multiprocessing
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from lpblocks.blocks import default_k, partition
 from lpblocks.cli import main
 from lpblocks.estimators import (
     cluster_functional_estimate,
+    cluster_index_kernel,
     extremal_index_alpha_blocks,
     extremal_index_kernel,
     hill_alpha,
@@ -452,17 +454,19 @@ def test_run_experiment_hill_failure_keeps_grid(monkeypatch, tmp_path, threads):
 
     # an estimator that rejects one replication's data is recorded the same
     # way, for that (rep, n, b) only: a block that overflows when normalized,
-    # which the generic functional loop rejects
-    real_estimate = experiment.extremal_index_alpha_blocks
+    # which the generic functional loop rejects; injected at the grid-point
+    # entry, which runs the estimator over a stack of replications' frames
+    real_estimate = experiment._STACKED["extremal_index_alpha"]
 
-    def overflowing(frame, alpha, k):
-        if np.array_equal(frame.values, bad[frame.n][: frame.m * frame.b]):
+    def overflowing(stack, alpha, k):
+        frames = stack.matrix.reshape(stack.reps, -1)
+        if any(np.array_equal(f, bad[stack.n][: stack.m * stack.b]) for f in frames):
             frame = partition(1e6 * np.array([1e3, 1e-306, 1e-306]), 1)
             return cluster_functional_estimate(frame, alpha, 2, extremal_index_kernel(alpha))
-        return real_estimate(frame, alpha, k)
+        return real_estimate(stack, alpha, k)
 
     monkeypatch.undo()
-    monkeypatch.setattr(experiment, "extremal_index_alpha_blocks", overflowing)
+    monkeypatch.setitem(experiment._STACKED, "extremal_index_alpha", overflowing)
     with pytest.warns(RuntimeWarning, match="float range") as caught:
         rows, _ = run_experiment(config, threads=threads)
     assert [str(w.message) for w in caught] == [
@@ -491,6 +495,98 @@ def test_run_experiment_hill_failure_keeps_grid(monkeypatch, tmp_path, threads):
         f"{alphas[rep]!r}); recorded as degenerate" for rep in below_1]
     assert [r.rep for r in rows if r.degenerate] == below_1
     assert [r["degenerate"] for r in summary] == [0, len(below_1)]
+
+
+def crafted_series(kind, seed, width):
+    """A replication's series: Student draws, zero-heavy, tied, or small
+    values with one entry near 1e308, whose block overflows the float range
+    when divided by a threshold below 1."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_t(1.5, width)
+    if kind == "zeros":
+        x[rng.random(width) < 0.9] = 0.0
+    elif kind == "tied":
+        x = rng.choice([-1.0, 1.0, 2.0], width)
+    elif kind == "overflow":
+        x = 1e-3 * x
+        x[rng.integers(width)] = 1e307 * rng.uniform(1.0, 9.0)
+    return x
+
+
+def per_frame_row(entry, series, n, b, kappa, mode, model):
+    """(k, value, degenerate) of one (rep, n, b) from the public per-frame
+    estimator, as the experiment records it."""
+    if n // b < 2:
+        return 0, float("nan"), True
+    frame, k = partition(series[:n], b), default_k(n, b, kappa)
+    try:
+        alpha = resolve_alpha(mode, series[:n], model)
+    except ValueError:
+        alpha = None
+    if entry.needs_alpha and alpha is None:
+        return k, float("nan"), True
+    try:
+        report = entry.run(frame, alpha, k)
+    except ValueError:
+        return k, float("nan"), True
+    # the generic per-block loop, where it does not overflow, as a reference
+    # that shares no code with the estimators' sums
+    kernel = {"extremal_index_alpha": extremal_index_kernel,
+              "cluster_index_c1": cluster_index_kernel}.get(entry.estimator_id)
+    if kernel is not None and not report.degenerate:
+        try:
+            loop = cluster_functional_estimate(frame, report.p, k, kernel(alpha)).value
+        except ValueError:
+            pass
+        else:
+            assert report.value == (loop if kernel is extremal_index_kernel else 1.0 / loop)
+    return k, report.value, report.degenerate
+
+
+FORKED = multiprocessing.get_start_method() == "fork"
+
+
+# Hill estimates and estimators that fail on these frames warn; the rows say
+# what became of them
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(),
+       mode=st.sampled_from(["oracle", 1.2, "hill:5"]),
+       reps=st.integers(min_value=1, max_value=7),
+       per_stack=st.integers(min_value=1, max_value=4),
+       threads=st.sampled_from([1, 2] if FORKED else [1]))
+def test_run_experiment_rows_equal_per_frame_reports(data, mode, reps, per_stack, threads):
+    # rows of a grid point come from stacks of per_stack replications, which
+    # need not divide reps; each must equal (==) its frame's public estimator
+    # report. b = 25 leaves n = 36 with one block, a skipped grid point.
+    config = small_config(n_grid=(60, 36), b_grid=(4, 10, 25), reps=reps,
+                          estimators=BUILTIN_IDS + ("serial:1", "serial:3"),
+                          alpha_mode=mode)
+    kinds = data.draw(st.lists(st.sampled_from(["drawn", "zeros", "tied", "overflow"]),
+                               min_size=reps, max_size=reps), label="kinds")
+    seeds = data.draw(st.lists(st.integers(min_value=0, max_value=2 ** 32 - 1),
+                               min_size=reps, max_size=reps), label="seeds")
+    series = [crafted_series(kind, seed, max(config.n_grid))
+              for kind, seed in zip(kinds, seeds)]
+    import lpblocks.experiment as experiment
+
+    with mock.patch.object(experiment, "sample_noise",
+                           lambda noise, width, seed: series[seed.stream_id].copy()), \
+            mock.patch.object(experiment, "_stack_reps", lambda n: per_stack):
+        rows, _ = run_experiment(config, threads=threads)
+    mode = parse_alpha_mode(mode)
+    want = []
+    for estimator_id in config.estimators:
+        entry = get_estimator(estimator_id)
+        for n in config.n_grid:
+            for b in config.b_grid:
+                for rep in range(reps):
+                    k, value, degenerate = per_frame_row(
+                        entry, series[rep], n, b, config.kappa, mode, config.model)
+                    want.append(persisted(ResultRow(estimator_id, n, b, k, rep,
+                                                    config.master_seed, value,
+                                                    degenerate)))
+    assert [persisted(r) for r in rows] == sorted(want, key=lambda r: (r[0], r[1], r[2], r[4]))
 
 
 def test_run_experiment_threads_byte_identical(tmp_path):

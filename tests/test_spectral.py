@@ -309,6 +309,27 @@ def test_cluster_constant_mc_reduces_only_table_rows(monkeypatch):
     assert rows and max(rows) <= 2 * len(model_coefficients(AR1_08))
 
 
+def test_cluster_constant_mc_reduces_the_table_once_per_call(monkeypatch):
+    # every batch of the linear sampler indexes the same table, so its ratios
+    # are computed once per call, not once per batch
+    calls = []
+    kernel = spectral._ratio_alpha_pow
+
+    def counting(draws, alpha, pe):
+        calls.append(draws.shape[0])
+        return kernel(draws, alpha, pe)
+
+    sampler = theta_sampler_linear(AR1_08)
+    n_draws = 3 * spectral._SAMPLER_BATCH + 5
+    monkeypatch.setattr(spectral, "_ratio_alpha_pow", counting)
+    for p in (2.0, INF):
+        calls.clear()
+        est = cluster_constant_mc(sampler, 1.3, p, n_draws, 5)
+        assert calls == [2 * len(model_coefficients(AR1_08))]
+        # and the draws' values are those of the materialized batches
+        assert est == cluster_constant_mc(materialized(sampler), 1.3, p, n_draws, 5)
+
+
 def test_cluster_constant_mc_peak_memory_is_one_batch(monkeypatch):
     # a materialized batch is reduced tile by tile: no batch-sized |x| copy or
     # power temporary is made, and one batch is freed before the next is drawn
