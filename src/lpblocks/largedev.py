@@ -24,7 +24,8 @@ split into chunks of fixed size, chunk i of substream s drawn from
 ``seed.generator(s, i)``, so results are byte-identical for any worker
 count. Within a chunk, :func:`seqcore.row_p_moduli` takes the window norms
 one cache-sized row tile at a time, so the kernel's temporaries stay small
-and peak memory is the chunk's noise and filter arrays.
+and peak memory is the chunk's noise array, which the filter overwrites with
+the kept values.
 """
 
 from __future__ import annotations
@@ -110,8 +111,9 @@ def _norms_chunk(rows, n, pe) -> np.ndarray:
 
 
 def _moment_chunk(rows, pv, cap) -> np.ndarray:
-    """Per-row sums of |x|^pv, entries above `cap` counted as 0."""
-    a = np.abs(rows)
+    """Per-row sums of |x|^pv, entries above `cap` counted as 0; overwrites
+    `rows`, which the chunk owns."""
+    a = np.abs(rows, out=rows)
     if cap is not None:
         a[a > cap] = 0.0
     a **= pv

@@ -9,6 +9,11 @@ shape: ``lead``, the noise columns drawn ahead of the n kept ones, and
 kept values. One simulator, :func:`simulate_batch`, draws every replication;
 :func:`simulate` is its one-row case.
 
+A batch holds one array of its noise's size. The filters overwrite their
+input and return the (count, n) kept values as the front of its buffer, and
+Student noise draws its chi-square divisors one row tile
+(``seqcore._TILE_BYTES``) at a time, so every other temporary is tile-sized.
+
 The filters are plain numpy and repeat the floating-point operations of
 ``scipy.signal.lfilter``, operation for operation, so every simulated path
 is the one that reference computes:
@@ -28,6 +33,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .seqcore import _row_tiles
 
 __all__ = [
     "NoiseSpec",
@@ -92,18 +99,26 @@ class LinearModelSpec:
         return len(self.coeffs) - 1
 
     def filter(self, z: np.ndarray) -> np.ndarray:
-        """(count, n) moving averages of a (count, n + q) noise matrix.
+        """(count, n) moving averages of a (count, n + q) noise matrix,
+        written over it: the result is the front of z's buffer.
 
         Taps are added oldest first, newest first when n == 1: the order of
         ``np.convolve``, which swaps its operands only for rows longer than
-        the taps. Only one product is alive at a time.
+        the taps. The sums are taken one row tile at a time, and a tile is
+        written only after its noise is read: rows [i, i + s) of the result
+        fill the flat positions [i n, (i + s) n), and the next row's noise
+        starts at (i + s)(n + q).
         """
         c, q = self.coeffs, self.lead
-        n = z.shape[-1] - q
+        count, n = z.shape[0], z.shape[1] - q
         first, *rest = range(q + 1) if n == 1 else range(q, -1, -1)
-        out = c[first] * z[:, q - first:q - first + n]
-        for j in rest:
-            out += c[j] * z[:, q - j:q - j + n]
+        out = z.reshape(-1)[:count * n].reshape(count, n)
+        for rows in _row_tiles(z):
+            tile = z[rows]
+            acc = c[first] * tile[:, q - first:q - first + n]
+            for j in rest:
+                acc += c[j] * tile[:, q - j:q - j + n]
+            out[rows] = acc
         return out
 
 
@@ -127,14 +142,27 @@ class AR1ModelSpec:
         return self.burn_in
 
     def filter(self, z: np.ndarray) -> np.ndarray:
-        """(count, n) AR(1) values of a (count, n + burn_in) noise matrix.
+        """(count, n) AR(1) values of a (count, n + burn_in) noise matrix,
+        written over it: the result is the front of z's buffer.
 
         The recursion y_t = z_t + phi * y_{t-1}, started at 0, overwrites z
-        one column at a time and the kept columns are returned as a view.
+        one column at a time through one reused product. The kept columns
+        then move to the front one row tile at a time: row i's values land
+        before row i + 1's noise starts, and numpy buffers a tile whose copy
+        overlaps itself.
         """
-        for t in range(1, z.shape[1]):
-            z[:, t] += self.phi * z[:, t - 1]
-        return z[:, self.burn_in:]
+        count, n = z.shape[0], z.shape[1] - self.burn_in
+        step = np.empty(count)
+        columns = iter(z.T)
+        prev = next(columns)
+        for col in columns:
+            np.multiply(prev, self.phi, out=step)
+            np.add(col, step, out=col)
+            prev = col
+        out = z.reshape(-1)[:count * n].reshape(count, n)
+        for rows in _row_tiles(z):
+            out[rows] = z[rows, self.burn_in:]
+        return out
 
 
 Model = LinearModelSpec | AR1ModelSpec
@@ -181,12 +209,17 @@ def _noise_matrix(spec: NoiseSpec, shape, rng: np.random.Generator) -> np.ndarra
         np.subtract(1.0, u, out=u)
         u **= -1.0 / spec.alpha
         return u
+    # z / sqrt(v / alpha): every normal first, then the chi-square v one row
+    # tile at a time (the stream's order, so the draws are those of one
+    # full-size v); a 1-d shape is one row
     z = rng.standard_normal(shape)
-    v = rng.chisquare(spec.alpha, shape)
-    # z / sqrt(v / alpha) without full-size temporaries
-    v /= spec.alpha
-    np.sqrt(v, out=v)
-    z /= v
+    rows = np.atleast_2d(z)
+    for tile in _row_tiles(rows):
+        v = rng.chisquare(spec.alpha, rows[tile].shape)
+        v /= spec.alpha
+        np.sqrt(v, out=v)
+        rows[tile] /= v
+        del v  # the next tile's draws replace v instead of joining it
     return z
 
 
@@ -214,7 +247,7 @@ def simulate_batch(model: Model, n: int, count: int, seed) -> np.ndarray:
     """(count, n) array of independent replications from one stream.
 
     Each row draws n + model.lead noise values and ``model.filter`` returns
-    the n kept ones. The whole batch is a single deterministic draw
+    the n kept ones, in the front of the noise's buffer. The whole batch is a single deterministic draw
     of the stream; it is not row-wise identical to `count` calls of simulate
     on distinct streams.
     """

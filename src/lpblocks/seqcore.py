@@ -62,7 +62,7 @@ class PExponent:
 
 INF = PExponent(math.inf)
 _SMALLEST_SUBNORMAL = 5e-324
-# row tiles of _map_row_tiles: about a core's L2 cache, so a tile and the
+# row tiles of _row_tiles: about a core's L2 cache, so a tile and the
 # temporaries a kernel makes of it are reused while they are still cached
 _TILE_BYTES = 2 ** 21
 
@@ -245,17 +245,21 @@ def _ratio_alpha_pow(draws: np.ndarray, alpha: float, pe: PExponent) -> np.ndarr
     return ratios
 
 
+def _row_tiles(matrix: np.ndarray) -> list:
+    """Slices of consecutive row tiles of a 2-d ``matrix``, about _TILE_BYTES
+    each and at least one row."""
+    rows = max(1, _TILE_BYTES // max(1, matrix.shape[1] * matrix.itemsize))
+    return [slice(i, i + rows) for i in range(0, matrix.shape[0], rows)]
+
+
 def _map_row_tiles(fn, matrix: np.ndarray, *args) -> np.ndarray:
-    """fn(tile, *args) over consecutive row tiles of a 2-d ``matrix``, about
-    _TILE_BYTES each, concatenated.
+    """fn(tile, *args) over the row tiles of a 2-d ``matrix``, concatenated.
 
     ``fn`` must be row-wise: row i of its 1-d result depends on row i of its
     input alone. The result then equals fn(matrix, *args), while the
     temporaries fn makes are tile-sized instead of matrix-sized.
     """
-    count = matrix.shape[0]
-    rows = max(1, _TILE_BYTES // max(1, matrix.shape[1] * matrix.itemsize))
-    if rows >= count:
+    tiles = _row_tiles(matrix)
+    if len(tiles) <= 1:
         return fn(matrix, *args)
-    return np.concatenate([fn(matrix[i:i + rows], *args)
-                           for i in range(0, count, rows)])
+    return np.concatenate([fn(matrix[rows], *args) for rows in tiles])

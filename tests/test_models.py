@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -277,3 +278,23 @@ def test_simulated_bytes_are_pinned():
     assert digest.hexdigest() == (
         "7a46053dd5c4c3977c1db4574a980b93a7ad4e1a10bac38cb00d971dbc589ccd")
 
+
+@pytest.mark.parametrize("model", [
+    LinearModelSpec(coeffs=(1.0, -0.7, 0.5, 0.3), noise=PARETO13),
+    LinearModelSpec(coeffs=(1.0, -0.7, 0.5, 0.3), noise=STUDENT13),
+    AR1ModelSpec(phi=0.8, noise=STUDENT13),
+], ids=["ma-pareto", "ma-student", "ar1-student"])
+def test_simulate_batch_peak_is_its_noise_matrix(model):
+    # the chi-square draws and the filters work one 2 MB row tile at a time
+    # and the kept values overwrite the noise, so a 16 MB chunk holds one
+    # chunk-sized array
+    count, width = 481, 4150
+    noise_bytes = count * width * 8
+    simulate_batch(model, 1, 1, SeedSpec(13, 0))  # first-call allocations
+    tracemalloc.start()
+    try:
+        simulate_batch(model, width - model.lead, count, SeedSpec(13, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * noise_bytes
