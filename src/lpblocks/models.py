@@ -247,9 +247,9 @@ def simulate_batch(model: Model, n: int, count: int, seed) -> np.ndarray:
     """(count, n) array of independent replications from one stream.
 
     Each row draws n + model.lead noise values and ``model.filter`` returns
-    the n kept ones, in the front of the noise's buffer. The whole batch is a single deterministic draw
-    of the stream; it is not row-wise identical to `count` calls of simulate
-    on distinct streams.
+    the n kept ones, in the front of the noise's buffer. The whole batch is
+    a single deterministic draw of the stream; it is not row-wise identical
+    to `count` calls of simulate on distinct streams.
     """
     if n < 1 or count < 1:
         raise ValueError("n and count must be at least 1")
