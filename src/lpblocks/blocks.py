@@ -5,9 +5,10 @@ The norms and thresholds live on a block stack (``_BlockStack``, private):
 R frames of m blocks of length b as one (R*m, b) matrix, frame r in rows
 r*m to r*m + m - 1. Each p's norms are one ``row_p_moduli`` call and each
 (p, k) threshold one ``np.partition`` along the frames' axis, both cached
-for all R frames. A ``BlockFrame`` is the one-frame stack; the experiment
-stacks the frames of many replications at one (n, b) grid point, about
-256 KB of series values per stack.
+for all R frames. A ``BlockFrame`` is the one-frame stack, a subclass that
+validates the series and cuts it; the experiment stacks the frames of many
+replications at one (n, b) grid point, about 256 KB of series values per
+stack.
 """
 
 from __future__ import annotations
@@ -24,47 +25,6 @@ __all__ = [
     "default_k",
     "threshold_from_order_stat",
 ]
-
-
-class BlockFrame:
-    """m disjoint blocks of length b cut from the front of a series.
-
-    The trailing n - m*b observations are discarded. Per-p block norms are
-    computed on demand and cached; the frame is immutable afterwards.
-    """
-
-    def __init__(self, series, b: int):
-        x = as_series(series)
-        n = len(x)
-        if b < 1:
-            raise ValueError("block length b must be at least 1")
-        m = n // b
-        if m < 2:
-            raise ValueError(f"too few blocks: n={n}, b={b} gives m={m} < 2")
-        self.b = int(b)
-        self.m = int(m)
-        self.n = int(n)
-        self._matrix = x[: m * b].reshape(m, b).copy()
-        self._matrix.setflags(write=False)
-        self._stack = _BlockStack(self._matrix, self.m, self.n)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """(m, b) array, row t holding block B_{t+1}."""
-        return self._matrix
-
-    @property
-    def values(self) -> np.ndarray:
-        """The m*b retained observations, flat."""
-        return self._matrix.reshape(-1)
-
-    def block(self, t: int) -> np.ndarray:
-        """Block number t, 0-based."""
-        return self._matrix[t]
-
-    def norms(self, p) -> np.ndarray:
-        """Per-block p-moduli ||B_t||_p, cached per exponent."""
-        return self._stack.norms(p)
 
 
 class _BlockStack:
@@ -84,15 +44,16 @@ class _BlockStack:
         self._norms: dict[float, np.ndarray] = {}
         self._thresholds: dict[tuple, np.ndarray] = {}
 
-    @classmethod
-    def cut(cls, rows: np.ndarray, b: int) -> "_BlockStack":
+    @staticmethod
+    def cut(rows: np.ndarray, b: int) -> "_BlockStack":
         """The frames of block length b of each row of a 2-d array of series
         (the caller checks that m = n // b >= 2)."""
         n = rows.shape[1]
         m = n // b
-        return cls(rows[:, : m * b].reshape(-1, b), m, n)
+        return _BlockStack(rows[:, : m * b].reshape(-1, b), m, n)
 
     def norms(self, p) -> np.ndarray:
+        """Per-block p-moduli ||B_t||_p, cached per exponent."""
         pe = as_p(p)
         got = self._norms.get(pe.value)
         if got is None:
@@ -124,6 +85,36 @@ class _BlockStack:
         return sub
 
 
+class BlockFrame(_BlockStack):
+    """m disjoint blocks of length b cut from the front of a series.
+
+    The trailing n - m*b observations are discarded. ``matrix`` is the
+    read-only (m, b) array, row t holding block B_{t+1}; per-p block norms
+    are computed on demand and cached.
+    """
+
+    def __init__(self, series, b: int):
+        x = as_series(series)
+        n = len(x)
+        if b < 1:
+            raise ValueError("block length b must be at least 1")
+        m = n // b
+        if m < 2:
+            raise ValueError(f"too few blocks: n={n}, b={b} gives m={m} < 2")
+        matrix = x[: m * b].reshape(m, b).copy()
+        matrix.setflags(write=False)
+        super().__init__(matrix, int(m), n)
+
+    @property
+    def values(self) -> np.ndarray:
+        """The m*b retained observations, flat."""
+        return self.matrix.reshape(-1)
+
+    def block(self, t: int) -> np.ndarray:
+        """Block number t, 0-based."""
+        return self.matrix[t]
+
+
 def partition(series, b: int) -> BlockFrame:
     """Split a series into disjoint blocks of length b (m = n // b >= 2)."""
     return BlockFrame(series, b)
@@ -141,4 +132,4 @@ def default_k(n: int, b: int, kappa: float = 1.0) -> int:
 
 def threshold_from_order_stat(frame: BlockFrame, p, k: int) -> float:
     """Empirical threshold ||B||_{p,(k)}: the k-th largest block p-norm."""
-    return float(frame._stack.thresholds(p, k)[0])
+    return float(frame.thresholds(p, k)[0])

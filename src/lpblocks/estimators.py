@@ -7,27 +7,29 @@ extremal_index_infty_blocks, whose point-level comparator is >= by
 definition of that classical estimator.
 
 The built-in estimators are written over a block stack (blocks._BlockStack:
-the frames of many replications at one (n, b), a BlockFrame being the
-one-frame case) and its cached norm vectors and thresholds: each selects,
-in every frame at once, the blocks whose p-norm exceeds that frame's k-th
-largest one, and computes every per-block term on those rows together. The
-experiment runs them on its grid-point stacks; each public per-frame
-function is the one-frame case and returns its EstimateReport. The
-extremal index averages (||B||_inf / ||B||_a)^a and c(1) inverts the
-average of (||B||_a / ||B||_1)^a, both on the threshold-normalized rows
-the kernels see (where those overflow the float range in a frame, on each
-of that frame's rows over its own max instead, as the terms are
-scale-free); serial dependence takes one dot product per row of the
-signed-power matrix and the sup-walk numerator a row-wise cumsum maximum.
-The two l^inf-thresholded estimators count point exceedances only in the
-blocks whose max reaches the threshold, which hold all of them.
+the frames of many replications at one (n, b); a BlockFrame is the one-frame
+stack) and its cached norm vectors and thresholds: each selects, in every
+frame at once, the blocks whose p-norm exceeds that frame's k-th largest
+one, and computes every per-block term on those rows together. Each is a
+private fn(stack, alpha, k) (the l^inf-thresholded ones ignore alpha)
+returning its report id, alpha_used and per-frame values (_Stacked); the
+experiment's estimator table runs them on its grid-point stacks, and each
+public per-frame function is the one-frame case, _frame_report(frame, k,
+fn(frame, alpha, k)). The extremal index averages (||B||_inf / ||B||_a)^a
+and c(1) inverts the average of (||B||_a / ||B||_1)^a, both on the
+threshold-normalized rows the kernels see (where those overflow the float
+range in a frame, on each of that frame's rows over its own max instead, as
+the terms are scale-free); serial dependence takes one dot product per row
+of the signed-power matrix and the sup-walk numerator a row-wise cumsum
+maximum. The two l^inf-thresholded estimators count point exceedances only
+in the blocks whose max reaches the threshold, which hold all of them.
 Wherever the normalized blocks are finite, each result equals (==) the
 per-block loop over the kernels (on an overflowing block that loop raises):
 the final power is taken per term on Python floats (libm pow; numpy's
 vectorized power can differ by an ulp) and each frame's terms are summed
 left to right (not pairwise, as np.sum does). The generic ClusterFunctional
-loop remains for user-supplied functionals (cluster_functional_estimate,
-psi and theta).
+loop remains for user-supplied functionals (cluster_functional_estimate, psi
+and theta).
 """
 
 from __future__ import annotations
@@ -171,11 +173,14 @@ def cluster_functional_estimate(frame: BlockFrame, p, k: int, g: ClusterFunction
 class _Stacked(NamedTuple):
     """A built-in estimator over a block stack, one entry per frame.
 
-    ``value`` is 0.0 where ``degenerate``; ``extras`` maps each report extra
-    to its per-frame values, None where that frame's report omits it.
+    ``estimator_id`` and ``alpha_used`` are the reports'; ``value`` is 0.0
+    where ``degenerate``; ``extras`` maps each report extra to its per-frame
+    values, None where that frame's report omits it.
     """
 
+    estimator_id: str
     p: PExponent
+    alpha_used: Optional[float]
     threshold: np.ndarray
     value: list
     degenerate: list
@@ -183,27 +188,29 @@ class _Stacked(NamedTuple):
     extras: dict
 
 
-def _frame_report(estimator_id: str, frame: BlockFrame, k: int,
-                  alpha_used: Optional[float], out: _Stacked) -> EstimateReport:
+def _frame_report(frame: BlockFrame, k: int, out: _Stacked) -> EstimateReport:
     """The EstimateReport of a one-frame stack's result."""
     return EstimateReport(
-        estimator_id=estimator_id, value=out.value[0], p=out.p, b=frame.b, k=k,
-        m=frame.m, threshold=float(out.threshold[0]),
-        selected_blocks=out.selected[0], alpha_used=alpha_used,
+        estimator_id=out.estimator_id, value=out.value[0], p=out.p, b=frame.b,
+        k=k, m=frame.m, threshold=float(out.threshold[0]),
+        selected_blocks=out.selected[0], alpha_used=out.alpha_used,
         degenerate=out.degenerate[0],
         extras={name: got[0] for name, got in out.extras.items() if got[0] is not None},
     )
 
 
 def _selected_rows(stack: _BlockStack, pe: PExponent, k: int):
-    """(thr, live, rows): per frame the k-th largest block p-norm and whether
-    it is positive, and the flat indices of the blocks of live frames whose
-    norm exceeds their frame's threshold, frame by frame."""
+    """(thr, live, rows, owner, counts): per frame the k-th largest block
+    p-norm and whether it is positive; the flat indices of the blocks of live
+    frames whose norm exceeds their frame's threshold, frame by frame, and
+    each one's frame; and the number of those blocks per frame."""
     thr = stack.thresholds(pe, k)
     live = thr > 0
     above = stack.norms(pe).reshape(stack.reps, stack.m) > thr[:, None]
     above &= live[:, None]
-    return thr, live, np.flatnonzero(above)
+    rows = np.flatnonzero(above)
+    owner = rows // stack.m
+    return thr, live, rows, owner, np.bincount(owner, minlength=stack.reps).tolist()
 
 
 def _overflowing(rows: np.ndarray, thr: np.ndarray):
@@ -249,8 +256,7 @@ def _extremal_index_alpha(stack: _BlockStack, alpha: float, k: int) -> _Stacked:
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     pe = PExponent(alpha)
-    thr, live, rows = _selected_rows(stack, pe, k)
-    owner = rows // stack.m
+    thr, live, rows, owner, selected = _selected_rows(stack, pe, k)
     # norms of the normalized rows, as the kernel sees them; the cached
     # norms divided by thr can differ in the last ulp
     x, limit = _scale_free_rows(stack.matrix[rows], thr[owner], owner)
@@ -258,10 +264,8 @@ def _extremal_index_alpha(stack: _BlockStack, alpha: float, k: int) -> _Stacked:
     keep = na > limit
     ratios = np.abs(x[keep]).max(axis=1) / na[keep]
     totals = _pow_sums(ratios, alpha, owner[keep], stack.reps)
-    return _Stacked(p=pe, threshold=thr, value=[t / k for t in totals],
-                    degenerate=(~live).tolist(),
-                    selected=np.bincount(owner, minlength=stack.reps).tolist(),
-                    extras={})
+    return _Stacked("extremal_index_alpha", pe, alpha, thr, [t / k for t in totals],
+                    (~live).tolist(), selected, {})
 
 
 def extremal_index_alpha_blocks(frame: BlockFrame, alpha: float, k: int) -> EstimateReport:
@@ -273,8 +277,7 @@ def extremal_index_alpha_blocks(frame: BlockFrame, alpha: float, k: int) -> Esti
     finite; on an overflowing block that generic functional raises and this
     estimator rescales each selected row by its own max.
     """
-    return _frame_report("extremal_index_alpha", frame, k, alpha,
-                         _extremal_index_alpha(frame._stack, alpha, k))
+    return _frame_report(frame, k, _extremal_index_alpha(frame, alpha, k))
 
 
 def _point_counts(stack: _BlockStack, thr: np.ndarray, blocks: np.ndarray, above) -> list:
@@ -285,7 +288,7 @@ def _point_counts(stack: _BlockStack, thr: np.ndarray, blocks: np.ndarray, above
     return [int(c) for c in np.bincount(owner, hits, minlength=stack.reps)]
 
 
-def _extremal_index_infty(stack: _BlockStack, k_prime: int) -> _Stacked:
+def _extremal_index_infty(stack: _BlockStack, alpha, k_prime: int) -> _Stacked:
     thr = stack.thresholds(INF, k_prime)
     live = thr > 0
     # every point >= thr lies in a block whose max is >= thr, so only those
@@ -294,37 +297,33 @@ def _extremal_index_infty(stack: _BlockStack, k_prime: int) -> _Stacked:
     at &= live[:, None]
     count = _point_counts(stack, thr, np.flatnonzero(at), np.greater_equal)
     blocks_at = at.sum(axis=1).tolist()
-    return _Stacked(p=INF, threshold=thr, value=[k_prime / c if c else 0.0 for c in count],
-                    degenerate=[not c for c in count],
-                    selected=[a if c else 0 for a, c in zip(blocks_at, count)],
-                    extras={"point_exceedances": [c if lv else None for c, lv
-                                                  in zip(count, live.tolist())]})
+    return _Stacked("extremal_index_infty", INF, None, thr,
+                    [k_prime / c if c else 0.0 for c in count], [not c for c in count],
+                    [a if c else 0 for a, c in zip(blocks_at, count)],
+                    {"point_exceedances": [c if lv else None
+                                           for c, lv in zip(count, live.tolist())]})
 
 
 def extremal_index_infty_blocks(frame: BlockFrame, k_prime: int) -> EstimateReport:
     """Classical blocks estimator: inverse mean number of point exceedances
     (comparator >=) of the k'-th largest block maximum."""
-    return _frame_report("extremal_index_infty", frame, k_prime, None,
-                         _extremal_index_infty(frame._stack, k_prime))
+    return _frame_report(frame, k_prime, _extremal_index_infty(frame, None, k_prime))
 
 
 def _cluster_index_c1(stack: _BlockStack, alpha: float, k: int) -> _Stacked:
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     pe = PExponent(1.0)
-    thr, live, rows = _selected_rows(stack, pe, k)
-    owner = rows // stack.m
+    thr, live, rows, owner, selected = _selected_rows(stack, pe, k)
     x, limit = _scale_free_rows(stack.matrix[rows], thr[owner], owner)
     n1 = np.abs(x).sum(axis=1)
     keep = n1 > limit
     totals = _pow_sums(row_p_moduli(x[keep], PExponent(alpha)) / n1[keep], alpha,
                        owner[keep], stack.reps)
     mean = [t / k for t in totals]
-    selected = np.bincount(owner, minlength=stack.reps).tolist()
-    return _Stacked(p=pe, threshold=thr, value=[1.0 / u if u else 0.0 for u in mean],
-                    degenerate=[not u for u in mean],
-                    selected=[c if u else 0 for c, u in zip(selected, mean)],
-                    extras={"mean": mean})
+    return _Stacked("cluster_index_c1", pe, alpha, thr,
+                    [1.0 / u if u else 0.0 for u in mean], [not u for u in mean],
+                    [c if u else 0 for c, u in zip(selected, mean)], {"mean": mean})
 
 
 def cluster_index_c1(frame: BlockFrame, alpha: float, k: int) -> EstimateReport:
@@ -337,11 +336,10 @@ def cluster_index_c1(frame: BlockFrame, alpha: float, k: int) -> EstimateReport:
     functional raises and this estimator rescales each selected row by its
     own max.
     """
-    return _frame_report("cluster_index_c1", frame, k, alpha,
-                         _cluster_index_c1(frame._stack, alpha, k))
+    return _frame_report(frame, k, _cluster_index_c1(frame, alpha, k))
 
 
-def _cluster_index_c1_infty(stack: _BlockStack, k_prime: int) -> _Stacked:
+def _cluster_index_c1_infty(stack: _BlockStack, alpha, k_prime: int) -> _Stacked:
     thr = stack.thresholds(INF, k_prime)
     live = thr > 0
     numerator = np.sum(stack.norms(1).reshape(stack.reps, stack.m) > thr[:, None],
@@ -351,21 +349,19 @@ def _cluster_index_c1_infty(stack: _BlockStack, k_prime: int) -> _Stacked:
     over &= live[:, None]
     denominator = _point_counts(stack, thr, np.flatnonzero(over), np.greater)
     live = live.tolist()
-    return _Stacked(p=INF, threshold=thr,
-                    value=[u / d if d else 0.0 for u, d in zip(numerator, denominator)],
-                    degenerate=[not d for d in denominator],
-                    selected=[u if d else 0 for u, d in zip(numerator, denominator)],
-                    extras={"numerator": [u if lv else None
-                                          for u, lv in zip(numerator, live)],
-                            "denominator": [d if lv else None
-                                            for d, lv in zip(denominator, live)]})
+    return _Stacked("cluster_index_c1_infty", INF, None, thr,
+                    [u / d if d else 0.0 for u, d in zip(numerator, denominator)],
+                    [not d for d in denominator],
+                    [u if d else 0 for u, d in zip(numerator, denominator)],
+                    {"numerator": [u if lv else None for u, lv in zip(numerator, live)],
+                     "denominator": [d if lv else None
+                                     for d, lv in zip(denominator, live)]})
 
 
 def cluster_index_c1_infty(frame: BlockFrame, k_prime: int) -> EstimateReport:
     """c(1) competitor thresholding on block maxima: count of blocks whose
     l^1 norm exceeds ||B||_{inf,(k')} over the count of point exceedances."""
-    return _frame_report("cluster_index_c1_infty", frame, k_prime, None,
-                         _cluster_index_c1_infty(frame._stack, k_prime))
+    return _frame_report(frame, k_prime, _cluster_index_c1_infty(frame, None, k_prime))
 
 
 def psi_functional_estimate(frame: BlockFrame, p, alpha: float, k: int, g,
@@ -380,7 +376,7 @@ def psi_functional_estimate(frame: BlockFrame, p, alpha: float, k: int, g,
     pe = as_p(p)
     if pe.is_inf or pe.value > alpha:
         raise ValueError(f"requires p <= alpha, got p={pe} and alpha={alpha}")
-    thr, live, selected = _selected_rows(frame._stack, pe, k)
+    thr, live, selected, _, _ = _selected_rows(frame, pe, k)
     thr = float(thr[0])
     if not live[0]:
         return _degenerate(estimator_id, pe, frame, k, thr, alpha)
@@ -403,18 +399,15 @@ def _serial_dependence(stack: _BlockStack, alpha: float, k: int, h: int) -> _Sta
     if not 0 <= h < stack.b:
         raise ValueError(f"lag h must satisfy 0 <= h < b={stack.b}")
     pe = PExponent(alpha)
-    thr, live, rows = _selected_rows(stack, pe, k)
-    owner = rows // stack.m
+    thr, live, rows, owner, selected = _selected_rows(stack, pe, k)
     scaled = stack.matrix[rows] / stack.norms(pe)[rows, None]
     signed = np.sign(scaled) * np.abs(scaled) ** alpha
     totals = [0.0] * stack.reps
     # one ddot per row; a batched row sum (einsum) adds in another order
     for r, row in zip(owner.tolist(), signed):
         totals[r] += float(np.dot(row[: stack.b - h], row[h:]))
-    return _Stacked(p=pe, threshold=thr, value=[t / k for t in totals],
-                    degenerate=(~live).tolist(),
-                    selected=np.bincount(owner, minlength=stack.reps).tolist(),
-                    extras={"h": [h] * stack.reps})
+    return _Stacked("serial_dependence", pe, alpha, thr, [t / k for t in totals],
+                    (~live).tolist(), selected, {"h": [h] * stack.reps})
 
 
 def serial_dependence_estimate(frame: BlockFrame, alpha: float, k: int, h: int) -> EstimateReport:
@@ -423,25 +416,21 @@ def serial_dependence_estimate(frame: BlockFrame, alpha: float, k: int, h: int) 
     (1/k) sum_t sum_j W_{j,t} W_{j+h,t} sign(X_{j,t}) sign(X_{j+h,t}) over
     blocks with ||B_t||_a above the threshold; consistent for E[g_h(Q^(a))].
     """
-    return _frame_report("serial_dependence", frame, k, alpha,
-                         _serial_dependence(frame._stack, alpha, k, h))
+    return _frame_report(frame, k, _serial_dependence(frame, alpha, k, h))
 
 
 def _supwalk_constant(stack: _BlockStack, alpha: float, k: int) -> _Stacked:
     if not alpha >= 1:
         raise ValueError(f"requires alpha >= 1, got {alpha!r}")
     pe = PExponent(1.0)
-    thr, live, rows = _selected_rows(stack, pe, k)
-    owner = rows // stack.m
+    thr, live, rows, owner, selected = _selected_rows(stack, pe, k)
     n1 = stack.norms(pe)[rows]
     sup = np.maximum(np.cumsum(stack.matrix[rows], axis=1).max(axis=1), 0.0)
     num = _pow_sums(sup / n1, alpha, owner, stack.reps)
     den = _pow_sums(stack.norms(alpha)[rows] / n1, alpha, owner, stack.reps)
-    selected = np.bincount(owner, minlength=stack.reps).tolist()
-    return _Stacked(p=pe, threshold=thr,
-                    value=[u / d if d else 0.0 for u, d in zip(num, den)],
-                    degenerate=[not d for d in den],
-                    selected=[c if d else 0 for c, d in zip(selected, den)], extras={})
+    return _Stacked("supwalk_constant", pe, alpha, thr,
+                    [u / d if d else 0.0 for u, d in zip(num, den)], [not d for d in den],
+                    [c if d else 0 for c, d in zip(selected, den)], {})
 
 
 def supwalk_constant_estimate(frame: BlockFrame, alpha: float, k: int) -> EstimateReport:
@@ -451,8 +440,7 @@ def supwalk_constant_estimate(frame: BlockFrame, alpha: float, k: int) -> Estima
     (clamped at zero, matching the empty prefix), normalized by the block
     l^1 norm; the denominator is the 1/c(1) mean over the same selection.
     """
-    return _frame_report("supwalk_constant", frame, k, alpha,
-                         _supwalk_constant(frame._stack, alpha, k))
+    return _frame_report(frame, k, _supwalk_constant(frame, alpha, k))
 
 
 def _signed_sum_kernel(alpha: float, sign: float) -> ClusterFunctional:

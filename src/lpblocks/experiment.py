@@ -8,12 +8,15 @@ filtered at once, one noise stream per row. Each (n, b) grid point is
 evaluated over the batch's replications together, in block stacks of about
 256 KB of series values (_TILE_BYTES / 8): one norm vector per p and one
 threshold per (p, k) per stack, and one run of each estimator's kernels
-over every frame in it, with the values of the per-frame estimators. Also
-hosts config parsing, series-file ingestion, and the closed-form report.
+over every frame in it, with the values of the per-frame estimators. One
+table maps each built-in estimator id to whether it needs alpha and its
+stack function; an EstimatorEntry's run is that function's one-frame case.
+Also hosts config parsing, series-file ingestion, and the closed-form report.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -33,15 +36,10 @@ from .estimators import (
     _cluster_index_c1_infty,
     _extremal_index_alpha,
     _extremal_index_infty,
+    _frame_report,
     _serial_dependence,
     _supwalk_constant,
-    cluster_index_c1,
-    cluster_index_c1_infty,
-    extremal_index_alpha_blocks,
-    extremal_index_infty_blocks,
     hill_alpha,
-    serial_dependence_estimate,
-    supwalk_constant_estimate,
 )
 from .models import (
     AR1ModelSpec,
@@ -49,7 +47,6 @@ from .models import (
     Model,
     NoiseSpec,
     SeedSpec,
-    _batch_rows,
     _pool_map,
     model_coefficients,
     sample_noise,
@@ -171,61 +168,38 @@ def resolve_alpha(mode: AlphaMode, series=None, model: Optional[Model] = None) -
 
 @dataclass(frozen=True)
 class EstimatorEntry:
+    """A registered estimator: ``stacked(stack, alpha, k)`` runs it over a
+    block stack (estimators._Stacked, one value per frame)."""
+
     estimator_id: str
     needs_alpha: bool
-    run: Callable[..., EstimateReport]
+    stacked: Callable
+
+    def run(self, frame, alpha, k: int) -> EstimateReport:
+        """The estimator's report on one frame, the one-frame stack."""
+        return _frame_report(frame, k, self.stacked(frame, alpha, k))
 
 
-_BUILTIN = {
-    "extremal_index_alpha": EstimatorEntry(
-        "extremal_index_alpha", True,
-        lambda frame, alpha, k: extremal_index_alpha_blocks(frame, alpha, k)),
-    "extremal_index_infty": EstimatorEntry(
-        "extremal_index_infty", False,
-        lambda frame, alpha, k: extremal_index_infty_blocks(frame, k)),
-    "cluster_index_c1": EstimatorEntry(
-        "cluster_index_c1", True,
-        lambda frame, alpha, k: cluster_index_c1(frame, alpha, k)),
-    "cluster_index_c1_infty": EstimatorEntry(
-        "cluster_index_c1_infty", False,
-        lambda frame, alpha, k: cluster_index_c1_infty(frame, k)),
-    "supwalk": EstimatorEntry(
-        "supwalk", True,
-        lambda frame, alpha, k: supwalk_constant_estimate(frame, alpha, k)),
+# id -> (needs_alpha, stack function); "serial:<h>" is _serial_dependence at lag h
+_ESTIMATORS = {
+    "extremal_index_alpha": (True, _extremal_index_alpha),
+    "extremal_index_infty": (False, _extremal_index_infty),
+    "cluster_index_c1": (True, _cluster_index_c1),
+    "cluster_index_c1_infty": (False, _cluster_index_c1_infty),
+    "supwalk": (True, _supwalk_constant),
 }
-
-
-# the built-in estimators over a grid point's block stack, fn(stack, alpha,
-# k) -> one value and degenerate flag per frame (estimators._Stacked); the
-# experiment runs these, and each entry's run is the one-frame case
-_STACKED = {
-    "extremal_index_alpha": _extremal_index_alpha,
-    "extremal_index_infty": lambda stack, alpha, k: _extremal_index_infty(stack, k),
-    "cluster_index_c1": _cluster_index_c1,
-    "cluster_index_c1_infty": lambda stack, alpha, k: _cluster_index_c1_infty(stack, k),
-    "supwalk": _supwalk_constant,
-}
-
-
-def _stacked(estimator_id: str):
-    h = _serial_lag(estimator_id)
-    if h is None:
-        return _STACKED[estimator_id]
-    return lambda stack, alpha, k: _serial_dependence(stack, alpha, k, h)
 
 
 def known_estimators() -> list[str]:
-    return sorted(_BUILTIN) + ["serial:<h>"]
+    return sorted(_ESTIMATORS) + ["serial:<h>"]
 
 
 def get_estimator(estimator_id: str) -> EstimatorEntry:
-    if estimator_id in _BUILTIN:
-        return _BUILTIN[estimator_id]
+    if estimator_id in _ESTIMATORS:
+        return EstimatorEntry(estimator_id, *_ESTIMATORS[estimator_id])
     h = _serial_lag(estimator_id)
     if h is not None:
-        return EstimatorEntry(
-            estimator_id, True,
-            lambda frame, alpha, k, h=h: serial_dependence_estimate(frame, alpha, k, h))
+        return EstimatorEntry(estimator_id, True, functools.partial(_serial_dependence, h=h))
     raise ValueError(
         f"unknown estimator {estimator_id!r}; known: {', '.join(known_estimators())}")
 
@@ -442,30 +416,31 @@ def _stack_reps(n: int) -> int:
     return max(1, _TILE_BYTES // 8 // (8 * n))
 
 
-def _run_stacked(stacked, needs_alpha: bool, stack, alphas: list, k: int):
+def _run_stacked(entry: EstimatorEntry, stack, alphas: list, k: int):
     """One estimator over a grid point's stack: (values, degenerate,
     failures), the first two per frame, failures as (frame, error).
 
-    A frame without alpha gets a nan degenerate value from an estimator that
-    needs alpha. The frames sharing an alpha value run as one stack; when
-    that raises, they are run again one frame each, so a ValueError costs
-    only the frame whose data the estimator rejects.
+    With k = 0 (a grid point with too few blocks) no frame runs. A frame
+    without alpha gets a nan degenerate value from an estimator that needs
+    alpha. The frames sharing an alpha value run as one stack; when that
+    raises, they are run again one frame each, so a ValueError costs only
+    the frame whose data the estimator rejects.
     """
     count = len(alphas)
     values, degenerate, failures = [math.nan] * count, [True] * count, []
     groups: dict = {}
     for i, alpha in enumerate(alphas):
-        if alpha is not None or not needs_alpha:
-            groups.setdefault(alpha if needs_alpha else None, []).append(i)
+        if k and (alpha is not None or not entry.needs_alpha):
+            groups.setdefault(alpha if entry.needs_alpha else None, []).append(i)
     for alpha, frames in groups.items():
         sub = stack if len(frames) == count else stack.take(frames)
         try:
-            parts = [(frames, stacked(sub, alpha, k))]
+            parts = [(frames, entry.stacked(sub, alpha, k))]
         except ValueError:
             parts = []
             for i in frames:
                 try:
-                    parts.append(([i], stacked(stack.take([i]), alpha, k)))
+                    parts.append(([i], entry.stacked(stack.take([i]), alpha, k)))
                 except ValueError as exc:
                     failures.append((i, exc))
         for idx, out in parts:
@@ -501,7 +476,7 @@ def _replication_rows(config, reps) -> tuple[list[tuple], list[str]]:
         z[i] = sample_noise(model.noise, width, SeedSpec(config.master_seed, rep))
     series = model.filter(z)
     mode = parse_alpha_mode(config.alpha_mode)
-    entries = [(get_estimator(e), _stacked(e)) for e in config.estimators]
+    entries = [get_estimator(e) for e in config.estimators]
     columns = []
     problems = []  # (rep index, n index, b index, entry index, text)
     for ni, n in enumerate(config.n_grid):
@@ -518,21 +493,15 @@ def _replication_rows(config, reps) -> tuple[list[tuple], list[str]]:
         for bi, b in enumerate(config.b_grid):
             # a grid point with too few blocks (m < 2) is skipped, k = 0
             k = default_k(n, b, config.kappa) if n // b >= 2 else 0
-            grid = [(entry.estimator_id, n, b, k, [], []) for entry, _ in entries]
+            grid = [(entry.estimator_id, n, b, k, [], []) for entry in entries]
             for lo in range(0, len(reps), size):
-                part = reps[lo:lo + size]
                 stack = _BlockStack.cut(series[lo:lo + size, :n], b) if k else None
-                for ei, (entry, stacked) in enumerate(entries):
-                    if stack is None:
-                        values, degenerate, failures = \
-                            [math.nan] * len(part), [True] * len(part), []
-                    else:
-                        values, degenerate, failures = _run_stacked(
-                            stacked, entry.needs_alpha, stack,
-                            alphas[lo:lo + size], k)
+                for ei, entry in enumerate(entries):
+                    values, degenerate, failures = _run_stacked(
+                        entry, stack, alphas[lo:lo + size], k)
                     for i, exc in failures:
                         problems.append((lo + i, ni, bi, ei,
-                                         f"rep {part[i]}, n={n}, b={b}: "
+                                         f"rep {reps[lo + i]}, n={n}, b={b}: "
                                          f"{entry.estimator_id} failed ({exc}); "
                                          "recorded as degenerate"))
                     grid[ei][4].extend(values)
@@ -547,10 +516,10 @@ def run_experiment(config: ExperimentConfig, threads: int = 1,
     """Run the full grid; returns (rows, summary) and writes CSV/JSON files
     when an output directory is configured. Byte-identical for any threads:
     the replications are cut into equal tasks, at least one per thread, and
-    a task's noise stays within a row tile (_TILE_BYTES) and the element
-    budget, so its series are small next to the stacks made of them."""
+    a task's noise stays within a row tile (_TILE_BYTES), so its series are
+    small next to the stacks made of them."""
     width = max(config.n_grid) + config.model.lead
-    cap = min(_batch_rows(width), max(1, _TILE_BYTES // (8 * width)))
+    cap = max(1, _TILE_BYTES // (8 * width))
     size = math.ceil(config.reps / max(threads, math.ceil(config.reps / cap)))
     tasks = [(config, range(start, min(start + size, config.reps)))
              for start in range(0, config.reps, size)]

@@ -60,6 +60,8 @@ _drawn: Counter = Counter()
 def _row_values(model: Model, n: int) -> int:
     """Kept values of a full row: _WINDOWS windows of n, fewer where one row
     would exceed the chunk budget, and never less than one window."""
+    if n < 1:
+        raise ValueError(f"sample length n must be at least 1, got {n}")
     fit = (models._CHUNK_ELEMENTS - model.lead) // n
     return n * max(1, min(_WINDOWS, fit))
 

@@ -13,11 +13,15 @@ from lpblocks.blocks import default_k, partition
 from lpblocks.cli import main
 from lpblocks.estimators import (
     cluster_functional_estimate,
+    cluster_index_c1,
+    cluster_index_c1_infty,
     cluster_index_kernel,
     extremal_index_alpha_blocks,
+    extremal_index_infty_blocks,
     extremal_index_kernel,
     hill_alpha,
     serial_dependence_estimate,
+    supwalk_constant_estimate,
 )
 from lpblocks.experiment import (
     RESULTS_HEADER,
@@ -181,20 +185,37 @@ def test_get_estimator_alpha_needs():
         assert get_estimator(eid).estimator_id == eid
 
 
-def test_get_estimator_matches_direct_call():
-    frame = partition(simulate(IID_PARETO15, 200, 3), 10)
-    entry = get_estimator("extremal_index_alpha")
-    assert same_report(entry.run(frame, 1.5, 5),
-                       extremal_index_alpha_blocks(frame, 1.5, 5))
+# each id's public per-frame estimator and the report id it gives
+DIRECT = {
+    "extremal_index_alpha": (extremal_index_alpha_blocks, "extremal_index_alpha"),
+    "extremal_index_infty": (lambda f, a, k: extremal_index_infty_blocks(f, k),
+                             "extremal_index_infty"),
+    "cluster_index_c1": (cluster_index_c1, "cluster_index_c1"),
+    "cluster_index_c1_infty": (lambda f, a, k: cluster_index_c1_infty(f, k),
+                               "cluster_index_c1_infty"),
+    "supwalk": (supwalk_constant_estimate, "supwalk_constant"),
+    "serial:1": (lambda f, a, k: serial_dependence_estimate(f, a, k, 1),
+                 "serial_dependence"),
+    "serial:3": (lambda f, a, k: serial_dependence_estimate(f, a, k, 3),
+                 "serial_dependence"),
+}
 
 
-def test_get_estimator_serial_lags():
+@pytest.mark.parametrize("estimator_id", list(DIRECT))
+def test_get_estimator_matches_direct_call(estimator_id):
+    # an entry's run is the one-frame case of its stack function: the same
+    # report as the public per-frame estimator, under that estimator's id
+    direct, report_id = DIRECT[estimator_id]
     frame = partition(simulate(IID_PARETO15, 200, 3), 10)
-    entry = get_estimator("serial:3")
-    assert entry.estimator_id == "serial:3"
-    assert entry.needs_alpha
-    assert same_report(entry.run(frame, 1.5, 5),
-                       serial_dependence_estimate(frame, 1.5, 5, 3))
+    entry = get_estimator(estimator_id)
+    assert entry.estimator_id == estimator_id
+    report = entry.run(frame, 1.5, 5)
+    assert same_report(report, direct(frame, 1.5, 5))
+    assert report.estimator_id == report_id
+    assert report.alpha_used == (1.5 if entry.needs_alpha else None)
+    if estimator_id.startswith("serial:"):
+        assert entry.needs_alpha
+        assert report.extras == {"h": int(estimator_id[len("serial:"):])}
 
 
 def test_get_estimator_rejects():
@@ -456,7 +477,7 @@ def test_run_experiment_hill_failure_keeps_grid(monkeypatch, tmp_path, threads):
     # way, for that (rep, n, b) only: a block that overflows when normalized,
     # which the generic functional loop rejects; injected at the grid-point
     # entry, which runs the estimator over a stack of replications' frames
-    real_estimate = experiment._STACKED["extremal_index_alpha"]
+    needs_alpha, real_estimate = experiment._ESTIMATORS["extremal_index_alpha"]
 
     def overflowing(stack, alpha, k):
         frames = stack.matrix.reshape(stack.reps, -1)
@@ -466,7 +487,8 @@ def test_run_experiment_hill_failure_keeps_grid(monkeypatch, tmp_path, threads):
         return real_estimate(stack, alpha, k)
 
     monkeypatch.undo()
-    monkeypatch.setitem(experiment._STACKED, "extremal_index_alpha", overflowing)
+    monkeypatch.setitem(experiment._ESTIMATORS, "extremal_index_alpha",
+                        (needs_alpha, overflowing))
     with pytest.warns(RuntimeWarning, match="float range") as caught:
         rows, _ = run_experiment(config, threads=threads)
     assert [str(w.message) for w in caught] == [
@@ -840,6 +862,13 @@ def test_cli_error_exit_code(tmp_path, capsys):
                         encoding="utf-8")
     assert main(["experiment", str(cfg_path)]) == 2
     assert capsys.readouterr().err == "error: reps must be an integer, got 2.5\n"
+    # and a sample length below 1 before any draw
+    for n in ("0", "-3"):
+        assert main(["ldratio", "--model", "linear", "--coeffs", "1", "--noise",
+                     "pareto", "--tail-index", "1.5", "--n", n, "--p", "1",
+                     "--x", "50", "--reps", "100"]) == 2
+        assert capsys.readouterr().err == \
+            f"error: sample length n must be at least 1, got {n}\n"
 
 
 def test_cli_experiment_with_output(tmp_path, capsys):

@@ -73,6 +73,17 @@ def test_validation_errors():
         ld_ratio_centered_mc(IID_PARETO13, 10, 1.0, 1.3, 5.0, 100, 0, pilot_reps=0)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+@pytest.mark.parametrize("run", [
+    lambda n: ld_ratio_mc(IID_PARETO13, n, 1.3, 5.0, 100, 0),
+    lambda n: ld_ratio_centered_mc(IID_PARETO13, n, 1.0, 1.3, 5.0, 100, 0),
+    lambda n: pilot_level(IID_PARETO13, n, 1.0, 0.9, reps=100),
+], ids=["ld_ratio_mc", "ld_ratio_centered_mc", "pilot_level"])
+def test_sample_length_below_one_is_named(run, n):
+    with pytest.raises(ValueError, match=f"sample length n must be at least 1, got {n}"):
+        run(n)
+
+
 def test_centered_level_forms():
     # p < alpha: z = x (n E|X|^p / x^p + 1)^(1/p)
     assert centered_level(1.0, 1.3, 1000.0, 100, moment_p=1.0) == pytest.approx(1100.0, rel=1e-12)
