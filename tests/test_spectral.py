@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -344,6 +346,36 @@ def test_cluster_constant_mc_peak_memory_is_one_batch(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1.2 * batch_bytes
+
+
+def _oracle_golden_bytes():
+    """Shift-law draws of the AR(1) law at 1, one batch and 500k draws; c(p)
+    Monte Carlo (value, s.e.) at the oracle-mc p over three batches for
+    AR(1), MA(3) and iid models; and single cluster draws."""
+    law = shift_law(AR1_08, 1.3)
+    for size, stream in ((1, 0), (8192, 1), (500_000, 2)):
+        draws = law.sample(SeedSpec(21, stream).generator(), size=size)
+        yield repr((draws.dtype.str, draws.shape)).encode() + draws.tobytes()
+    models = (AR1_08, LinearModelSpec(coeffs=(1.0, -0.7, 0.5, 0.3), noise=STUDENT13),
+              LinearModelSpec(coeffs=(1.0,), noise=PARETO13))
+    for m, model in enumerate(models):
+        sampler = theta_sampler_linear(model)
+        for i, p in enumerate((0.5, 1.0, 2.0, INF)):
+            est = cluster_constant_mc(sampler, 1.3, p, 20_000, SeedSpec(22, 4 * m + i))
+            yield struct.pack("<2d", est.value, est.std_error)
+        for stream in range(5):
+            d = sample_cluster_linear(model, 2.0, SeedSpec(23, stream))
+            yield struct.pack("<q", d.origin) + d.values.tobytes()
+
+
+def test_oracle_draws_are_pinned():
+    # the shift law's draws and every value the oracle Monte Carlo reports;
+    # a change of draw stream, inversion or sign convention changes the digest
+    digest = hashlib.sha256()
+    for chunk in _oracle_golden_bytes():
+        digest.update(chunk)
+    assert digest.hexdigest() == (
+        "616e9fbfa513961e9d846d2e4cd36cf1f469470712d3256e7201d4bfd8834cd3")
 
 
 def test_serial_dependence_oracle_examples():
