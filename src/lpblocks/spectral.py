@@ -18,12 +18,25 @@ array-like (``np.asarray`` gives the (count, q+1) draws, and ``shape`` and
 reduces the table rather than the draws, once per call, then picks each
 draw's ratio by its index. Every ratio is the one the materialized row
 gives, bit for bit.
+
+``ShiftLaw.sample`` draws what ``rng.choice(q + 1, size, p=probabilities)``
+draws, value for value, and leaves the generator in the same state. numpy's
+``Generator.choice`` with ``p`` inverts one ``rng.random(size)`` through the
+cumulative table ``cdf = p.cumsum(); cdf /= cdf[-1]`` by
+``cdf.searchsorted(u, side="right")``. The law builds that table once, with
+a guide table over ``_GUIDE_SIZE`` equal cells of [0, 1) (Chen and Asau
+1974; Devroye 1986, section III.2.4): ``guide[k]`` is the inverse of k / K,
+a lower bound for every u in the cell, from which each draw steps forward
+while its cdf entry is <= u. The steps end at the searchsorted index, so
+the same uniforms give the same indices, and a cell holds about one cdf
+entry, so almost every draw takes at most one step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,6 +61,8 @@ __all__ = [
 ]
 
 _SAMPLER_BATCH = 8192  # rows per batch of cluster_constant_mc and conditional_block_sampler
+# cells of the shift law's guide table; a power of two, so u * K is exact
+_GUIDE_SIZE = 2 ** 14
 
 
 class ThresholdTooHigh(RuntimeError):
@@ -86,17 +101,49 @@ class ShiftLaw:
     """Distribution P(J = j) = |phi_j|^alpha / ||phi||_alpha^alpha, j = 0..q."""
 
     probabilities: np.ndarray
+    # numpy's normalized cumulative table, and the index of k / _GUIDE_SIZE in it
+    _cdf: np.ndarray = field(init=False, repr=False, compare=False)
+    _guide: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pr = np.asarray(self.probabilities, dtype=np.float64)
-        if pr.ndim != 1 or pr.size == 0 or np.any(pr < 0):
+        if pr.ndim != 1 or pr.size == 0:
+            raise ValueError("probabilities must be a nonnegative vector")
+        bad = np.flatnonzero(~np.isfinite(pr))
+        if bad.size:
+            raise ValueError(f"probabilities must be finite, got {pr[bad].tolist()} "
+                             f"at indices {bad.tolist()}")
+        if np.any(pr < 0):
             raise ValueError("probabilities must be a nonnegative vector")
         if abs(pr.sum() - 1.0) > 1e-9:
             raise ValueError("probabilities must sum to 1")
         object.__setattr__(self, "probabilities", pr)
+        # as Generator.choice builds it; cdf[-1] is exactly 1, above every u
+        cdf = pr.cumsum()
+        cdf /= cdf[-1]
+        object.__setattr__(self, "_cdf", cdf)
+        cells = np.arange(_GUIDE_SIZE) / _GUIDE_SIZE
+        guide = cdf.searchsorted(cells, side="right").astype(np.int64)
+        object.__setattr__(self, "_guide", guide)
 
     def sample(self, rng: np.random.Generator, size=None):
-        return rng.choice(len(self.probabilities), size=size, p=self.probabilities)
+        """rng.choice(len(probabilities), size, p=probabilities), by guide table."""
+        u = rng.random(size)
+        if size is None:
+            return int(self._invert(np.asarray(u)))
+        return self._invert(u)
+
+    def _invert(self, u: np.ndarray) -> np.ndarray:
+        """cdf.searchsorted(u, side="right") for u in [0, 1), as int64."""
+        flat = u.reshape(-1)
+        # k / K <= u for k = floor(u * K), so guide[k] is a lower bound
+        index = self._guide[(flat * _GUIDE_SIZE).astype(np.intp)]
+        cdf = self._cdf
+        moving = np.flatnonzero(cdf[index] <= flat)
+        while moving.size:
+            index[moving] += 1
+            moving = moving[cdf[index[moving]] <= flat[moving]]
+        return index.reshape(u.shape)
 
 
 def _coeffs_of(model_or_coeffs) -> np.ndarray:
@@ -109,21 +156,23 @@ def _coeffs_of(model_or_coeffs) -> np.ndarray:
 
 
 def shift_law(coeffs, alpha: float) -> ShiftLaw:
+    if not alpha > 0:
+        raise ValueError("alpha must be positive")
     c = np.abs(_coeffs_of(coeffs)) ** alpha
     return ShiftLaw(c / c.sum())
 
 
 def _shift_sign_sampler(model: Model):
-    """(coeffs, draw) with draw(count, rng) -> (J, sign): per draw, the shift
-    J from the shift law and the sign of the extreme noise value."""
+    """(coeffs, draw) with draw(count, rng) -> (J, negative): per draw, the
+    shift J from the shift law and whether the extreme noise value is
+    negative."""
     coeffs = _coeffs_of(model)
     law = shift_law(coeffs, model.noise.alpha)
     pos = model.noise.positive_prob
 
     def draw(count: int, rng: np.random.Generator):
         j = law.sample(rng, size=count)
-        sign = np.where(rng.random(count) < pos, 1.0, -1.0)
-        return j, sign
+        return j, rng.random(count) >= pos
 
     return coeffs, draw
 
@@ -135,8 +184,9 @@ def sample_cluster_linear(model: Model, p, seed) -> SpectralDraw:
     shifted by J from the shift law, and normalized to p-modulus one.
     """
     coeffs, draw = _shift_sign_sampler(model)
-    j, sign = draw(1, _rng_of(seed))
-    values = sign[0] * coeffs / p_modulus(coeffs, p)
+    j, negative = draw(1, _rng_of(seed))
+    sign = -1.0 if negative[0] else 1.0
+    values = sign * coeffs / p_modulus(coeffs, p)
     return SpectralDraw(values=values, origin=int(j[0]))
 
 
@@ -183,8 +233,8 @@ def theta_sampler_linear(model: Model):
     table = np.outer(np.concatenate([inverse, -inverse]), coeffs)
 
     def draw(count: int, rng: np.random.Generator) -> _IndexedRows:
-        j, sign = draw_shift_sign(count, rng)
-        return _IndexedRows(table, j + len(coeffs) * (sign < 0))
+        j, negative = draw_shift_sign(count, rng)
+        return _IndexedRows(table, j + len(coeffs) * negative)
 
     return draw
 
@@ -243,6 +293,10 @@ def cluster_constant_mc(sampler, alpha: float, p, n_draws: int, seed) -> MCEstim
     standard deviation of the per-draw ratios over sqrt(n_draws), from
     centered sums of squares per batch combined by Chan's formula.
     """
+    if not alpha > 0:
+        raise ValueError("alpha must be positive")
+    if isinstance(n_draws, bool) or not isinstance(n_draws, numbers.Integral):
+        raise ValueError(f"n_draws must be an integer, got {n_draws!r}")
     if n_draws < 1:
         raise ValueError("n_draws must be at least 1")
     rng = _rng_of(seed)

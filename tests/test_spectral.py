@@ -69,6 +69,95 @@ def test_shift_law_example():
         ShiftLaw(probabilities=np.array([-0.5, 1.5]))
 
 
+def test_shift_law_rejects_non_finite_probabilities():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=r"finite, got \[" + repr(bad) + r"\] at indices \[1\]"):
+            ShiftLaw(probabilities=np.array([0.5, bad, 0.5]))
+    with pytest.raises(ValueError, match=r"got \[nan, inf\] at indices \[0, 2\]"):
+        ShiftLaw(probabilities=np.array([np.nan, 1.0, np.inf]))
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.3, np.nan])
+def test_spectral_monte_carlo_rejects_non_positive_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        shift_law((1.0, 0.5), alpha)
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        cluster_constant_mc(theta_sampler_linear(AR1_08), alpha, 1, 100, 1)
+
+
+@pytest.mark.parametrize("n_draws", [100.5, 100.0, "100", True])
+def test_cluster_constant_mc_rejects_non_integer_draws(n_draws):
+    with pytest.raises(ValueError, match=r"n_draws must be an integer, got " + repr(n_draws)):
+        cluster_constant_mc(theta_sampler_linear(AR1_08), 1.3, 1, n_draws, 1)
+    assert cluster_constant_mc(theta_sampler_linear(AR1_08), 1.3, 1, np.int64(100), 1) == \
+        cluster_constant_mc(theta_sampler_linear(AR1_08), 1.3, 1, 100, 1)
+
+
+def numpy_cdf(probabilities) -> np.ndarray:
+    """The cumulative table Generator.choice inverts its uniforms through."""
+    cdf = np.asarray(probabilities, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def assert_draws_like_choice(law: ShiftLaw, size):
+    # the same values, dtype and type as rng.choice, and the generator left
+    # where rng.choice leaves it, on a Philox and a PCG64 stream
+    n = len(law.probabilities)
+    for make in (lambda: SeedSpec(31, 4).generator(), lambda: np.random.default_rng(31)):
+        ours, theirs = make(), make()
+        drawn = law.sample(ours, size=size)
+        expected = theirs.choice(n, size=size, p=law.probabilities)
+        assert type(drawn) is type(expected)
+        if size is not None:
+            assert drawn.dtype == expected.dtype
+        assert np.array_equal(drawn, expected)
+        assert ours.random() == theirs.random()
+
+
+# weight vectors with zero entries, normalized to probability vectors
+probability_vectors = st.lists(
+    st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)),
+    min_size=1, max_size=300).filter(lambda w: sum(w) > 0).map(
+        lambda w: np.asarray(w) / np.sum(w))
+draw_sizes = st.sampled_from([None, 1, 7, 8192])
+
+
+@given(probabilities=probability_vectors, size=draw_sizes)
+@example(probabilities=np.array([0.0, 0.5, 0.0, 0.5, 0.0]), size=8192)
+@example(probabilities=np.array([1.0]), size=None)
+@example(probabilities=np.array([0.0, 1.0]), size=7)
+@example(probabilities=np.array([1.0, 0.0]), size=7)
+@settings(max_examples=60, deadline=None)
+def test_shift_law_draws_what_choice_draws(probabilities, size):
+    assert_draws_like_choice(ShiftLaw(probabilities=probabilities), size)
+
+
+@pytest.mark.parametrize("size", [None, 1, 7, 8192])
+def test_shift_law_draws_what_choice_draws_near_one(size):
+    # phi = 0.99: hundreds of cdf entries crowd into the last guide cells
+    law = shift_law(AR1ModelSpec(phi=0.99, noise=STUDENT13), 1.3)
+    assert len(law.probabilities) > 1000
+    assert_draws_like_choice(law, size)
+
+
+@pytest.mark.parametrize("probabilities", [
+    shift_law(AR1ModelSpec(phi=0.99, noise=STUDENT13), 1.3).probabilities,
+    shift_law(AR1_08, 1.3).probabilities,
+    np.array([0.0, 0.25, 0.0, 0.0, 0.5, 0.25, 0.0]),
+    np.array([1.0]),
+], ids=["ar1-0.99", "ar1-0.8", "zeros", "one"])
+def test_shift_law_inverts_edge_uniforms(probabilities):
+    # every cdf entry, its two float neighbours and both ends of [0, 1) land
+    # where searchsorted(side="right") puts them
+    cdf = numpy_cdf(probabilities)
+    u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0),
+                        [0.0, np.nextafter(1.0, 0.0)]])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    law = ShiftLaw(probabilities=probabilities)
+    assert np.array_equal(law._invert(u), cdf.searchsorted(u, side="right"))
+
+
 def test_shift_law_sampling_frequencies():
     law = shift_law((1.0, 0.5), 1.0)
     rng = np.random.default_rng(7)
