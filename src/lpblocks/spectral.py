@@ -28,8 +28,9 @@ a guide table over ``_GUIDE_SIZE`` equal cells of [0, 1) (Chen and Asau
 1974; Devroye 1986, section III.2.4): ``guide[k]`` is the inverse of k / K,
 a lower bound for every u in the cell, from which each draw steps forward
 while its cdf entry is <= u. The steps end at the searchsorted index, so
-the same uniforms give the same indices, and a cell holds about one cdf
-entry, so almost every draw takes at most one step.
+the same uniforms give the same indices. A draw steps once per cdf entry
+inside its cell, n / K steps on average at most: for the 125-tap AR(1)
+law, fewer than one draw in a thousand steps at all.
 """
 
 from __future__ import annotations
@@ -122,8 +123,11 @@ class ShiftLaw:
         cdf = pr.cumsum()
         cdf /= cdf[-1]
         object.__setattr__(self, "_cdf", cdf)
-        cells = np.arange(_GUIDE_SIZE) / _GUIDE_SIZE
-        guide = cdf.searchsorted(cells, side="right").astype(np.int64)
+        # guide[k] = searchsorted(k / K, "right") counts the entries with
+        # cdf[i] <= k / K, i.e. ceil(cdf[i] * K) <= k (cdf * K is exact): it
+        # is i on the cells from ceil(cdf[i-1] * K) to ceil(cdf[i] * K) - 1
+        ends = np.ceil(cdf * _GUIDE_SIZE).astype(np.intp)
+        guide = np.repeat(np.arange(len(cdf), dtype=np.int64), np.diff(ends, prepend=0))
         object.__setattr__(self, "_guide", guide)
 
     def sample(self, rng: np.random.Generator, size=None):

@@ -100,6 +100,14 @@ def numpy_cdf(probabilities) -> np.ndarray:
     return cdf
 
 
+def assert_guide_inverts_cell_ends(law: ShiftLaw):
+    # each guide entry is the inverse of its cell's left end, no lower
+    cells = np.arange(spectral._GUIDE_SIZE) / spectral._GUIDE_SIZE
+    expected = numpy_cdf(law.probabilities).searchsorted(cells, side="right")
+    assert law._guide.dtype == np.int64
+    assert np.array_equal(law._guide, expected)
+
+
 def assert_draws_like_choice(law: ShiftLaw, size):
     # the same values, dtype and type as rng.choice, and the generator left
     # where rng.choice leaves it, on a Philox and a PCG64 stream
@@ -130,7 +138,9 @@ draw_sizes = st.sampled_from([None, 1, 7, 8192])
 @example(probabilities=np.array([1.0, 0.0]), size=7)
 @settings(max_examples=60, deadline=None)
 def test_shift_law_draws_what_choice_draws(probabilities, size):
-    assert_draws_like_choice(ShiftLaw(probabilities=probabilities), size)
+    law = ShiftLaw(probabilities=probabilities)
+    assert_guide_inverts_cell_ends(law)
+    assert_draws_like_choice(law, size)
 
 
 @pytest.mark.parametrize("size", [None, 1, 7, 8192])
@@ -156,6 +166,7 @@ def test_shift_law_inverts_edge_uniforms(probabilities):
     u = u[(u >= 0.0) & (u < 1.0)]
     law = ShiftLaw(probabilities=probabilities)
     assert np.array_equal(law._invert(u), cdf.searchsorted(u, side="right"))
+    assert_guide_inverts_cell_ends(law)
 
 
 def test_shift_law_sampling_frequencies():
