@@ -26,11 +26,11 @@ cumulative table ``cdf = p.cumsum(); cdf /= cdf[-1]`` by
 ``cdf.searchsorted(u, side="right")``. The law builds that table once, with
 a guide table over ``_GUIDE_SIZE`` equal cells of [0, 1) (Chen and Asau
 1974; Devroye 1986, section III.2.4): ``guide[k]`` is the inverse of k / K,
-a lower bound for every u in the cell, from which each draw steps forward
-while its cdf entry is <= u. The steps end at the searchsorted index, so
-the same uniforms give the same indices. A draw steps once per cdf entry
-inside its cell, n / K steps on average at most: for the 125-tap AR(1)
-law, fewer than one draw in a thousand steps at all.
+a lower bound for every u in the cell, and the answer itself unless a cdf
+entry lies in the cell between k / K and u. One comparison finds those
+draws, and they alone take the full ``searchsorted``, so the same uniforms
+give the same indices. For the 125-tap AR(1) law fewer than one draw in a
+thousand needs the search.
 """
 
 from __future__ import annotations
@@ -108,14 +108,12 @@ class ShiftLaw:
 
     def __post_init__(self):
         pr = np.asarray(self.probabilities, dtype=np.float64)
-        if pr.ndim != 1 or pr.size == 0:
+        if pr.ndim != 1 or pr.size == 0 or np.any(pr < 0):
             raise ValueError("probabilities must be a nonnegative vector")
         bad = np.flatnonzero(~np.isfinite(pr))
         if bad.size:
             raise ValueError(f"probabilities must be finite, got {pr[bad].tolist()} "
                              f"at indices {bad.tolist()}")
-        if np.any(pr < 0):
-            raise ValueError("probabilities must be a nonnegative vector")
         if abs(pr.sum() - 1.0) > 1e-9:
             raise ValueError("probabilities must sum to 1")
         object.__setattr__(self, "probabilities", pr)
@@ -140,13 +138,12 @@ class ShiftLaw:
     def _invert(self, u: np.ndarray) -> np.ndarray:
         """cdf.searchsorted(u, side="right") for u in [0, 1), as int64."""
         flat = u.reshape(-1)
-        # k / K <= u for k = floor(u * K), so guide[k] is a lower bound
+        # k / K <= u for k = floor(u * K), so guide[k] is a lower bound; it is
+        # the answer unless the cell holds a cdf entry <= u
         index = self._guide[(flat * _GUIDE_SIZE).astype(np.intp)]
         cdf = self._cdf
-        moving = np.flatnonzero(cdf[index] <= flat)
-        while moving.size:
-            index[moving] += 1
-            moving = moving[cdf[index[moving]] <= flat[moving]]
+        short = np.flatnonzero(cdf[index] <= flat)
+        index[short] = cdf.searchsorted(flat[short], side="right")
         return index.reshape(u.shape)
 
 
