@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -308,3 +309,33 @@ def test_level_error_is_infinite_where_the_moment_variance_is():
     assert 0 < z_se(0.5) < math.inf
     assert z_se(2.0) == 0.0
     assert ld_ratio_mc(MA_PARETO13, 20, 1.0, 30.0, 1_000, 4).z_std_error is None
+
+
+MA3_PARETO13 = LinearModelSpec(coeffs=(1.0, -0.7, 0.5, 0.3),
+                               noise=NoiseSpec(law="pareto", alpha=1.3))
+
+
+def _golden_estimates():
+    """pilot_level, ld_ratio_mc and ld_ratio_centered_mc at each p on an MA(3)
+    with Pareto noise and an AR(1) with Student noise. 100,001 windows of 20
+    span three chunks on both models: 99,600 (MA) or 84,200 (AR) windows in
+    the first."""
+    n, reps = 20, 100_001
+    for model in (MA3_PARETO13, AR1_STUDENT):
+        for p in (0.5, 1.0, 1.3, 2.0, INF):
+            level = pilot_level(model, n, p, 0.99, reps=reps, seed=21)
+            yield level
+            yield ld_ratio_mc(model, n, p, level, reps, 22)
+            yield ld_ratio_centered_mc(model, n, p, 1.3, level, reps, 23,
+                                       pilot_reps=5_000)
+
+
+def test_ld_estimates_are_pinned():
+    # every LD count goes through the window kernel and every level through
+    # the pilot's norms; a change to either that moves one hit changes the
+    # digest
+    digest = hashlib.sha256()
+    for value in _golden_estimates():
+        digest.update(repr(value).encode())
+    assert digest.hexdigest() == (
+        "3d1c435b90233c2cad5329543a24b12c43f8fa2ddeddab8b15bea1db20fd4cb9")
