@@ -38,7 +38,8 @@ def main() -> int:
           f"reps={args.reps}, pilot q={args.pilot_q}")
     print(f"{'p':>6} {'ratio':>10} {'3 s.e.':>10} {'c(p)':>10} {'hits n/d':>14}")
     for p in args.p:
-        x = pilot_level(model, args.n, p, args.pilot_q, seed=args.seed)
+        x = pilot_level(model, args.n, p, args.pilot_q, seed=args.seed,
+                        threads=args.threads)
         if args.centered:
             est = ld_ratio_centered_mc(model, args.n, p, args.tail_index, x,
                                        args.reps, args.seed, threads=args.threads)

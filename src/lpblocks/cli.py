@@ -116,7 +116,8 @@ def _cmd_ldratio(args: argparse.Namespace) -> int:
         x = args.x
     else:
         x = pilot_level(model, args.n, args.p, args.pilot_q,
-                        reps=args.pilot_reps, seed=args.seed)
+                        reps=args.pilot_reps, seed=args.seed,
+                        threads=args.threads)
         print(f"pilot level: x={x!r} (q={args.pilot_q})")
     if args.centered:
         est = ld_ratio_centered_mc(model, args.n, args.p, model.noise.alpha,

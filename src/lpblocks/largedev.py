@@ -22,10 +22,14 @@ level's (``RatioEstimate.z_std_error``).
 Every simulation goes through one chunk loop, :func:`_map_chunks`: rows are
 split into chunks of fixed size, chunk i of substream s drawn from
 ``seed.generator(s, i)``, so results are byte-identical for any worker
-count. Within a chunk, :func:`seqcore.row_p_moduli` takes the window norms
-one cache-sized row tile at a time, so the kernel's temporaries stay small
-and peak memory is the chunk's noise array, which the filter overwrites with
-the kept values.
+count. Within a chunk, the count asks only whether each window's norm is
+above the level: ``seqcore._row_p_exceeds`` answers from each window's max
+and l1 sum, with ``seqcore.row_p_moduli`` on the windows those leave
+undecided, so the counts are those of the exact norms. The pilot level's
+quantile needs every norm and takes them from ``row_p_moduli``. Both kernels
+work one cache-sized row tile at a time, so their temporaries stay small and
+peak memory is the chunk's noise array, which the filter overwrites with the
+kept values.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import numpy as np
 
 from . import models
 from .models import Model, SeedSpec, _as_seed, _batch_rows, _pool_map, simulate_batch
-from .seqcore import PExponent, as_p, row_p_moduli
+from .seqcore import PExponent, _row_p_exceeds, as_p, row_p_moduli
 
 __all__ = [
     "RatioEstimate",
@@ -102,7 +106,7 @@ def _window_chunk(rows, n, pe, level, x) -> tuple:
     windows whose first entry exceeds x in absolute value."""
     count = rows.shape[0]
     windows = rows.reshape(-1, n)
-    num = (row_p_moduli(windows, pe) > level).reshape(count, -1).sum(axis=1)
+    num = _row_p_exceeds(windows, pe, level).reshape(count, -1).sum(axis=1)
     den = (np.abs(windows[:, 0]) > x).reshape(count, -1).sum(axis=1)
     return (int(num.sum()), int(den.sum()), int(num @ num), int(den @ den),
             int(num @ den), count)
@@ -265,14 +269,16 @@ def ld_ratio_centered_mc(model: Model, n: int, p, alpha: float, x: float,
     return _ratio_mc(model, n, pe, z, x, reps, seed, threads, z=z, z_std_error=z_se)
 
 
-def pilot_level(model: Model, n: int, p, q: float, reps: int = 20_000, seed=0) -> float:
+def pilot_level(model: Model, n: int, p, q: float, reps: int = 20_000, seed=0,
+                threads: int = 1) -> float:
     """q-quantile of ||X_[1,n]||_p over `reps` windows of the same long rows;
     far-tail levels for the ratio checks are usually placed at q in
-    [0.99, 0.9999]."""
+    [0.99, 0.9999]. The quantile needs every norm, so the windows go through
+    :func:`seqcore.row_p_moduli`."""
     if not 0 < q < 1:
         raise ValueError("q must lie in (0, 1)")
     if reps < 1:
         raise ValueError("reps must be at least 1")
     norms = _map_chunks(_norms_chunk, model, _row_values(model, n), reps * n,
-                        _as_seed(seed), 3, (n, as_p(p)))
+                        _as_seed(seed), 3, (n, as_p(p)), threads)
     return float(np.quantile(np.concatenate(norms), q))

@@ -104,21 +104,28 @@ class LinearModelSpec:
 
         Taps are added oldest first, newest first when n == 1: the order of
         ``np.convolve``, which swaps its operands only for rows longer than
-        the taps. The sums are taken one row tile at a time, and a tile is
-        written only after its noise is read: rows [i, i + s) of the result
-        fill the flat positions [i n, (i + s) n), and the next row's noise
-        starts at (i + s)(n + q).
+        the taps. The sums are taken one row tile at a time, sized so that
+        the tile, its accumulator and one tap product together fit
+        ``seqcore._TILE_BYTES`` (about a core's L2 cache); the accumulator
+        and the product are two buffers reused by every tile. A tile is written
+        only after its noise is read: rows [i, i + s) of the result fill the
+        flat positions [i n, (i + s) n), and the next row's noise starts at
+        (i + s)(n + q).
         """
         c, q = self.coeffs, self.lead
         count, n = z.shape[0], z.shape[1] - q
         first, *rest = range(q + 1) if n == 1 else range(q, -1, -1)
         out = z.reshape(-1)[:count * n].reshape(count, n)
-        for rows in _row_tiles(z):
+        tiles = _row_tiles(z, 3)
+        acc = np.empty((min(tiles[0].stop, count), n))
+        prod = np.empty_like(acc)
+        for rows in tiles:
             tile = z[rows]
-            acc = c[first] * tile[:, q - first:q - first + n]
+            a, b = acc[:len(tile)], prod[:len(tile)]
+            np.multiply(c[first], tile[:, q - first:q - first + n], out=a)
             for j in rest:
-                acc += c[j] * tile[:, q - j:q - j + n]
-            out[rows] = acc
+                a += np.multiply(c[j], tile[:, q - j:q - j + n], out=b)
+            out[rows] = a
         return out
 
 

@@ -5,12 +5,16 @@ single validation point (1-d, finite entries, length >= 1). The exponent p
 lives in (0, inf] and is carried by :class:`PExponent`. Every p-modulus goes
 through one kernel: :func:`row_p_moduli` rescales rows by their max and sums
 powers with :func:`_row_power_sums`; :func:`p_modulus` is its one-row case.
+A count of rows whose norm exceeds a level needs only the comparison:
+:func:`_row_p_exceeds` decides most rows from their max and l1 sum and runs
+:func:`row_p_moduli` on the rest, so its answer is that of the norms.
 
-The row kernels, :func:`row_p_moduli` and the c(p) ratio kernel
-:func:`_ratio_alpha_pow`, tile themselves: a matrix above ``_TILE_BYTES``
-(about 2 MB) is reduced one row tile at a time (:func:`_map_row_tiles`), so
-the temporaries (the ``np.abs`` copy, the powers) stay in cache instead of
-being matrix-sized. Each row takes the same operations, so results are equal.
+The row kernels, :func:`row_p_moduli`, :func:`_row_p_exceeds` and the c(p)
+ratio kernel :func:`_ratio_alpha_pow`, tile themselves: a matrix above
+``_TILE_BYTES`` (about 2 MB) is reduced one row tile at a time
+(:func:`_map_row_tiles`), so the temporaries (the ``np.abs`` copy, the
+powers) stay in cache instead of being matrix-sized. Each row takes the same
+operations, so results are equal.
 """
 
 from __future__ import annotations
@@ -62,6 +66,8 @@ class PExponent:
 
 INF = PExponent(math.inf)
 _SMALLEST_SUBNORMAL = 5e-324
+_TINY = np.finfo(np.float64).tiny
+_EPS = np.finfo(np.float64).eps
 # row tiles of _row_tiles: about a core's L2 cache, so a tile and the
 # temporaries a kernel makes of it are reused while they are still cached
 _TILE_BYTES = 2 ** 21
@@ -223,6 +229,50 @@ def row_p_moduli(matrix, p) -> np.ndarray:
     return rowmax * _row_power_sums(a, pv) ** (1.0 / pv)
 
 
+def _row_p_exceeds(matrix: np.ndarray, p, level) -> np.ndarray:
+    """row_p_moduli(matrix, p) > level, equal row for row, with the exact
+    kernel run only on the rows that cheap bounds leave undecided.
+
+    Per row, M = max|w| and S1 = sum|w| give Q = M (S1 / M)^(1/p), which
+    bounds ||w||_p from above for p >= 1 (Hoelder) and from below for p < 1,
+    where n^(1/p - 1) S1 bounds it from above. M > level is a hit with no
+    margin: the rescaled power sum of :func:`row_p_moduli` holds the term 1.0
+    exactly, so its norm is >= M bit for bit. The other bounds decide a row
+    only outside a relative margin ``delta``: the computed bound and norm
+    each lie within about (n + 4) eps / min(p, 1) of their exact values, and
+    ``delta`` is 8 times that. Rows with a subnormal or zero max or a
+    non-finite bound go through :func:`row_p_moduli`, gathered, and so does
+    every row where ``delta`` exceeds 2^-20 (p below about 1e-9).
+    """
+    m = np.asarray(matrix, dtype=np.float64)
+    pe = as_p(p)
+    n = m.shape[1]
+    delta = 8 * (n + 4) * _EPS / min(pe.value, 1.0)
+    if pe.is_inf or not delta < 2 ** -20:
+        return row_p_moduli(m, pe) > level
+    if m.shape[0] > 1 and m.nbytes > _TILE_BYTES:
+        return _map_row_tiles(_row_p_exceeds, m, pe, level)
+    a = np.abs(m)
+    top = a.max(axis=1)
+    total = a.sum(axis=1)
+    pv = pe.value
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        bound = top * (total / top) ** (1.0 / pv)
+        hit = top > level
+        if pv < 1:
+            hit |= bound > level * (1 + delta)
+            upper = total * np.float64(n) ** (1.0 / pv - 1.0)
+        else:
+            upper = bound
+        miss = upper < level * (1 - delta)
+    sure = (top >= _TINY) & np.isfinite(bound) & np.isfinite(upper)
+    hit &= sure
+    todo = ~(hit | (miss & sure))
+    if todo.any():
+        hit[todo] = row_p_moduli(m[todo], pe) > level
+    return hit
+
+
 def _ratio_alpha_pow(draws: np.ndarray, alpha: float, pe: PExponent) -> np.ndarray:
     """Per-row (||x||_p / ||x||_alpha)^alpha of 2-d draws x via max-rescaled
     power sums: S_p^(alpha/p) / S_alpha, and 1 / S_alpha for p = inf; all-zero
@@ -245,10 +295,10 @@ def _ratio_alpha_pow(draws: np.ndarray, alpha: float, pe: PExponent) -> np.ndarr
     return ratios
 
 
-def _row_tiles(matrix: np.ndarray) -> list:
-    """Slices of consecutive row tiles of a 2-d ``matrix``, about _TILE_BYTES
-    each and at least one row."""
-    rows = max(1, _TILE_BYTES // max(1, matrix.shape[1] * matrix.itemsize))
+def _row_tiles(matrix: np.ndarray, held: int = 1) -> list:
+    """Slices of consecutive row tiles of a 2-d ``matrix``, at least one row
+    each, so that `held` arrays of a tile's size fit _TILE_BYTES together."""
+    rows = max(1, _TILE_BYTES // max(1, held * matrix.shape[1] * matrix.itemsize))
     return [slice(i, i + rows) for i in range(0, matrix.shape[0], rows)]
 
 

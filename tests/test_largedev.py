@@ -189,6 +189,22 @@ def test_centered_pilot_moment_runs_on_the_requested_workers(monkeypatch):
     assert sorted(seen) == [(0, 2), (2, 2)]
 
 
+def test_pilot_level_runs_on_the_requested_workers(monkeypatch):
+    # the pilot's chunk loop gets the worker count and keeps its chunk
+    # layout, so its level is the same; the pool runs in-process here
+    seen = []
+
+    def spy(fn, tasks, threads):
+        seen.append((len(tasks), threads))
+        return [fn(*t) for t in tasks]
+
+    one = pilot_level(IID_PARETO13, 50, 1.3, 0.99, reps=100_000, seed=4)
+    monkeypatch.setattr(largedev, "_pool_map", spy)
+    assert pilot_level(IID_PARETO13, 50, 1.3, 0.99, reps=100_000, seed=4,
+                       threads=2) == one
+    assert seen == [(3, 2)]
+
+
 def test_pilot_level_monotone_in_q():
     lo = pilot_level(IID_PARETO13, 20, 1.3, 0.9, reps=5_000, seed=0)
     hi = pilot_level(IID_PARETO13, 20, 1.3, 0.99, reps=5_000, seed=0)

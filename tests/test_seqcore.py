@@ -11,6 +11,7 @@ from lpblocks.seqcore import (
     INF,
     PExponent,
     _ratio_alpha_pow,
+    _row_p_exceeds,
     as_p,
     as_series,
     backshift,
@@ -274,3 +275,68 @@ def test_row_kernels_tile_only_above_one_tile(monkeypatch):
         assert tiled == []
         kernel(np.ones((10, 7)))
         assert tiled == [(10, 7)]
+
+
+ROW_KINDS = st.sampled_from(["spread", "flat", "one", "zero"])
+ROW_SCALES = st.sampled_from([1.0, 1e300, 1e-300, 1e-310, 1e306])
+
+
+def kinds_matrix(rng, cols, kinds):
+    """One row per (kind, scale): heavy-tailed entries, entries of one
+    magnitude with random signs (where the Hoelder bound is tight), one
+    nonzero entry, or zeros."""
+    rows = []
+    for kind, scale in kinds:
+        if kind == "spread":
+            row = rng.standard_t(1.3, cols)
+        elif kind == "flat":
+            row = rng.choice([-1.0, 1.0], cols) * rng.uniform(0.5, 2.0)
+        else:
+            row = np.zeros(cols)
+            if kind == "one":
+                row[rng.integers(cols)] = rng.standard_t(1.3)
+        rows.append(row * scale)
+    return np.array(rows)
+
+
+@given(cols=st.integers(min_value=1, max_value=60),
+       kinds=st.lists(st.tuples(ROW_KINDS, ROW_SCALES), min_size=1, max_size=25),
+       p=st.sampled_from([0.3, 0.5, 1.0, 1.3, 2.0, 3.7, math.inf]),
+       tile_bytes=st.one_of(st.just(1), st.integers(min_value=2, max_value=20_000)),
+       seed=st.integers(min_value=0, max_value=10_000))
+@settings(deadline=None)
+def test_row_p_exceeds_equals_norms_above_level(cols, kinds, p, tile_bytes, seed):
+    """The exceedance kernel is == the exact norms' comparison at every
+    level where the two could part: each row's computed norm and its two
+    neighbouring floats. Rows scaled to 1e306 may hold inf entries and
+    overflow their sums."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = kinds_matrix(np.random.default_rng(seed), cols, kinds)
+        norms = row_p_moduli(matrix, p)
+    levels = np.concatenate([norms, np.nextafter(norms, -np.inf),
+                             np.nextafter(norms, np.inf)])
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+        mp.setattr(seqcore, "_TILE_BYTES", tile_bytes)
+        for level in levels:
+            assert np.array_equal(_row_p_exceeds(matrix, p, level), norms > level)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.3, 3.7])
+def test_row_p_exceeds_runs_the_exact_kernel_on_few_rows(monkeypatch, p):
+    # heavy-tailed windows against a far-tail level: for p >= 1 the bounds
+    # decide almost every row (for p < 1 the cap n^(1/p - 1) S1 is loose and
+    # many rows go to the exact kernel)
+    rng = np.random.default_rng(7)
+    windows = rng.standard_t(1.3, size=(2_000, 100))
+    norms = row_p_moduli(windows, p)
+    level = float(np.quantile(norms, 0.99))
+    exact_rows = []
+    real = seqcore.row_p_moduli
+
+    def spy(matrix, p):
+        exact_rows.append(matrix.shape[0])
+        return real(matrix, p)
+
+    monkeypatch.setattr(seqcore, "row_p_moduli", spy)
+    assert np.array_equal(_row_p_exceeds(windows, p, level), norms > level)
+    assert sum(exact_rows) < 0.05 * len(windows)
