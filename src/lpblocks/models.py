@@ -107,17 +107,17 @@ class LinearModelSpec:
         the taps. The sums are taken one row tile at a time, sized so that
         the tile, its accumulator and one tap product together fit
         ``seqcore._TILE_BYTES`` (about a core's L2 cache); the accumulator
-        and the product are two buffers reused by every tile. A tile is written
-        only after its noise is read: rows [i, i + s) of the result fill the
-        flat positions [i n, (i + s) n), and the next row's noise starts at
-        (i + s)(n + q).
+        and the product are two buffers reused by every tile. A tile is
+        written only after its noise is read: rows [i, i + s) of the result
+        fill the flat positions [i n, (i + s) n), and the next row's noise
+        starts at (i + s)(n + q).
         """
         c, q = self.coeffs, self.lead
         count, n = z.shape[0], z.shape[1] - q
         first, *rest = range(q + 1) if n == 1 else range(q, -1, -1)
         out = z.reshape(-1)[:count * n].reshape(count, n)
         tiles = _row_tiles(z, 3)
-        acc = np.empty((min(tiles[0].stop, count), n))
+        acc = np.empty((len(z[tiles[0]]), n))
         prod = np.empty_like(acc)
         for rows in tiles:
             tile = z[rows]
