@@ -131,8 +131,8 @@ def _cmd_ldratio(args: argparse.Namespace) -> int:
     used = largedev._drawn - drawn
     # on stderr: stdout stays the same bytes for any worker count and run time
     print(f"ld: values={used['values']} rows={used['rows']} chunks={used['chunks']} "
-          f"elapsed_s={elapsed:.3f} values_per_s={used['values'] / elapsed:.4g}",
-          file=sys.stderr)
+          f"tiles={used['tiles']} elapsed_s={elapsed:.3f} "
+          f"values_per_s={used['values'] / elapsed:.4g}", file=sys.stderr)
     print(f"ratio={est.ratio!r}")
     print(f"std_error={est.std_error!r}")
     print(f"hits: numerator={est.numerator_hits} denominator={est.denominator_hits}")

@@ -10,9 +10,9 @@ windows with ||w||_p above the level; the denominator takes one marginal
 draw per window, its first entry, against x, so it costs no extra draws.
 ``reps`` is the exact window count: when k does not divide it, the last row
 is shorter. Windows of one row are dependent, rows are independent, so the
-row is the iid unit: each chunk returns per-row sums of N (windows hit), D
-(marginal hits), N^2, D^2 and N*D, and the standard error of
-sum N / (n sum D) is the delta method over rows, covariance included.
+row is the iid unit: each chunk returns per-row counts N (windows hit) and
+D (marginal hits), and the standard error of sum N / (n sum D) is the delta
+method over rows, covariance included.
 
 The pilot level cuts the same rows into the same windows, and the pilot
 moment of the centered level averages every kept entry of rows of the same
@@ -22,14 +22,14 @@ level's (``RatioEstimate.z_std_error``).
 Every simulation goes through one chunk loop, :func:`_map_chunks`: rows are
 split into chunks of fixed size, chunk i of substream s drawn from
 ``seed.generator(s, i)``, so results are byte-identical for any worker
-count. Within a chunk, the count asks only whether each window's norm is
-above the level: ``seqcore._row_p_exceeds`` answers from each window's max
-and l1 sum, with ``seqcore.row_p_moduli`` on the windows those leave
-undecided, so the counts are those of the exact norms. The pilot level's
-quantile needs every norm and takes them from ``row_p_moduli``. Both kernels
-work one cache-sized row tile at a time, so their temporaries stay small and
-peak memory is the chunk's noise array, which the filter overwrites with the
-kept values.
+count. A moving average of Pareto noise is drawn, filtered and reduced one
+row tile (``models._tile_rows``) at a time, into one buffer for every chunk
+a process runs, so a chunk holds a few tiles; other chunks hold their noise
+array, which the filter overwrites. The count asks only whether each
+window's norm is above the level: ``seqcore._row_p_exceeds`` answers from
+each window's max and l1 sum, and ``seqcore.row_p_moduli`` the windows those
+leave undecided, so the counts are those of the exact norms; the pilot
+level's quantile takes every norm from ``row_p_moduli``.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ __all__ = [
 # length-n windows per simulated row: one lead is paid per _WINDOWS windows
 _WINDOWS = 40
 
-# values drawn, rows and chunks over every chunk loop run in this process;
+# values drawn, rows, chunks and tiles over every chunk loop run in this process;
 # a caller reads the difference across a call (``lpblocks ldratio`` prints it)
 _drawn: Counter = Counter()
 
@@ -81,49 +81,56 @@ def _chunk_shapes(model: Model, row_values: int, total: int) -> list:
     return shapes + ([(rest, 1)] if rest else [])
 
 
-def _run_chunk(reduce, model, width, count, seed, subkey, extra):
-    return reduce(simulate_batch(model, width, count, seed.generator(*subkey)), *extra)
+def _run_chunk(reduce, model, width, count, seed, subkey, extra, buffer) -> tuple:
+    """reduce(rows, *extra) on chunk `subkey`, tile by tile in `buffer` if the model tiles."""
+    rng = seed.generator(*subkey)
+    step = models._tile_rows(model, width, count)
+    if step == count:
+        return reduce(simulate_batch(model, width, count, rng), *extra)
+    tiles = [reduce(simulate_batch(model, width, min(step, count - start), rng, buffer),
+                    *extra) for start in range(0, count, step)]
+    return tuple(np.concatenate(column) for column in zip(*tiles))
 
 
 def _map_chunks(reduce, model: Model, row_values: int, total: int, seed: SeedSpec,
                 stream: int, extra=(), threads: int = 1) -> list:
-    """reduce(rows, *extra) over the chunks of :func:`_chunk_shapes`.
-
-    Chunk i draws from seed.generator(stream, i). ``reduce`` must be a
-    module-level function so that worker processes can unpickle it.
-    """
+    """reduce(rows, *extra) over the chunks of :func:`_chunk_shapes`, each of
+    its per-row arrays concatenated. Chunk i draws from seed.generator(stream,
+    i); ``reduce``, module-level so that workers can unpickle it, returns a
+    tuple of arrays and may overwrite `rows`. The tiled chunks share one
+    buffer: a new one per tile or chunk would be paged in each time."""
     shapes = _chunk_shapes(model, row_values, total)
-    for width, count in shapes:
-        _drawn.update(values=count * (width + model.lead), rows=count, chunks=1)
-    tasks = [(reduce, model, width, count, seed, (stream, i), extra)
+    steps = [models._tile_rows(model, width, count) for width, count in shapes]
+    for (width, count), step in zip(shapes, steps):
+        _drawn.update(values=count * (width + model.lead), rows=count, chunks=1,
+                      tiles=-(-count // step))
+    buffer = np.empty(max((step * (3 * width + model.lead) for (width, count), step
+                           in zip(shapes, steps) if step < count), default=0))
+    tasks = [(reduce, model, width, count, seed, (stream, i), extra, buffer)
              for i, (width, count) in enumerate(shapes)]
-    return _pool_map(_run_chunk, tasks, threads)
+    return [np.concatenate(column) for column in zip(*_pool_map(_run_chunk, tasks, threads))]
 
 
 def _window_chunk(rows, n, pe, level, x) -> tuple:
-    """Sums over rows of N, D, N^2, D^2 and N*D, and the row count, as Python
-    ints. N counts a row's length-n windows with p-norm above `level`, D the
-    windows whose first entry exceeds x in absolute value."""
-    count = rows.shape[0]
+    """Per-row N and D: N counts a row's length-n windows with p-norm above
+    `level`, D the windows whose first entry exceeds x in absolute value."""
     windows = rows.reshape(-1, n)
-    num = _row_p_exceeds(windows, pe, level).reshape(count, -1).sum(axis=1)
-    den = (np.abs(windows[:, 0]) > x).reshape(count, -1).sum(axis=1)
-    return (int(num.sum()), int(den.sum()), int(num @ num), int(den @ den),
-            int(num @ den), count)
+    num = _row_p_exceeds(windows, pe, level).reshape(len(rows), -1).sum(axis=1)
+    den = (np.abs(windows[:, 0]) > x).reshape(len(rows), -1).sum(axis=1)
+    return num, den
 
 
-def _norms_chunk(rows, n, pe) -> np.ndarray:
-    return row_p_moduli(rows.reshape(-1, n), pe)
+def _norms_chunk(rows, n, pe) -> tuple:
+    return (row_p_moduli(rows.reshape(-1, n), pe),)
 
 
-def _moment_chunk(rows, pv, cap) -> np.ndarray:
-    """Per-row sums of |x|^pv, entries above `cap` counted as 0; overwrites
-    `rows`, which the chunk owns."""
+def _moment_chunk(rows, pv, cap) -> tuple:
+    """Per-row sums of |x|^pv, entries above `cap` counted as 0; overwrites `rows`."""
     a = np.abs(rows, out=rows)
     if cap is not None:
         a[a > cap] = 0.0
     a **= pv
-    return a.sum(axis=1)
+    return (a.sum(axis=1),)
 
 
 @dataclass(frozen=True)
@@ -175,9 +182,10 @@ def _ratio_mc(model, n, pe, level, x, reps, seed, threads, z=None,
               z_std_error=None) -> RatioEstimate:
     """Windows with ||w||_p > level and first entries with |w_1| > x, counted
     on substream 0."""
-    chunks = _map_chunks(_window_chunk, model, _row_values(model, n), reps * n,
-                         seed, 0, (n, pe, level, x), threads)
-    sums = [sum(column) for column in zip(*chunks)]
+    num, den = _map_chunks(_window_chunk, model, _row_values(model, n), reps * n,
+                           seed, 0, (n, pe, level, x), threads)
+    sums = (int(num.sum()), int(den.sum()), int(num @ num), int(den @ den),
+            int(num @ den), len(num))
     return _ratio_from_hits(sums, n, x, pe, reps, z=z, z_std_error=z_std_error)
 
 
@@ -226,8 +234,8 @@ def _pilot_moment(model, n, pv, alpha, x, total, seed, threads) -> tuple:
     leaves the spread unmeasured."""
     cap = x if pv == alpha else None
     row_values = _row_values(model, n)
-    sums = np.concatenate(_map_chunks(_moment_chunk, model, row_values, total,
-                                      seed, 2, (pv, cap), threads))
+    sums, = _map_chunks(_moment_chunk, model, row_values, total, seed, 2,
+                        (pv, cap), threads)
     moment = float(sums.sum()) / total
     rows = len(sums)
     if (cap is None and alpha <= 2 * pv) or rows < 2:
@@ -279,6 +287,6 @@ def pilot_level(model: Model, n: int, p, q: float, reps: int = 20_000, seed=0,
         raise ValueError("q must lie in (0, 1)")
     if reps < 1:
         raise ValueError("reps must be at least 1")
-    norms = _map_chunks(_norms_chunk, model, _row_values(model, n), reps * n,
-                        _as_seed(seed), 3, (n, as_p(p)), threads)
-    return float(np.quantile(np.concatenate(norms), q))
+    norms, = _map_chunks(_norms_chunk, model, _row_values(model, n), reps * n,
+                         _as_seed(seed), 3, (n, as_p(p)), threads)
+    return float(np.quantile(norms, q))

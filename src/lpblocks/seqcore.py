@@ -295,10 +295,14 @@ def _ratio_alpha_pow(draws: np.ndarray, alpha: float, pe: PExponent) -> np.ndarr
     return ratios
 
 
+def _tile_height(row_bytes: int, held: int = 1) -> int:
+    """Rows per tile, at least one, so that `held` tile-sized arrays fit."""
+    return max(1, _TILE_BYTES // max(1, held * row_bytes))
+
+
 def _row_tiles(matrix: np.ndarray, held: int = 1) -> list:
-    """Slices of consecutive row tiles of a 2-d ``matrix``, at least one row
-    each, so that `held` arrays of a tile's size fit _TILE_BYTES together."""
-    rows = max(1, _TILE_BYTES // max(1, held * matrix.shape[1] * matrix.itemsize))
+    """Slices of consecutive :func:`_tile_height` row tiles of a 2-d matrix."""
+    rows = _tile_height(matrix.shape[1] * matrix.itemsize, held)
     return [slice(i, i + rows) for i in range(0, matrix.shape[0], rows)]
 
 

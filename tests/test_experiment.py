@@ -917,6 +917,14 @@ def test_cli_ldratio_fixed_level(capsys):
     assert printed["degenerate"] == "0"
 
 
+def test_cli_ldratio_rejects_a_worker_count_below_one(capsys):
+    rc = main(["ldratio", "--model", "linear", "--coeffs", "1", "--noise",
+               "pareto", "--tail-index", "1.5", "--n", "10", "--p", "1",
+               "--reps", "2000", "--x", "50", "--threads", "0"])
+    assert rc == 2
+    assert "threads must be at least 1, got 0" in capsys.readouterr().err
+
+
 def test_cli_ldratio_pilot_and_centered(capsys):
     rc = main(["ldratio", "--model", "linear", "--coeffs", "1", "--noise",
                "pareto", "--tail-index", "1.5", "--n", "10", "--p", "1",
@@ -930,7 +938,9 @@ def test_cli_ldratio_pilot_and_centered(capsys):
 
 def test_cli_ldratio_reports_draws_on_stderr(capsys):
     # 20,001 windows of 10 are 500 rows of 40 windows and a last row of 1,
-    # drawn as 2 chunks; iid noise has no lead
+    # drawn as 2 chunks; iid noise has no lead. Pareto noise draws the 500
+    # rows in tiles of 218 (a tile and the filter's two buffers fit 2 MB),
+    # so the chunks are 3 tiles and 1
     argv = ["ldratio", "--model", "linear", "--coeffs", "1", "--noise", "pareto",
             "--tail-index", "1.5", "--n", "10", "--p", "1", "--reps", "20001",
             "--x", "50"]
@@ -940,6 +950,7 @@ def test_cli_ldratio_reports_draws_on_stderr(capsys):
     fields = dict(tok.split("=") for tok in line.split()[1:])
     assert line.startswith("ld: ")
     assert (fields["values"], fields["rows"], fields["chunks"]) == ("200010", "501", "2")
+    assert fields["tiles"] == "4"
     assert float(fields["elapsed_s"]) >= 0 and float(fields["values_per_s"]) > 0
     assert "values=" not in captured.out
 

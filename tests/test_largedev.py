@@ -1,10 +1,11 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from lpblocks import largedev, seqcore
+from lpblocks import largedev, models, seqcore
 from lpblocks.largedev import (
     RatioEstimate,
     _ratio_from_hits,
@@ -355,3 +356,63 @@ def test_ld_estimates_are_pinned():
         digest.update(repr(value).encode())
     assert digest.hexdigest() == (
         "3d1c435b90233c2cad5329543a24b12c43f8fa2ddeddab8b15bea1db20fd4cb9")
+
+
+MA3_STUDENT13 = LinearModelSpec(coeffs=MA3_PARETO13.coeffs, noise=AR1_STUDENT.noise)
+
+
+@pytest.mark.parametrize("tile_rows", [1, 7, None], ids=["1-row", "7-rows", "default"])
+@pytest.mark.parametrize("model", [MA3_PARETO13, MA3_STUDENT13, AR1_STUDENT],
+                         ids=["ma3-pareto", "ma3-student", "ar1-student"])
+def test_ld_chunk_tiles_equal_whole_chunk(monkeypatch, model, tile_rows):
+    # a chunk drawn, filtered and reduced one tile at a time gives, row for
+    # row, the reducer's arrays on the whole chunk: 250 rows are tiles of 1,
+    # of 7 (which divide no chunk) or of the default 108; Student noise
+    # always takes the whole chunk, since its normals come first
+    n, width, count = 20, 800, 250
+    seed, subkey = SeedSpec(31), (0, 2)
+    pe = as_p(1.3)
+    whole = simulate_batch(model, width, count, seed.generator(*subkey))
+    level = float(np.quantile(row_p_moduli(whole.reshape(-1, n), pe), 0.95))
+    reducers = [(largedev._window_chunk, (n, pe, level, level)),
+                (largedev._norms_chunk, (n, pe)),
+                (largedev._moment_chunk, (1.3, level))]
+    expected = [reduce(simulate_batch(model, width, count, seed.generator(*subkey)), *extra)
+                for reduce, extra in reducers]
+    if tile_rows is not None:
+        monkeypatch.setattr(seqcore, "_TILE_BYTES", tile_rows * 3 * 8 * (width + model.lead))
+    step = models._tile_rows(model, width, count)
+    assert step == (tile_rows or 108 if model is MA3_PARETO13 else count)
+    buffer = np.empty(step * (3 * width + model.lead))
+    for (reduce, extra), want in zip(reducers, expected):
+        got = largedev._run_chunk(reduce, model, width, count, seed, subkey, extra, buffer)
+        assert len(got) == len(want)
+        for column, want_column in zip(got, want):
+            assert column.dtype == want_column.dtype
+            assert np.array_equal(column, want_column)
+    assert expected[0][0].sum() > 0
+
+
+def test_ld_pareto_chunk_peak_is_tile_sized():
+    # a 499 x 4003 chunk of an MA(3) with Pareto noise is 16 MB of noise, but
+    # it is drawn, filtered and counted one tile at a time: the tile buffer,
+    # which holds the filter's two buffers too, and the count's temporaries
+    # stay under 4 MB
+    n = 100
+    width = largedev._row_values(MA3_PARETO13, n)
+    assert largedev._chunk_shapes(MA3_PARETO13, width, 499 * width) == [(4000, 499)]
+    extra = (n, as_p(1.3), 500.0, 500.0)
+
+    def count(rows):
+        return largedev._map_chunks(largedev._window_chunk, MA3_PARETO13, width,
+                                    rows * width, SeedSpec(14), 0, extra)
+
+    count(1)  # first-call allocations
+    tracemalloc.start()
+    try:
+        num, den = count(499)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(num) == len(den) == 499 and num.sum() > 0
+    assert peak < 4_000_000
