@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import multiprocessing
 import re
@@ -637,6 +638,29 @@ def test_run_experiment_batches_byte_identical(monkeypatch, tmp_path, threads):
     for name in ("results.csv", "summary.csv", "summary.json"):
         assert (tmp_path / "capped" / name).read_bytes() == \
             (tmp_path / "default" / name).read_bytes()
+
+
+# the two tiny studies of the CI workflow: AR(1) Student noise with the
+# model's alpha and with a Hill estimate per replication
+CI_STUDY = {"model": {"kind": "ar1", "phi": 0.8, "burn_in": 50,
+                      "noise": {"law": "student", "alpha": 1.3}},
+            "n_grid": [200, 400], "b_grid": [10, 40], "reps": 5,
+            "estimators": ["extremal_index_alpha", "extremal_index_infty",
+                           "cluster_index_c1", "serial:1", "supwalk"],
+            "master_seed": 3}
+
+
+def test_study_outputs_are_pinned(tmp_path):
+    # every byte a study writes: the simulated series, each estimator's
+    # value and flags, the summary quantiles and their text formatting
+    digest = hashlib.sha256()
+    for mode in ("oracle", "hill:20"):
+        out = tmp_path / mode.replace(":", "-")
+        run_experiment(config_from_dict({**CI_STUDY, "alpha_mode": mode}), output=out)
+        for name in ("results.csv", "summary.csv", "summary.json"):
+            digest.update((out / name).read_bytes())
+    assert digest.hexdigest() == (
+        "0421e13c56d77201430b039a17691f22f6df2839ef83c1d04bc77eb3a192a5c1")
 
 
 def test_run_experiment_output_argument_overrides_config(tmp_path):

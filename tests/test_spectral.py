@@ -451,9 +451,9 @@ def test_cluster_constant_mc_peak_memory_is_one_batch(monkeypatch):
 
 
 def _oracle_golden_bytes():
-    """Shift-law draws of the AR(1) law at 1, one batch and 500k draws; c(p)
-    Monte Carlo (value, s.e.) at the oracle-mc p over three batches for
-    AR(1), MA(3) and iid models; and single cluster draws."""
+    """Shift-law draws of the AR(1) law at 1, one batch and 500k draws; and
+    c(p) Monte Carlo (value, s.e.) at the oracle-mc p over three batches for
+    AR(1), MA(3) and iid models."""
     law = shift_law(AR1_08, 1.3)
     for size, stream in ((1, 0), (8192, 1), (500_000, 2)):
         draws = law.sample(SeedSpec(21, stream).generator(), size=size)
@@ -465,9 +465,6 @@ def _oracle_golden_bytes():
         for i, p in enumerate((0.5, 1.0, 2.0, INF)):
             est = cluster_constant_mc(sampler, 1.3, p, 20_000, SeedSpec(22, 4 * m + i))
             yield struct.pack("<2d", est.value, est.std_error)
-        for stream in range(5):
-            d = sample_cluster_linear(model, 2.0, SeedSpec(23, stream))
-            yield struct.pack("<q", d.origin) + d.values.tobytes()
 
 
 def test_oracle_draws_are_pinned():
@@ -477,7 +474,7 @@ def test_oracle_draws_are_pinned():
     for chunk in _oracle_golden_bytes():
         digest.update(chunk)
     assert digest.hexdigest() == (
-        "616e9fbfa513961e9d846d2e4cd36cf1f469470712d3256e7201d4bfd8834cd3")
+        "71f3f38351a5787dcacc43edd3c7b50c4424db523048b65eca57ea2639776d8e")
 
 
 def test_serial_dependence_oracle_examples():
