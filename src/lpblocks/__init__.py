@@ -1,6 +1,6 @@
 """Inference for extremal clusters of heavy-tailed time series via l^p-block
 statistics: extremal index and cluster index estimators, spectral cluster
-simulation, large-deviation ratio checks, and a seeded experiment harness.
+constants, large-deviation ratio checks, and a seeded experiment harness.
 """
 
 from .seqcore import (
@@ -8,12 +8,8 @@ from .seqcore import (
     PExponent,
     as_p,
     as_series,
-    backshift,
-    kth_order_stat,
-    order_statistics_desc,
     p_modulus,
     row_p_moduli,
-    shift_min_distance,
     truncate_above,
     truncate_below,
 )
@@ -38,13 +34,9 @@ from .blocks import (
 from .spectral import (
     MCEstimate,
     ShiftLaw,
-    SpectralDraw,
-    ThresholdTooHigh,
     cluster_constant_linear,
     cluster_constant_mc,
     cluster_constant_telescoping,
-    conditional_block_sampler,
-    sample_cluster_linear,
     serial_dependence_oracle_linear,
     shift_law,
     supwalk_constant_oracle_linear,
@@ -61,11 +53,9 @@ from .estimators import (
     extremal_index_infty_blocks,
     extremal_index_kernel,
     hill_alpha,
-    psi_functional_estimate,
     serial_dependence_estimate,
     stable_scale_skew,
     supwalk_constant_estimate,
-    theta_functional_estimate,
 )
 from .largedev import (
     RatioEstimate,

@@ -28,8 +28,7 @@ per-block loop over the kernels (on an overflowing block that loop raises):
 the final power is taken per term on Python floats (libm pow; numpy's
 vectorized power can differ by an ulp) and each frame's terms are summed
 left to right (not pairwise, as np.sum does). The generic ClusterFunctional
-loop remains for user-supplied functionals (cluster_functional_estimate, psi
-and theta).
+loop remains for user-supplied functionals (cluster_functional_estimate).
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ import numpy as np
 
 from .blocks import BlockFrame, _BlockStack, threshold_from_order_stat
 from .seqcore import INF, PExponent, as_p, as_series, p_modulus, row_p_moduli
-from .spectral import SpectralDraw
 
 __all__ = [
     "EstimateReport",
@@ -53,11 +51,9 @@ __all__ = [
     "extremal_index_infty_blocks",
     "cluster_index_c1",
     "cluster_index_c1_infty",
-    "psi_functional_estimate",
     "serial_dependence_estimate",
     "supwalk_constant_estimate",
     "stable_scale_skew",
-    "theta_functional_estimate",
     "hill_alpha",
 ]
 
@@ -82,14 +78,6 @@ class EstimateReport:
     alpha_used: Optional[float]
     degenerate: bool = False
     extras: dict = field(default_factory=dict)
-
-
-def _degenerate(estimator_id, pe, frame, k, threshold, alpha_used, **extras):
-    return EstimateReport(
-        estimator_id=estimator_id, value=0.0, p=pe, b=frame.b, k=k, m=frame.m,
-        threshold=threshold, selected_blocks=0, alpha_used=alpha_used,
-        degenerate=True, extras=dict(extras),
-    )
 
 
 @dataclass(frozen=True)
@@ -153,7 +141,10 @@ def cluster_functional_estimate(frame: BlockFrame, p, k: int, g: ClusterFunction
         )
     thr = threshold_from_order_stat(frame, pe, k)
     if not thr > 0:
-        return _degenerate(estimator_id, pe, frame, k, thr, alpha_used)
+        return EstimateReport(
+            estimator_id=estimator_id, value=0.0, p=pe, b=frame.b, k=k, m=frame.m,
+            threshold=thr, selected_blocks=0, alpha_used=alpha_used, degenerate=True,
+        )
     norms = frame.norms(pe)
     selected = np.flatnonzero(norms > g.vanish_radius * thr)
     rows = frame.matrix[selected]
@@ -364,37 +355,6 @@ def cluster_index_c1_infty(frame: BlockFrame, k_prime: int) -> EstimateReport:
     return _frame_report(frame, k_prime, _cluster_index_c1_infty(frame, None, k_prime))
 
 
-def psi_functional_estimate(frame: BlockFrame, p, alpha: float, k: int, g,
-                            estimator_id: str = "psi_functional") -> EstimateReport:
-    """Shift-projection estimator for a functional g on normalized blocks.
-
-    Per selected block, g is averaged over all shifts j with weights
-    W_{j,t} = |X_{(t-1)b+j}|^a / ||B_t||_p^a, g seeing the block normalized
-    by its p-norm with entry j placed at the origin. Requires p <= alpha;
-    shifts with zero origin coordinate carry zero weight and are skipped.
-    """
-    pe = as_p(p)
-    if pe.is_inf or pe.value > alpha:
-        raise ValueError(f"requires p <= alpha, got p={pe} and alpha={alpha}")
-    thr, live, selected, _, _ = _selected_rows(frame, pe, k)
-    thr = float(thr[0])
-    if not live[0]:
-        return _degenerate(estimator_id, pe, frame, k, thr, alpha)
-    norms = frame.norms(pe)
-    total = 0.0
-    for t in selected:
-        x = frame.matrix[t]
-        scaled = x / norms[t]
-        weights = np.abs(scaled) ** alpha
-        for j in np.flatnonzero(weights):
-            total += weights[j] * float(g(SpectralDraw(values=scaled, origin=int(j))))
-    return EstimateReport(
-        estimator_id=estimator_id, value=total / k, p=pe, b=frame.b, k=k,
-        m=frame.m, threshold=thr, selected_blocks=int(selected.size),
-        alpha_used=alpha,
-    )
-
-
 def _serial_dependence(stack: _BlockStack, alpha: float, k: int, h: int) -> _Stacked:
     if not 0 <= h < stack.b:
         raise ValueError(f"lag h must satisfy 0 <= h < b={stack.b}")
@@ -475,29 +435,6 @@ def stable_scale_skew(frame: BlockFrame, alpha: float, k: int) -> tuple[float, f
     sigma = c1.value * abs_moment
     beta = (plus.value - minus.value) / abs_moment
     return sigma, beta
-
-
-def theta_functional_estimate(frame: BlockFrame, alpha: float, k: int, rho,
-                              ) -> EstimateReport:
-    """Tail-process functional estimator for P(rho(Y Theta) > 1).
-
-    rho is a homogeneous continuous functional of a SpectralDraw; the
-    estimator applies the psi machinery at p = alpha to
-    (rho^a and 1-capped) of the origin-renormalized block x / |x_0|.
-    """
-
-    def capped(draw: SpectralDraw) -> float:
-        x0 = abs(draw.values[draw.origin])
-        r = float(rho(SpectralDraw(values=draw.values / x0, origin=draw.origin)))
-        if r <= 0.0:
-            return 0.0
-        if r >= 1.0:
-            # r^alpha >= 1 is capped anyway; shortcut avoids float overflow
-            return 1.0
-        return r ** alpha
-
-    return psi_functional_estimate(frame, PExponent(alpha), alpha, k, capped,
-                                   estimator_id="theta_functional")
 
 
 def hill_alpha(series, k_tail: int, bias_corrected: bool = False) -> float:

@@ -672,7 +672,10 @@ def oracle_report(model: Model, alpha: Optional[float] = None, p_list=None,
                   serial_lags: int = 4, tol: float = 1e-12) -> dict:
     """Closed-form and telescoping constants for a linear/AR(1) model:
     c(p) over a p grid, the extremal index, serial-dependence values
-    g_h, and the positive-sum walk constant when alpha >= 1."""
+    g_h for h < serial_lags, and the positive-sum walk constant when
+    alpha >= 1."""
+    if serial_lags < 0:
+        raise ValueError(f"serial_lags must be nonnegative, got {serial_lags}")
     noise = model.noise
     if alpha is None:
         alpha = noise.alpha

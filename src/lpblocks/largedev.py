@@ -199,7 +199,7 @@ def ld_ratio_mc(model: Model, n: int, p, x: float, reps: int, seed,
     levels is c(p).
     """
     if reps < 1:
-        raise ValueError("reps must be at least 1")
+        raise ValueError(f"reps must be at least 1, got {reps}")
     if not x > 0:
         raise ValueError("x must be positive")
     return _ratio_mc(model, n, as_p(p), x, x, reps, _as_seed(seed), threads)
@@ -257,8 +257,10 @@ def ld_ratio_centered_mc(model: Model, n: int, p, alpha: float, x: float,
     derivative in the moment, is ``z_std_error``. For p > alpha this
     coincides with ld_ratio_mc and z_std_error is 0.
     """
-    if reps < 1 or pilot_reps < 1:
-        raise ValueError("reps and pilot_reps must be at least 1")
+    if reps < 1:
+        raise ValueError(f"reps must be at least 1, got {reps}")
+    if pilot_reps < 1:
+        raise ValueError(f"pilot_reps must be at least 1, got {pilot_reps}")
     if not x > 0:
         raise ValueError("x must be positive")
     seed = _as_seed(seed)
@@ -286,7 +288,7 @@ def pilot_level(model: Model, n: int, p, q: float, reps: int = 20_000, seed=0,
     if not 0 < q < 1:
         raise ValueError("q must lie in (0, 1)")
     if reps < 1:
-        raise ValueError("reps must be at least 1")
+        raise ValueError(f"reps must be at least 1, got {reps}")
     norms, = _map_chunks(_norms_chunk, model, _row_values(model, n), reps * n,
                          _as_seed(seed), 3, (n, as_p(p)), threads)
     return float(np.quantile(norms, q))

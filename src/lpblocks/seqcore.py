@@ -1,4 +1,4 @@
-"""Sequence-space primitives: p-moduli, truncation, shifts, order statistics.
+"""Sequence-space primitives: p-moduli and truncation.
 
 A series is represented as a 1-d float64 numpy array; ``as_series`` is the
 single validation point (1-d, finite entries, length >= 1). The exponent p
@@ -32,10 +32,6 @@ __all__ = [
     "p_modulus",
     "truncate_below",
     "truncate_above",
-    "backshift",
-    "shift_min_distance",
-    "order_statistics_desc",
-    "kth_order_stat",
     "row_p_moduli",
 ]
 
@@ -121,72 +117,6 @@ def truncate_above(xs, eps: float) -> np.ndarray:
         raise ValueError("eps must be positive")
     x = as_series(xs)
     return np.where(np.abs(x) <= eps, x, 0.0)
-
-
-def backshift(xs, k: int) -> np.ndarray:
-    """Shift so output index t holds x_{t-k}; vacated positions are zero."""
-    x = as_series(xs)
-    out = np.zeros_like(x)
-    if k == 0:
-        return x.copy()
-    if k > 0:
-        if k < len(x):
-            out[k:] = x[:-k]
-    else:
-        if -k < len(x):
-            out[:k] = x[-k:]
-    return out
-
-
-def _dist(x: np.ndarray, y: np.ndarray, pe: PExponent) -> float:
-    diff = x - y
-    if pe.is_inf:
-        return float(np.max(np.abs(diff))) if diff.size else 0.0
-    m = p_modulus(diff, pe) if diff.size else 0.0
-    # metric convention: the p-th power is the metric for p < 1
-    return m if pe.value >= 1 else m ** pe.value
-
-
-def shift_min_distance(xs, ys, p) -> float:
-    """Minimum over integer shifts k of d_p(B^k xs, ys).
-
-    d_p is the p-modulus for p >= 1 and its p-th power for p < 1. Shifts
-    range over [-(len_x + len_y), len_x + len_y]; beyond that the supports
-    no longer overlap and the distance cannot decrease, so the minimum over
-    this window is exact for finite-support inputs.
-    """
-    x = as_series(xs)
-    y = as_series(ys)
-    pe = as_p(p)
-    lx, ly = len(x), len(y)
-    span = lx + ly
-    best = math.inf
-    for k in range(-span, span + 1):
-        # embed both on a common index window after shifting x by k
-        lo = min(k, 0)
-        hi = max(lx + k, ly)
-        xe = np.zeros(hi - lo)
-        ye = np.zeros(hi - lo)
-        xe[k - lo : k - lo + lx] = x
-        ye[-lo : -lo + ly] = y
-        best = min(best, _dist(xe, ye, pe))
-    return best
-
-
-def order_statistics_desc(values) -> np.ndarray:
-    """Values sorted in descending order, duplicates kept."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.size == 0:
-        raise ValueError("need at least one value")
-    return np.sort(v)[::-1]
-
-
-def kth_order_stat(values, k: int) -> float:
-    """k-th largest value (k = 1 is the maximum); ties are positional."""
-    v = np.asarray(values, dtype=np.float64)
-    if not 1 <= k <= v.size:
-        raise ValueError(f"k={k} out of range for {v.size} values")
-    return float(np.partition(v, v.size - k)[v.size - k])
 
 
 def _row_power_sums(u: np.ndarray, q: float) -> np.ndarray:

@@ -1,14 +1,14 @@
-"""Spectral oracle layer for linear processes: cluster-process samplers and
-the cluster constants c(p) via three independent routes (closed form,
-change-of-norms Monte Carlo, telescoping sum).
+"""Spectral oracle layer for linear processes: the spectral tail process
+sampler and the cluster constants c(p) via three independent routes (closed
+form, change-of-norms Monte Carlo, telescoping sum).
 
 For a finite moving average with coefficients (phi_0, ..., phi_q) the forward
 spectral tail process is Theta_t = sign * phi_{t+J} / |phi_J| with the shift J
 drawn from |phi_j|^alpha / ||phi||_alpha^alpha, and the change-of-norms weight
 ||Theta / ||Theta||_alpha||_p is the deterministic constant
-||phi||_p / ||phi||_alpha. Samplers exploit this degeneracy; a non-linear
-model would need importance reweighting instead.
-Both Monte Carlo routes draw ``_SAMPLER_BATCH`` rows at a time.
+||phi||_p / ||phi||_alpha. The sampler exploits this degeneracy; a
+non-linear model would need importance reweighting instead.
+``cluster_constant_mc`` draws ``_SAMPLER_BATCH`` rows at a time.
 
 A Theta draw of a linear process is one of 2(q+1) rows sign * phi / |phi_j|.
 ``theta_sampler_linear`` builds this row table once and returns each batch
@@ -41,60 +41,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import (AR1ModelSpec, LinearModelSpec, Model, _as_seed, _rng_of,
-                     model_coefficients, simulate_batch)
-from .seqcore import PExponent, _ratio_alpha_pow, as_p, p_modulus, row_p_moduli
+from .models import AR1ModelSpec, LinearModelSpec, Model, _rng_of, model_coefficients
+from .seqcore import PExponent, _ratio_alpha_pow, as_p, p_modulus
 
 __all__ = [
-    "SpectralDraw",
     "ShiftLaw",
     "MCEstimate",
-    "ThresholdTooHigh",
     "shift_law",
-    "sample_cluster_linear",
     "theta_sampler_linear",
     "cluster_constant_linear",
     "cluster_constant_mc",
     "cluster_constant_telescoping",
     "serial_dependence_oracle_linear",
     "supwalk_constant_oracle_linear",
-    "conditional_block_sampler",
 ]
 
-_SAMPLER_BATCH = 8192  # rows per batch of cluster_constant_mc and conditional_block_sampler
+_SAMPLER_BATCH = 8192  # rows per batch of cluster_constant_mc
 # cells of the shift law's guide table; a power of two, so u * K is exact
 _GUIDE_SIZE = 2 ** 14
-
-
-class ThresholdTooHigh(RuntimeError):
-    """Rejection sampling gave up: acceptance rate too small at this level."""
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralDraw:
-    """Finite-support sequence sample with the index of its t=0 coordinate.
-
-    values[origin] is the coordinate at time 0; coordinates outside the
-    stored support are zero.
-    """
-
-    values: np.ndarray
-    origin: int
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", v)
-        if not 0 <= self.origin < len(v):
-            raise ValueError("origin must index into values")
-
-    def coordinate(self, t: int) -> float:
-        i = self.origin + t
-        if 0 <= i < len(self.values):
-            return float(self.values[i])
-        return 0.0
-
-    def p_modulus(self, p) -> float:
-        return p_modulus(self.values, p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,34 +127,6 @@ def shift_law(coeffs, alpha: float) -> ShiftLaw:
     return ShiftLaw(c / c.sum())
 
 
-def _shift_sign_sampler(model: Model):
-    """(coeffs, draw) with draw(count, rng) -> (J, negative): per draw, the
-    shift J from the shift law and whether the extreme noise value is
-    negative."""
-    coeffs = _coeffs_of(model)
-    law = shift_law(coeffs, model.noise.alpha)
-    pos = model.noise.positive_prob
-
-    def draw(count: int, rng: np.random.Generator):
-        j = law.sample(rng, size=count)
-        return j, rng.random(count) >= pos
-
-    return coeffs, draw
-
-
-def sample_cluster_linear(model: Model, p, seed) -> SpectralDraw:
-    """One draw of the spectral cluster process Q^(p) of a linear process.
-
-    The draw is the coefficient vector re-signed by the noise tail balance,
-    shifted by J from the shift law, and normalized to p-modulus one.
-    """
-    coeffs, draw = _shift_sign_sampler(model)
-    j, negative = draw(1, _rng_of(seed))
-    sign = -1.0 if negative[0] else 1.0
-    values = sign * coeffs / p_modulus(coeffs, p)
-    return SpectralDraw(values=values, origin=int(j[0]))
-
-
 @dataclass(frozen=True, eq=False)
 class _IndexedRows:
     """A batch of draws stored as rows ``table[index]``, not materialized.
@@ -225,7 +161,9 @@ def theta_sampler_linear(model: Model):
     (J, sign) has index J + (q+1) * (sign < 0). Rows of zero coefficients
     are never drawn and are 0 in the table.
     """
-    coeffs, draw_shift_sign = _shift_sign_sampler(model)
+    coeffs = _coeffs_of(model)
+    law = shift_law(coeffs, model.noise.alpha)
+    pos = model.noise.positive_prob
     inverse = np.zeros(len(coeffs))
     nonzero = coeffs != 0
     inverse[nonzero] = 1.0 / np.abs(coeffs[nonzero])
@@ -234,7 +172,9 @@ def theta_sampler_linear(model: Model):
     table = np.outer(np.concatenate([inverse, -inverse]), coeffs)
 
     def draw(count: int, rng: np.random.Generator) -> _IndexedRows:
-        j, negative = draw_shift_sign(count, rng)
+        # the shift J, then whether the extreme noise value is negative
+        j = law.sample(rng, size=count)
+        negative = rng.random(count) >= pos
         return _IndexedRows(table, j + len(coeffs) * negative)
 
     return draw
@@ -380,41 +320,3 @@ def supwalk_constant_oracle_linear(coeffs, alpha: float, noise_sign_balance: flo
         expect += prob * sup ** alpha
     return cluster_constant_linear(c, alpha, 1) * expect
 
-
-def conditional_block_sampler(model: Model, h: int, p, x_threshold: float, seed,
-                              count: int = 1,
-                              max_attempts: int = 10 ** 8) -> list[SpectralDraw]:
-    """Rejection sampler for the conditional spectral component Q^(p)(h).
-
-    Simulates blocks X_[0, h], keeps those with p-modulus above x_threshold,
-    and returns them normalized to p-modulus one (origin at block start).
-    Gives up with ThresholdTooHigh once max_attempts simulations have not
-    produced enough accepted draws.
-    """
-    if h < 0:
-        raise ValueError("h must be nonnegative")
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    if not x_threshold > 0:
-        raise ValueError("x_threshold must be positive")
-    seed = _as_seed(seed)
-    pe = as_p(p)
-    accepted: list[SpectralDraw] = []
-    attempts = 0
-    chunk = 0
-    while len(accepted) < count:
-        if attempts >= max_attempts:
-            rate = len(accepted) / attempts if attempts else 0.0
-            raise ThresholdTooHigh(
-                f"acceptance rate {rate:.2e} after {attempts} attempts "
-                f"at threshold {x_threshold!r}"
-            )
-        todo = min(_SAMPLER_BATCH, max_attempts - attempts)
-        sims = simulate_batch(model, h + 1, todo, seed.generator(chunk))
-        norms = row_p_moduli(sims, pe)
-        for row in np.flatnonzero(norms > x_threshold):
-            if len(accepted) < count:
-                accepted.append(SpectralDraw(values=sims[row] / norms[row], origin=0))
-        attempts += todo
-        chunk += 1
-    return accepted

@@ -16,11 +16,9 @@ from lpblocks.estimators import (
     extremal_index_infty_blocks,
     extremal_index_kernel,
     hill_alpha,
-    psi_functional_estimate,
     serial_dependence_estimate,
     stable_scale_skew,
     supwalk_constant_estimate,
-    theta_functional_estimate,
 )
 from lpblocks.models import (
     AR1ModelSpec,
@@ -29,7 +27,7 @@ from lpblocks.models import (
     SeedSpec,
     simulate,
 )
-from lpblocks.seqcore import INF, PExponent, p_modulus
+from lpblocks.seqcore import PExponent, p_modulus
 
 IID_PARETO2 = LinearModelSpec(coeffs=(1.0,), noise=NoiseSpec(law="pareto", alpha=2.0))
 IID_PARETO08 = LinearModelSpec(coeffs=(1.0,), noise=NoiseSpec(law="pareto", alpha=0.8))
@@ -49,10 +47,6 @@ def frames(model, n, b, reps, seed0):
 
 def median_of(model, n, b, k, fn, reps=11, seed0=1):
     return float(np.median([fn(f, k) for f in frames(model, n, b, reps, seed0)]))
-
-
-def lag_ratio(draw):
-    return abs(draw.coordinate(1))
 
 
 # --- extremal index -------------------------------------------------------
@@ -165,10 +159,8 @@ def test_zero_series_degenerate_everywhere():
         extremal_index_infty_blocks(f, 5),
         cluster_index_c1(f, 1.3, 5),
         cluster_index_c1_infty(f, 5),
-        psi_functional_estimate(f, 1.0, 1.3, 5, lambda d: 1.0),
         serial_dependence_estimate(f, 1.3, 5, 1),
         supwalk_constant_estimate(f, 1.3, 5),
-        theta_functional_estimate(f, 1.3, 5, lag_ratio),
     ]
     for report in reports:
         assert report.degenerate
@@ -196,33 +188,6 @@ def test_vanishing_contract_probed():
         cluster_functional_estimate(f, 1.0, 2, bad)
     with pytest.raises(ValueError):
         ClusterFunctional(fn=lambda x: 0.0, vanish_radius=0.0)
-
-
-# --- psi machinery --------------------------------------------------------
-
-def test_psi_weight_normalization():
-    f = BlockFrame(simulate(AR1_STUDENT, 4_000, SeedSpec(master_seed=5)), 40)
-    at_alpha = psi_functional_estimate(f, 1.3, 1.3, 8, lambda d: 1.0)
-    assert at_alpha.value == pytest.approx(at_alpha.selected_blocks / 8, rel=1e-12)
-    below = psi_functional_estimate(f, 1.0, 1.3, 8, lambda d: 1.0)
-    assert 0.0 < below.value <= below.selected_blocks / 8 + 1e-12
-
-
-def test_psi_rejects_p_above_alpha():
-    f = BlockFrame(np.arange(1.0, 41.0), 10)
-    with pytest.raises(ValueError):
-        psi_functional_estimate(f, 2.0, 1.3, 2, lambda d: 1.0)
-    with pytest.raises(ValueError):
-        psi_functional_estimate(f, INF, 1.3, 2, lambda d: 1.0)
-
-
-def test_psi_sup_functional_matches_extremal_index():
-    # g(x) = ||x||_inf^alpha is shift-invariant, so the weights integrate out
-    f = BlockFrame(simulate(AR1_STUDENT, 4_000, SeedSpec(master_seed=7)), 40)
-    named = extremal_index_alpha_blocks(f, 1.3, 8)
-    psi = psi_functional_estimate(f, 1.3, 1.3, 8,
-                                  lambda d: d.p_modulus(INF) ** 1.3)
-    assert psi.value == pytest.approx(named.value, rel=1e-12)
 
 
 # --- serial dependence ----------------------------------------------------
@@ -310,33 +275,6 @@ def test_stable_scale_skew_alpha_validation():
             stable_scale_skew(f, alpha, 2)
 
 
-# --- theta functionals -----------------------------------------------------
-
-def test_theta_functional_origin_modulus_is_weight_mass():
-    # rho = |x_0| renormalizes to exactly 1 at the origin, capping at 1
-    f = BlockFrame(simulate(AR1_STUDENT, 4_000, SeedSpec(master_seed=13)), 40)
-    report = theta_functional_estimate(f, 1.3, 8, lambda d: abs(d.coordinate(0)))
-    ones = psi_functional_estimate(f, 1.3, 1.3, 8, lambda d: 1.0)
-    assert report.value == pytest.approx(ones.value, rel=1e-12)
-    assert report.value == pytest.approx(report.selected_blocks / 8, rel=1e-12)
-
-
-def test_theta_functional_ar1_lag_ratio():
-    # P(|Y Theta_1| > 1) = E[min(|Theta_1|, 1)^alpha] = phi^alpha for AR(1)
-    def normalized(f, k):
-        r = theta_functional_estimate(f, 1.3, k, lag_ratio)
-        return r.value * r.k / r.selected_blocks
-
-    med = median_of(AR1_STUDENT, 16_000, 80, 15, normalized)
-    assert abs(med - 0.8 ** 1.3) <= 0.05
-
-
-def test_theta_functional_iid_lag_ratio_small():
-    med = median_of(IID_PARETO2, 8_000, 40, 15,
-                    lambda f, k: theta_functional_estimate(f, 2.0, k, lag_ratio).value)
-    assert 0.0 <= med <= 0.15
-
-
 # --- hill -----------------------------------------------------------------
 
 def test_hill_plugin_deterministic():
@@ -409,10 +347,8 @@ def all_estimates(x, b, k):
         "extremal_infty": extremal_index_infty_blocks(f, k).value,
         "c1": cluster_index_c1(f, 1.3, k).value,
         "c1_infty": cluster_index_c1_infty(f, k).value,
-        "psi_ones": psi_functional_estimate(f, 1.0, 1.3, k, lambda d: 1.0).value,
         "serial1": serial_dependence_estimate(f, 1.3, k, 1).value,
         "supwalk": supwalk_constant_estimate(f, 1.3, k).value,
-        "theta": theta_functional_estimate(f, 1.3, k, lag_ratio).value,
         "sigma": sigma,
         "beta": beta,
         "hill": hill_alpha(x, max(2, len(x) // 20)),

@@ -928,6 +928,15 @@ def test_cli_oracle(capsys):
     assert "supwalk constant" in out
 
 
+def test_cli_oracle_rejects_negative_serial_lags(capsys):
+    rc = main(["oracle", "--model", "ar1", "--phi", "0.8", "--noise", "student",
+               "--tail-index", "1.3", "--serial-lags", "-1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: serial_lags must be nonnegative, got -1\n"
+
+
 def test_cli_ldratio_fixed_level(capsys):
     rc = main(["ldratio", "--model", "linear", "--coeffs", "1", "--noise",
                "pareto", "--tail-index", "1.5", "--n", "10", "--p", "1",
@@ -947,6 +956,14 @@ def test_cli_ldratio_rejects_a_worker_count_below_one(capsys):
                "--reps", "2000", "--x", "50", "--threads", "0"])
     assert rc == 2
     assert "threads must be at least 1, got 0" in capsys.readouterr().err
+
+
+def test_cli_ldratio_names_a_zero_moment_count(capsys):
+    rc = main(["ldratio", "--model", "linear", "--coeffs", "1", "--noise",
+               "pareto", "--tail-index", "1.5", "--n", "10", "--p", "1",
+               "--reps", "2000", "--x", "50", "--centered", "--moment-reps", "0"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: pilot_reps must be at least 1, got 0\n"
 
 
 def test_cli_ldratio_pilot_and_centered(capsys):

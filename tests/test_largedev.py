@@ -86,6 +86,20 @@ def test_sample_length_below_one_is_named(run, n):
         run(n)
 
 
+@pytest.mark.parametrize("run, message", [
+    (lambda: ld_ratio_mc(IID_PARETO13, 10, 1.3, 5.0, 0, 0), "reps must be at least 1, got 0"),
+    (lambda: ld_ratio_centered_mc(IID_PARETO13, 10, 1.0, 1.3, 5.0, -2, 0),
+     "reps must be at least 1, got -2"),
+    (lambda: ld_ratio_centered_mc(IID_PARETO13, 10, 1.0, 1.3, 5.0, 100, 0, pilot_reps=0),
+     "pilot_reps must be at least 1, got 0"),
+    (lambda: pilot_level(IID_PARETO13, 10, 1.0, 0.9, reps=0), "reps must be at least 1, got 0"),
+], ids=["ld_ratio_mc", "ld_ratio_centered_mc-reps", "ld_ratio_centered_mc-pilot_reps",
+        "pilot_level"])
+def test_counts_below_one_are_named(run, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run()
+
+
 def test_centered_level_forms():
     # p < alpha: z = x (n E|X|^p / x^p + 1)^(1/p)
     assert centered_level(1.0, 1.3, 1000.0, 100, moment_p=1.0) == pytest.approx(1100.0, rel=1e-12)

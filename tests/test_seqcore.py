@@ -14,12 +14,8 @@ from lpblocks.seqcore import (
     _row_p_exceeds,
     as_p,
     as_series,
-    backshift,
-    kth_order_stat,
-    order_statistics_desc,
     p_modulus,
     row_p_moduli,
-    shift_min_distance,
     truncate_above,
     truncate_below,
 )
@@ -122,58 +118,6 @@ def test_truncation_boundary_strict_vs_inclusive():
     # |x| = eps goes above, not below
     np.testing.assert_array_equal(truncate_below([5.0], 5.0), [0.0])
     np.testing.assert_array_equal(truncate_above([5.0], 5.0), [5.0])
-
-
-def test_backshift_examples():
-    np.testing.assert_array_equal(backshift([1.0, 2.0, 3.0], 1), [0.0, 1.0, 2.0])
-    np.testing.assert_array_equal(backshift([1.0, 2.0, 3.0], 0), [1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(backshift([1.0, 2.0, 3.0], -1), [2.0, 3.0, 0.0])
-
-
-@given(xs=series_lists)
-def test_backshift_inverse_on_interior(xs):
-    back = backshift(backshift(xs, 1), -1)
-    np.testing.assert_array_equal(back[:-1], as_series(xs)[:-1])
-
-
-def test_shift_min_distance_examples():
-    assert shift_min_distance([1.0, 2.0], [0.0, 0.0, 0.0, 1.0, 2.0], 1) == 0.0
-    assert shift_min_distance([1.0], [2.0], 1) == pytest.approx(1.0)
-    assert shift_min_distance([1.0, 0.0], [0.0, 1.0], 2) == 0.0
-
-
-@given(xs=series_lists, ys=series_lists, p=p_values)
-@settings(deadline=None)
-def test_shift_min_distance_symmetric_nonnegative(xs, ys, p):
-    d_xy = shift_min_distance(xs, ys, p)
-    d_yx = shift_min_distance(ys, xs, p)
-    assert d_xy >= 0.0
-    assert d_xy == pytest.approx(d_yx, rel=1e-9, abs=1e-12)
-
-
-@given(xs=series_lists, pad=st.integers(min_value=0, max_value=4), p=p_values)
-def test_shift_min_distance_zero_on_shifted_copy(xs, pad, p):
-    ys = [0.0] * pad + list(xs)
-    assert shift_min_distance(xs, ys, p) == 0.0
-
-
-def test_order_statistics():
-    np.testing.assert_array_equal(order_statistics_desc([3.0, 1.0, 2.0]),
-                                  [3.0, 2.0, 1.0])
-    assert kth_order_stat([3.0, 1.0, 2.0], 2) == 2.0
-    assert kth_order_stat([5.0, 5.0, 5.0], 3) == 5.0
-    assert kth_order_stat([7.0], 1) == 7.0
-    with pytest.raises(ValueError):
-        kth_order_stat([1.0, 2.0], 3)
-    with pytest.raises(ValueError):
-        kth_order_stat([1.0, 2.0], 0)
-
-
-@given(xs=series_lists, k=st.integers(min_value=1, max_value=12))
-def test_kth_order_stat_matches_sort(xs, k):
-    if k > len(xs):
-        k = len(xs)
-    assert kth_order_stat(xs, k) == sorted(xs, reverse=True)[k - 1]
 
 
 @given(rows=st.integers(min_value=1, max_value=6),

@@ -14,13 +14,9 @@ from lpblocks.models import (AR1ModelSpec, LinearModelSpec, NoiseSpec, SeedSpec,
 from lpblocks.seqcore import INF, _ratio_alpha_pow, as_p, p_modulus
 from lpblocks.spectral import (
     ShiftLaw,
-    SpectralDraw,
-    ThresholdTooHigh,
     cluster_constant_linear,
     cluster_constant_mc,
     cluster_constant_telescoping,
-    conditional_block_sampler,
-    sample_cluster_linear,
     serial_dependence_oracle_linear,
     shift_law,
     supwalk_constant_oracle_linear,
@@ -43,20 +39,6 @@ p_values = st.sampled_from([0.5, 1.0, 1.3, 2.0, INF])
 
 def ar1_truncated_coeffs(phi: float, length: int) -> np.ndarray:
     return phi ** np.arange(length + 1)
-
-
-def test_spectral_draw_coordinates():
-    d = SpectralDraw(values=np.array([0.5, -1.0, 0.25]), origin=1)
-    assert d.coordinate(0) == -1.0
-    assert d.coordinate(-1) == 0.5
-    assert d.coordinate(1) == 0.25
-    assert d.coordinate(2) == 0.0
-    assert d.coordinate(-2) == 0.0
-    assert d.p_modulus(INF) == 1.0
-    with pytest.raises(ValueError):
-        SpectralDraw(values=np.array([1.0]), origin=1)
-    with pytest.raises(ValueError):
-        SpectralDraw(values=np.array([1.0]), origin=-1)
 
 
 def test_shift_law_example():
@@ -177,37 +159,6 @@ def test_shift_law_sampling_frequencies():
     draws = law.sample(rng, size=30_000)
     freq = np.mean(draws == 0)
     assert abs(freq - 1 / 1.5) < 0.01
-
-
-def test_sample_cluster_singleton_coefficient():
-    model = LinearModelSpec(coeffs=(1.0,), noise=STUDENT13)
-    seen = set()
-    for rep in range(40):
-        d = sample_cluster_linear(model, 2.0, SeedSpec(master_seed=1, stream_id=rep))
-        assert d.origin == 0
-        assert d.values.shape == (1,)
-        assert abs(d.values[0]) == 1.0
-        seen.add(float(d.values[0]))
-    assert seen == {1.0, -1.0}
-
-
-def test_sample_cluster_two_coefficients():
-    model = LinearModelSpec(coeffs=(1.0, 0.5), noise=NoiseSpec(law="student", alpha=1.0))
-    origins = set()
-    for rep in range(60):
-        d = sample_cluster_linear(model, INF, SeedSpec(master_seed=3, stream_id=rep))
-        assert d.p_modulus(INF) == pytest.approx(1.0, rel=1e-12)
-        np.testing.assert_allclose(np.abs(d.values), [1.0, 0.5], rtol=1e-12)
-        origins.add(d.origin)
-    assert origins == {0, 1}
-
-
-@given(coeffs=coeff_vectors, alpha=alphas, p=p_values)
-@settings(max_examples=60, deadline=None)
-def test_sample_cluster_has_unit_p_modulus(coeffs, alpha, p):
-    model = LinearModelSpec(coeffs=tuple(coeffs), noise=NoiseSpec(law="student", alpha=alpha))
-    d = sample_cluster_linear(model, p, SeedSpec(master_seed=11, stream_id=0))
-    assert d.p_modulus(p) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_cluster_constant_closed_form_ar1_examples():
@@ -528,55 +479,3 @@ def test_supwalk_oracle_sign_cancellation():
     c1 = cluster_constant_linear((1.0, -1.0), 2.0, 1)
     assert value == pytest.approx(c1 * 0.25, rel=1e-12)
 
-
-def test_conditional_block_sampler_iid():
-    model = LinearModelSpec(coeffs=(1.0,), noise=STUDENT13)
-    draws = conditional_block_sampler(
-        model, h=0, p=INF, x_threshold=5.0, seed=SeedSpec(master_seed=4), count=200
-    )
-    assert len(draws) == 200
-    values = np.array([d.values[0] for d in draws])
-    assert set(np.abs(values)) == {1.0}
-    assert 0.3 < np.mean(values > 0) < 0.7
-    for d in draws[:10]:
-        assert d.origin == 0
-        assert d.p_modulus(INF) == 1.0
-
-
-def test_conditional_block_sampler_normalizes_blocks():
-    model = AR1ModelSpec(phi=0.8, noise=STUDENT13, burn_in=200)
-    draws = conditional_block_sampler(
-        model, h=20, p=1, x_threshold=40.0, seed=SeedSpec(master_seed=6), count=50
-    )
-    for d in draws:
-        assert d.values.shape == (21,)
-        assert d.origin == 0
-        assert d.p_modulus(1) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_conditional_block_sampler_matches_extremal_index():
-    # E[||Q||_inf^alpha] over alpha-norm exceedance blocks approaches c(inf)
-    model = AR1ModelSpec(phi=0.8, noise=STUDENT13, burn_in=200)
-    draws = conditional_block_sampler(
-        model, h=100, p=1.3, x_threshold=2000.0, seed=SeedSpec(master_seed=8), count=400
-    )
-    vals = np.array([d.p_modulus(INF) ** 1.3 for d in draws])
-    se = vals.std(ddof=1) / math.sqrt(len(vals))
-    # the 0.01 slack covers finite-level bias (window-edge truncation and
-    # sub-extreme mass in the alpha-norm), which 3 s.e. alone does not
-    assert abs(vals.mean() - 0.25180124174190294) <= 3 * se + 0.01
-
-
-def test_conditional_block_sampler_gives_up():
-    model = LinearModelSpec(coeffs=(1.0,), noise=STUDENT13)
-    with pytest.raises(ThresholdTooHigh):
-        conditional_block_sampler(
-            model, h=0, p=INF, x_threshold=1e12, seed=SeedSpec(master_seed=4),
-            count=1, max_attempts=5_000,
-        )
-    with pytest.raises(ValueError):
-        conditional_block_sampler(model, h=-1, p=INF, x_threshold=1.0, seed=0)
-    with pytest.raises(ValueError):
-        conditional_block_sampler(model, h=0, p=INF, x_threshold=0.0, seed=0)
-    with pytest.raises(ValueError):
-        conditional_block_sampler(model, h=0, p=INF, x_threshold=1.0, seed=0, count=0)
