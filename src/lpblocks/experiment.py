@@ -716,8 +716,9 @@ def format_oracle_report(report: dict) -> str:
         lines.append(f"{row['p']:>6}  {row['closed_form']:>14.10f}  "
                      f"{row['telescoping']:>14.10f}")
     lines.append("")
-    serial = "  ".join(f"g_{h}={v:.6f}" for h, v in sorted(report["serial"].items()))
-    lines.append(f"serial: {serial}")
+    if report["serial"]:
+        serial = "  ".join(f"g_{h}={v:.6f}" for h, v in sorted(report["serial"].items()))
+        lines.append(f"serial: {serial}")
     if report["supwalk"] is not None:
         lines.append(f"supwalk constant = {report['supwalk']:.6f}")
     return "\n".join(lines)

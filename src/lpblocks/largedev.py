@@ -22,14 +22,14 @@ level's (``RatioEstimate.z_std_error``).
 Every simulation goes through one chunk loop, :func:`_map_chunks`: rows are
 split into chunks of fixed size, chunk i of substream s drawn from
 ``seed.generator(s, i)``, so results are byte-identical for any worker
-count. A moving average of Pareto noise is drawn, filtered and reduced one
-row tile (``models._tile_rows``) at a time, into one buffer for every chunk
-a process runs, so a chunk holds a few tiles; other chunks hold their noise
-array, which the filter overwrites. The count asks only whether each
-window's norm is above the level: ``seqcore._row_p_exceeds`` answers from
-each window's max and l1 sum, and ``seqcore.row_p_moduli`` the windows those
-leave undecided, so the counts are those of the exact norms; the pilot
-level's quantile takes every norm from ``row_p_moduli``.
+count. Each chunk is drawn, filtered and reduced one row tile
+(``models._tile_rows``) at a time, in new arrays: a moving average of Pareto
+noise takes several tiles, any other chunk is one tile whose noise array the
+filter overwrites. The count asks only whether each window's norm is above
+the level: ``seqcore._row_p_exceeds`` answers from each window's max and l1
+sum, and ``seqcore.row_p_moduli`` the windows those leave undecided, so the
+counts are those of the exact norms; the pilot level's quantile takes every
+norm from ``row_p_moduli``.
 """
 
 from __future__ import annotations
@@ -81,14 +81,12 @@ def _chunk_shapes(model: Model, row_values: int, total: int) -> list:
     return shapes + ([(rest, 1)] if rest else [])
 
 
-def _run_chunk(reduce, model, width, count, seed, subkey, extra, buffer) -> tuple:
-    """reduce(rows, *extra) on chunk `subkey`, tile by tile in `buffer` if the model tiles."""
+def _run_chunk(reduce, model, width, count, seed, subkey, extra) -> tuple:
+    """reduce(rows, *extra) on chunk `subkey`, one tile of rows at a time."""
     rng = seed.generator(*subkey)
     step = models._tile_rows(model, width, count)
-    if step == count:
-        return reduce(simulate_batch(model, width, count, rng), *extra)
-    tiles = [reduce(simulate_batch(model, width, min(step, count - start), rng, buffer),
-                    *extra) for start in range(0, count, step)]
+    tiles = [reduce(simulate_batch(model, width, min(step, count - start), rng), *extra)
+             for start in range(0, count, step)]
     return tuple(np.concatenate(column) for column in zip(*tiles))
 
 
@@ -97,16 +95,12 @@ def _map_chunks(reduce, model: Model, row_values: int, total: int, seed: SeedSpe
     """reduce(rows, *extra) over the chunks of :func:`_chunk_shapes`, each of
     its per-row arrays concatenated. Chunk i draws from seed.generator(stream,
     i); ``reduce``, module-level so that workers can unpickle it, returns a
-    tuple of arrays and may overwrite `rows`. The tiled chunks share one
-    buffer: a new one per tile or chunk would be paged in each time."""
+    tuple of arrays and may overwrite `rows`."""
     shapes = _chunk_shapes(model, row_values, total)
-    steps = [models._tile_rows(model, width, count) for width, count in shapes]
-    for (width, count), step in zip(shapes, steps):
+    for width, count in shapes:
         _drawn.update(values=count * (width + model.lead), rows=count, chunks=1,
-                      tiles=-(-count // step))
-    buffer = np.empty(max((step * (3 * width + model.lead) for (width, count), step
-                           in zip(shapes, steps) if step < count), default=0))
-    tasks = [(reduce, model, width, count, seed, (stream, i), extra, buffer)
+                      tiles=-(-count // models._tile_rows(model, width, count)))
+    tasks = [(reduce, model, width, count, seed, (stream, i), extra)
              for i, (width, count) in enumerate(shapes)]
     return [np.concatenate(column) for column in zip(*_pool_map(_run_chunk, tasks, threads))]
 

@@ -9,10 +9,10 @@ shape: ``lead``, the noise columns drawn ahead of the n kept ones, and
 kept values. One simulator, :func:`simulate_batch`, draws every replication;
 :func:`simulate` is its one-row case.
 
-A batch holds one array of its noise's size, or a caller's buffer, and a
-Pareto moving average may be drawn by row tiles (:func:`_tile_rows`). The
-filters overwrite their input and return the kept values in front of it, and
-Student noise draws its chi-square divisors one row tile at a time.
+A batch holds one array of its noise's size, and a Pareto moving average
+may be drawn by row tiles (:func:`_tile_rows`). The filters overwrite their
+input and return the kept values in front of it, and Student noise draws
+its chi-square divisors one row tile at a time.
 
 The filters are plain numpy and repeat the floating-point operations of
 ``scipy.signal.lfilter``, operation for operation, so every simulated path
@@ -98,7 +98,7 @@ class LinearModelSpec:
         """Filter memory q: the n kept values need n + q noise draws."""
         return len(self.coeffs) - 1
 
-    def filter(self, z: np.ndarray, work=None) -> np.ndarray:
+    def filter(self, z: np.ndarray) -> np.ndarray:
         """(count, n) moving averages of a (count, n + q) noise matrix,
         written over it: the result is the front of z's buffer.
 
@@ -107,18 +107,17 @@ class LinearModelSpec:
         the taps. The sums are taken one row tile at a time, sized so that
         the tile, its accumulator and one tap product together fit
         ``seqcore._TILE_BYTES`` (about a core's L2 cache); the accumulator and
-        the product, two buffers (in the flat `work` if given), serve every
-        tile. A tile is written only after its noise is read: rows [i, i + s)
-        of the result fill the flat positions [i n, (i + s) n), and the next
-        row's noise starts at (i + s)(n + q).
+        the product, two buffers, serve every tile. A tile is written only
+        after its noise is read: rows [i, i + s) of the result fill the flat
+        positions [i n, (i + s) n), and the next row's noise starts at
+        (i + s)(n + q).
         """
         c, q = self.coeffs, self.lead
         count, n = z.shape[0], z.shape[1] - q
         first, *rest = range(q + 1) if n == 1 else range(q, -1, -1)
         out = z.reshape(-1)[:count * n].reshape(count, n)
         tiles = _row_tiles(z, 3)
-        shape = (2, len(z[tiles[0]]), n)
-        acc, prod = np.empty(shape) if work is None else work[:math.prod(shape)].reshape(shape)
+        acc, prod = np.empty((2, len(z[tiles[0]]), n))
         for rows in tiles:
             tile = z[rows]
             a, b = acc[:len(tile)], prod[:len(tile)]
@@ -148,18 +147,18 @@ class AR1ModelSpec:
         """Burn-in steps dropped after the recursion starts at 0."""
         return self.burn_in
 
-    def filter(self, z: np.ndarray, work=None) -> np.ndarray:
+    def filter(self, z: np.ndarray) -> np.ndarray:
         """(count, n) AR(1) values of a (count, n + burn_in) noise matrix,
         written over it: the result is the front of z's buffer.
 
         The recursion y_t = z_t + phi * y_{t-1}, started at 0, overwrites z
-        one column at a time through one product (in `work` if given). The
-        kept columns then move to the front one row tile at a time: row i's
-        values land before row i + 1's noise starts, and numpy buffers a
-        tile whose copy overlaps itself.
+        one column at a time through one product. The kept columns then move
+        to the front one row tile at a time: row i's values land before row
+        i + 1's noise starts, and numpy buffers a tile whose copy overlaps
+        itself.
         """
         count, n = z.shape[0], z.shape[1] - self.burn_in
-        step = np.empty(count) if work is None else work[:count]
+        step = np.empty(count)
         columns = iter(z.T)
         prev = next(columns)
         for col in columns:
@@ -207,9 +206,8 @@ def _rng_of(seed) -> np.random.Generator:
     return _as_seed(seed).generator()
 
 
-def _noise_matrix(spec: NoiseSpec, shape, rng, buffer=None) -> np.ndarray:
-    # a buffer's front takes the draws of a new array: they fill in C order
-    z = np.empty(shape) if buffer is None else buffer[:math.prod(shape)].reshape(shape)
+def _noise_matrix(spec: NoiseSpec, shape, rng) -> np.ndarray:
+    z = np.empty(shape)
     if spec.law == "pareto":
         # inverse CDF on 1-U keeps draws finite: P(Z > z) = z^-alpha exactly;
         # in place, so one full-size array is alive, and **= takes the same
@@ -252,19 +250,18 @@ def simulate(model: Model, n: int, seed) -> np.ndarray:
     return simulate_batch(model, n, 1, seed)[0]
 
 
-def simulate_batch(model: Model, n: int, count: int, seed, buffer=None) -> np.ndarray:
+def simulate_batch(model: Model, n: int, count: int, seed) -> np.ndarray:
     """(count, n) array of independent replications from one stream.
 
     Each row draws n + model.lead noise values and ``model.filter`` returns
-    the n kept ones, in the front of the noise's buffer: a new array or the
-    flat `buffer` of count * (3 n + lead) values, whose rest the filter uses.
-    The whole batch is a single deterministic draw of the stream; it is not
-    row-wise identical to `count` calls of simulate on distinct streams.
+    the n kept ones, in the front of the noise's array. The whole batch is a
+    single deterministic draw of the stream; it is not row-wise identical to
+    `count` calls of simulate on distinct streams.
     """
     if n < 1 or count < 1:
         raise ValueError("n and count must be at least 1")
-    z = _noise_matrix(model.noise, (count, n + model.lead), _rng_of(seed), buffer)
-    return model.filter(z, None if buffer is None else buffer[z.size:])
+    z = _noise_matrix(model.noise, (count, n + model.lead), _rng_of(seed))
+    return model.filter(z)
 
 
 def _batch_rows(width: int) -> int:
@@ -281,8 +278,7 @@ def _tile_rows(model: Model, n: int, count: int) -> int:
 
 
 def _pool_map(fn, tasks: list, threads: int) -> list:
-    """[fn(*t) for t in tasks] over min(threads, len(tasks)) processes, each
-    sent its tasks as one run: what they share (a tile buffer) stays shared.
+    """[fn(*t) for t in tasks] over min(threads, len(tasks)) processes.
     `fn` must be module-level. The process pool is imported on first use: a
     single-process run does without its modules (about 1.5 MB of resident
     memory)."""
@@ -293,7 +289,7 @@ def _pool_map(fn, tasks: list, threads: int) -> list:
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
-        return list(pool.map(fn, *zip(*tasks), chunksize=-(-len(tasks) // threads)))
+        return list(pool.map(fn, *zip(*tasks)))
 
 
 def ar1_coefficients(phi: float, tol: float = 1e-12) -> np.ndarray:

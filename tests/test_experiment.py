@@ -928,6 +928,21 @@ def test_cli_oracle(capsys):
     assert "supwalk constant" in out
 
 
+def test_cli_oracle_leaves_out_an_empty_serial_line(capsys):
+    # at 0 lags there are no serial values, so the line goes rather than
+    # print "serial: " with nothing after it; the other lines stay as they are
+    argv = ["oracle", "--model", "ar1", "--phi", "0.8", "--noise", "student",
+            "--tail-index", "1.3", "--p", "1,alpha,inf"]
+    assert main(argv) == 0
+    default = capsys.readouterr().out.splitlines()
+    assert main(argv + ["--serial-lags", "0"]) == 0
+    bare = capsys.readouterr().out.splitlines()
+    serial = [line for line in default if line.startswith("serial:")]
+    assert serial == ["serial: g_0=0.144035  g_1=0.107767  g_2=0.080631  g_3=0.060328"]
+    assert bare == [line for line in default if line not in serial]
+    assert not any(line.endswith(" ") for line in default + bare)
+
+
 def test_cli_oracle_rejects_negative_serial_lags(capsys):
     rc = main(["oracle", "--model", "ar1", "--phi", "0.8", "--noise", "student",
                "--tail-index", "1.3", "--serial-lags", "-1"])

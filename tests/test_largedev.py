@@ -397,9 +397,8 @@ def test_ld_chunk_tiles_equal_whole_chunk(monkeypatch, model, tile_rows):
         monkeypatch.setattr(seqcore, "_TILE_BYTES", tile_rows * 3 * 8 * (width + model.lead))
     step = models._tile_rows(model, width, count)
     assert step == (tile_rows or 108 if model is MA3_PARETO13 else count)
-    buffer = np.empty(step * (3 * width + model.lead))
     for (reduce, extra), want in zip(reducers, expected):
-        got = largedev._run_chunk(reduce, model, width, count, seed, subkey, extra, buffer)
+        got = largedev._run_chunk(reduce, model, width, count, seed, subkey, extra)
         assert len(got) == len(want)
         for column, want_column in zip(got, want):
             assert column.dtype == want_column.dtype
@@ -407,26 +406,52 @@ def test_ld_chunk_tiles_equal_whole_chunk(monkeypatch, model, tile_rows):
     assert expected[0][0].sum() > 0
 
 
-def test_ld_pareto_chunk_peak_is_tile_sized():
+@pytest.mark.parametrize("model", [MA3_PARETO13, MA3_STUDENT13, AR1_STUDENT],
+                         ids=["ma3-pareto", "ma3-student", "ar1-student"])
+def test_drawn_tiles_are_the_tiles_that_run(monkeypatch, model):
+    # the tile count that ldratio reports is worked out apart from the chunk
+    # loop, which draws one batch per tile: 10,001 windows of 20 (and as many
+    # moment entries) are a chunk of 250 rows and one of a single row; the
+    # Pareto average takes its 250 rows in tiles of 108
+    drawn = []
+
+    def spy(model, width, count, seed):
+        drawn.append(count)
+        return simulate_batch(model, width, count, seed)
+
+    monkeypatch.setattr(largedev, "simulate_batch", spy)
+    before = largedev._drawn.copy()
+    ld_ratio_centered_mc(model, 20, 1.0, 1.3, 30.0, 10_001, 5, pilot_reps=200_020)
+    tiles, rows, chunks = (largedev._drawn[key] - before[key]
+                           for key in ("tiles", "rows", "chunks"))
+    assert (tiles, rows, chunks) == (len(drawn), sum(drawn), 4)
+    assert tiles == (8 if model is MA3_PARETO13 else 4)
+
+
+@pytest.mark.parametrize("reduce, extra, per_row", [
+    (largedev._window_chunk, (100, as_p(1.3), 500.0, 500.0), 1),
+    (largedev._norms_chunk, (100, as_p(1.3)), 40),
+    (largedev._moment_chunk, (1.3, 500.0), 1),
+], ids=["window", "norms", "moment"])
+def test_ld_pareto_chunk_peak_is_tile_sized(reduce, extra, per_row):
     # a 499 x 4003 chunk of an MA(3) with Pareto noise is 16 MB of noise, but
-    # it is drawn, filtered and counted one tile at a time: the tile buffer,
-    # which holds the filter's two buffers too, and the count's temporaries
+    # each reducer has it drawn, filtered and reduced one tile at a time: a
+    # tile's noise, the filter's two buffers and the reducer's temporaries
     # stay under 4 MB
-    n = 100
-    width = largedev._row_values(MA3_PARETO13, n)
+    width = largedev._row_values(MA3_PARETO13, 100)
     assert largedev._chunk_shapes(MA3_PARETO13, width, 499 * width) == [(4000, 499)]
-    extra = (n, as_p(1.3), 500.0, 500.0)
 
-    def count(rows):
-        return largedev._map_chunks(largedev._window_chunk, MA3_PARETO13, width,
-                                    rows * width, SeedSpec(14), 0, extra)
+    def run(rows):
+        return largedev._map_chunks(reduce, MA3_PARETO13, width, rows * width,
+                                    SeedSpec(14), 0, extra)
 
-    count(1)  # first-call allocations
+    run(1)  # first-call allocations
     tracemalloc.start()
     try:
-        num, den = count(499)
+        columns = run(499)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(num) == len(den) == 499 and num.sum() > 0
+    assert [len(column) for column in columns] == [499 * per_row] * len(columns)
+    assert columns[0].sum() > 0
     assert peak < 4_000_000

@@ -1,6 +1,5 @@
 import concurrent.futures
 import hashlib
-import pickle
 import tracemalloc
 
 import numpy as np
@@ -304,27 +303,11 @@ def test_simulate_batch_peak_is_its_noise_matrix(model):
     assert peak < 1.3 * noise_bytes
 
 
-@pytest.mark.parametrize("model", [
-    LinearModelSpec(coeffs=(1.0, -0.7, 0.5, 0.3), noise=PARETO13),
-    LinearModelSpec(coeffs=(1.0, -0.7, 0.5, 0.3), noise=STUDENT13),
-    AR1ModelSpec(phi=0.8, noise=STUDENT13, burn_in=40),
-], ids=["ma-pareto", "ma-student", "ar1-student"])
-def test_simulate_batch_in_a_buffer_equals_a_new_array(model):
-    # the draws fill the buffer's front in C order and the filter keeps its
-    # temporaries behind them, so the values are those of a new array
-    n, count = 97, 13
-    buffer = np.full(count * (3 * n + model.lead) + 5, np.nan)
-    fresh = simulate_batch(model, n, count, SeedSpec(15, 0))
-    held = simulate_batch(model, n, count, SeedSpec(15, 0), buffer)
-    assert np.shares_memory(held, buffer)
-    assert held.tobytes() == fresh.tobytes()
-
-
 def test_pool_map_caps_and_checks_the_worker_count(monkeypatch):
-    # a fork pool starts every worker at once, so no more start than tasks;
-    # a message holds ceil(tasks / threads) of them, and results keep order.
-    # The pool is an in-process stand-in that records its arguments
-    seen, chunksizes = [], []
+    # a fork pool starts every worker at once, so no more start than tasks,
+    # and results keep order. The pool is an in-process stand-in that records
+    # its worker count
+    seen = []
 
     class Pool:
         def __init__(self, max_workers):
@@ -336,8 +319,7 @@ def test_pool_map_caps_and_checks_the_worker_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables, chunksize=1):
-            chunksizes.append(chunksize)
+        def map(self, fn, *iterables):
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
@@ -345,7 +327,7 @@ def test_pool_map_caps_and_checks_the_worker_count(monkeypatch):
     assert _pool_map(divmod, tasks, 16) == [divmod(*t) for t in tasks]
     assert _pool_map(divmod, tasks, 2) == [divmod(*t) for t in tasks]
     assert _pool_map(divmod, tasks[:1], 4) == [(0, 0)]  # one task runs in-process
-    assert (seen, chunksizes) == ([5, 2], [1, 3])
+    assert seen == [5, 2]
     # 150,001 windows of 20 of iid noise are three LD chunks: 2,500 rows of
     # 40 windows, 1,250 rows and a last row of one window
     iid = LinearModelSpec(coeffs=(1.0,), noise=PARETO13)
@@ -355,12 +337,3 @@ def test_pool_map_caps_and_checks_the_worker_count(monkeypatch):
     for threads in (0, -1):
         with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
             _pool_map(divmod, tasks, threads)
-
-
-def test_one_pickled_message_shares_its_tile_buffer():
-    # a worker unpickles its run of tasks in one piece, so the chunks of the
-    # run draw into one buffer, as the chunks of a single process do
-    buffer = np.empty(8)
-    tasks = [(i, buffer) for i in range(3)]
-    unpickled = pickle.loads(pickle.dumps(tasks))
-    assert unpickled[0][1] is unpickled[1][1] is unpickled[2][1]
