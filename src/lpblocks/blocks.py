@@ -105,15 +105,6 @@ class BlockFrame(_BlockStack):
         matrix.setflags(write=False)
         super().__init__(matrix, int(m), n)
 
-    @property
-    def values(self) -> np.ndarray:
-        """The m*b retained observations, flat."""
-        return self.matrix.reshape(-1)
-
-    def block(self, t: int) -> np.ndarray:
-        """Block number t, 0-based."""
-        return self.matrix[t]
-
 
 def partition(series, b: int) -> BlockFrame:
     """Split a series into disjoint blocks of length b (m = n // b >= 2)."""

@@ -437,14 +437,8 @@ def stable_scale_skew(frame: BlockFrame, alpha: float, k: int) -> tuple[float, f
     return sigma, beta
 
 
-def hill_alpha(series, k_tail: int, bias_corrected: bool = False) -> float:
-    """Hill estimator of the tail index over the top k_tail order statistics.
-
-    With bias_corrected=True, extrapolates the Hill plot from floor(k/2) and
-    k to k = 0, which removes the bias exactly when it is linear in k/n
-    (second-order parameter -1); simplified relative to full reduced-bias
-    procedures.
-    """
+def hill_alpha(series, k_tail: int) -> float:
+    """Hill estimator of the tail index over the top k_tail order statistics."""
     x = np.sort(np.abs(as_series(series)))[::-1]
     n = len(x)
     if not 2 <= k_tail < n:
@@ -452,13 +446,7 @@ def hill_alpha(series, k_tail: int, bias_corrected: bool = False) -> float:
     if not x[k_tail] > 0:
         raise ValueError(f"the threshold order statistic |x|_({k_tail + 1}) is 0: "
                          f"fewer than {k_tail + 1} nonzero observations")
-
-    def gamma(k: int) -> float:
-        return float(np.mean(np.log(x[:k] / x[k])))
-
-    g = gamma(k_tail)
-    if bias_corrected:
-        g = 2.0 * gamma(max(k_tail // 2, 1)) - g
+    g = float(np.mean(np.log(x[:k_tail] / x[k_tail])))
     if not g > 0:
         raise ValueError(f"tail index estimate is not positive (Hill gamma = {g!r}): "
                          f"the top {k_tail + 1} order statistics are tied or the "

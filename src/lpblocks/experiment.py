@@ -51,7 +51,7 @@ from .models import (
     model_coefficients,
     sample_noise,
 )
-from .seqcore import _TILE_BYTES, INF, as_p, as_series
+from .seqcore import INF, _tile_height, as_p, as_series
 from .spectral import (
     cluster_constant_linear,
     cluster_constant_telescoping,
@@ -77,7 +77,6 @@ __all__ = [
     "summarize",
     "write_results_csv",
     "summary_csv_text",
-    "write_summary_csv",
     "write_summary_json",
     "write_outputs",
     "read_series_file",
@@ -413,7 +412,7 @@ def _stack_reps(n: int) -> int:
     """Replications per grid-point stack: n float64 values each, an eighth
     of a row tile (256 KB) together, so a stack and the temporaries made of
     it stay small."""
-    return max(1, _TILE_BYTES // 8 // (8 * n))
+    return _tile_height(8 * 8 * n)
 
 
 def _run_stacked(entry: EstimatorEntry, stack, alphas: list, k: int):
@@ -519,7 +518,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1,
     a task's noise stays within a row tile (_TILE_BYTES), so its series are
     small next to the stacks made of them."""
     width = max(config.n_grid) + config.model.lead
-    cap = max(1, _TILE_BYTES // (8 * width))
+    cap = _tile_height(8 * width)
     size = math.ceil(config.reps / max(threads, math.ceil(config.reps / cap)))
     tasks = [(config, range(start, min(start + size, config.reps)))
              for start in range(0, config.reps, size)]
@@ -596,10 +595,6 @@ def summary_csv_text(summary: Sequence[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_summary_csv(summary: Sequence[dict], path) -> None:
-    Path(path).write_text(summary_csv_text(summary), encoding="utf-8")
-
-
 def write_summary_json(summary: Sequence[dict], path) -> None:
     Path(path).write_text(json.dumps(list(summary), indent=2) + "\n",
                           encoding="utf-8")
@@ -612,7 +607,7 @@ def write_outputs(rows, summary, out_dir) -> dict:
              "summary_csv": out / "summary.csv",
              "summary_json": out / "summary.json"}
     write_results_csv(rows, paths["results"])
-    write_summary_csv(summary, paths["summary_csv"])
+    paths["summary_csv"].write_text(summary_csv_text(summary), encoding="utf-8")
     write_summary_json(summary, paths["summary_json"])
     return paths
 
@@ -643,7 +638,7 @@ def read_series_file(path) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-def estimate_from_file(path, estimator_id: str, b: int = None,
+def estimate_from_file(path, estimator_id: str, b: int,
                        kappa: float = 1.0, alpha="hill") -> EstimateReport:
     """Run one estimator on a series file.
 
@@ -651,7 +646,7 @@ def estimate_from_file(path, estimator_id: str, b: int = None,
     number or hill[:k_tail]; there is no model here, so "oracle" is
     rejected.
     """
-    if b is None or b < 1:
+    if b < 1:
         raise ValueError("block length b is required and must be positive")
     series = read_series_file(path)
     entry = get_estimator(estimator_id)
@@ -668,18 +663,16 @@ def estimate_from_file(path, estimator_id: str, b: int = None,
 # closed-form report
 
 
-def oracle_report(model: Model, alpha: Optional[float] = None, p_list=None,
-                  serial_lags: int = 4, tol: float = 1e-12) -> dict:
-    """Closed-form and telescoping constants for a linear/AR(1) model:
-    c(p) over a p grid, the extremal index, serial-dependence values
-    g_h for h < serial_lags, and the positive-sum walk constant when
-    alpha >= 1."""
+def oracle_report(model: Model, p_list=None, serial_lags: int = 4) -> dict:
+    """Closed-form and telescoping constants for a linear/AR(1) model at
+    its noise's tail index alpha: c(p) over a p grid, the extremal index,
+    serial-dependence values g_h for h < serial_lags, and the positive-sum
+    walk constant when alpha >= 1."""
     if serial_lags < 0:
         raise ValueError(f"serial_lags must be nonnegative, got {serial_lags}")
     noise = model.noise
-    if alpha is None:
-        alpha = noise.alpha
-    coeffs = model_coefficients(model, tol=tol)
+    alpha = noise.alpha
+    coeffs = model_coefficients(model)
     if p_list is None:
         p_list = (0.5, 1.0, alpha, 2.0, INF)
     seen = []

@@ -194,8 +194,8 @@ def ld_ratio_mc(model: Model, n: int, p, x: float, reps: int, seed,
     """
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
-    if not x > 0:
-        raise ValueError("x must be positive")
+    if not 0 < x < math.inf:
+        raise ValueError(f"x must be positive and finite, got {x!r}")
     return _ratio_mc(model, n, as_p(p), x, x, reps, _as_seed(seed), threads)
 
 
@@ -208,8 +208,10 @@ def centered_level(p, alpha: float, x: float, n: int, moment_p: Optional[float] 
     """
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    if not x > 0 or n < 1:
-        raise ValueError("need x > 0 and n >= 1")
+    if not 0 < x < math.inf:
+        raise ValueError(f"x must be positive and finite, got {x!r}")
+    if n < 1:
+        raise ValueError(f"sample length n must be at least 1, got {n}")
     pe = as_p(p)
     if pe.is_inf or pe.value > alpha:
         if moment_p is not None:
@@ -255,8 +257,8 @@ def ld_ratio_centered_mc(model: Model, n: int, p, alpha: float, x: float,
         raise ValueError(f"reps must be at least 1, got {reps}")
     if pilot_reps < 1:
         raise ValueError(f"pilot_reps must be at least 1, got {pilot_reps}")
-    if not x > 0:
-        raise ValueError("x must be positive")
+    if not 0 < x < math.inf:
+        raise ValueError(f"x must be positive and finite, got {x!r}")
     seed = _as_seed(seed)
     pe = as_p(p)
     pv = pe.value

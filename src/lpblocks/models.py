@@ -69,8 +69,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.law not in _NOISE_LAWS:
             raise ValueError(f"unknown noise law {self.law!r}; use one of {_NOISE_LAWS}")
-        if not self.alpha > 0:
-            raise ValueError("tail index alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"tail index alpha must be positive and finite, got {self.alpha!r}")
 
     @property
     def positive_prob(self) -> float:
@@ -292,21 +292,21 @@ def _pool_map(fn, tasks: list, threads: int) -> list:
         return list(pool.map(fn, *zip(*tasks)))
 
 
-def ar1_coefficients(phi: float, tol: float = 1e-12) -> np.ndarray:
-    """Moving-average coefficients (1, phi, ..., phi^L) with |phi|^L < tol."""
+def ar1_coefficients(phi: float) -> np.ndarray:
+    """Moving-average coefficients (1, phi, ..., phi^L) with |phi|^L < 1e-12."""
     if not abs(phi) < 1:
         raise ValueError("requires |phi| < 1")
     if phi == 0.0:
         return np.array([1.0])
-    L = max(1, math.ceil(math.log(tol) / math.log(abs(phi))))
+    L = max(1, math.ceil(math.log(1e-12) / math.log(abs(phi))))
     return phi ** np.arange(L + 1)
 
 
-def model_coefficients(model: Model, tol: float = 1e-12) -> np.ndarray:
-    """Coefficient vector of the model, truncating AR(1) at |phi|^L < tol."""
+def model_coefficients(model: Model) -> np.ndarray:
+    """Coefficient vector of the model, truncating AR(1) at |phi|^L < 1e-12."""
     if isinstance(model, LinearModelSpec):
         return np.asarray(model.coeffs, dtype=np.float64)
     if isinstance(model, AR1ModelSpec):
-        return ar1_coefficients(model.phi, tol)
+        return ar1_coefficients(model.phi)
     raise TypeError(f"unsupported model {type(model).__name__}")
 

@@ -120,14 +120,13 @@ def truncate_above(xs, eps: float) -> np.ndarray:
 
 
 def _row_power_sums(u: np.ndarray, q: float) -> np.ndarray:
-    """Per-row sums of u**q for a nonnegative 2-d u, fast paths at q in
-    {0.5, 1, 2}; callers rescale rows to max 1 so powers cannot overflow."""
+    """Per-row sums of u**q for a nonnegative 2-d u; callers rescale rows to
+    max 1 so powers cannot overflow. q = 1 skips the power's copy and q = 2
+    is one einsum; numpy itself computes u ** 0.5 as np.sqrt(u)."""
     if q == 1.0:
         return u.sum(axis=1)
     if q == 2.0:
         return np.einsum("ij,ij->i", u, u)
-    if q == 0.5:
-        return np.sqrt(u).sum(axis=1)
     return (u ** q).sum(axis=1)
 
 
@@ -143,7 +142,7 @@ def row_p_moduli(matrix, p) -> np.ndarray:
     """Per-row p-moduli of a 2-d array.
 
     Rows are rescaled by their max before powering so large entries do not
-    overflow; all-zero rows yield 0. Fast paths cover p in {0.5, 1, 2, inf}.
+    overflow; all-zero rows yield 0. Fast paths cover p in {1, 2, inf}.
     """
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2:

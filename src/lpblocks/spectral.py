@@ -92,12 +92,9 @@ class ShiftLaw:
         guide = np.repeat(np.arange(len(cdf), dtype=np.int64), np.diff(ends, prepend=0))
         object.__setattr__(self, "_guide", guide)
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         """rng.choice(len(probabilities), size, p=probabilities), by guide table."""
-        u = rng.random(size)
-        if size is None:
-            return int(self._invert(np.asarray(u)))
-        return self._invert(u)
+        return self._invert(rng.random(size))
 
     def _invert(self, u: np.ndarray) -> np.ndarray:
         """cdf.searchsorted(u, side="right") for u in [0, 1), as int64."""

@@ -16,7 +16,7 @@ def test_partition_examples():
     frame = partition(np.arange(1.0, 11.0), 3)
     assert frame.m == 3
     assert frame.b == 3
-    np.testing.assert_array_equal(frame.block(2), [7.0, 8.0, 9.0])
+    np.testing.assert_array_equal(frame.matrix[2], [7.0, 8.0, 9.0])
     assert partition(np.ones(8000), 40).m == 200
 
 
@@ -114,4 +114,4 @@ def test_frame_matrix_is_readonly_view_of_prefix():
     assert frame.matrix.shape == (3, 3)
     with pytest.raises(ValueError):
         frame.matrix[0, 0] = 99.0
-    np.testing.assert_array_equal(frame.values, x[:9])
+    np.testing.assert_array_equal(frame.matrix.reshape(-1), x[:9])

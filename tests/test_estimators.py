@@ -291,15 +291,6 @@ def test_hill_pareto_statistical():
         assert abs(hill_alpha(x, 1_000) - alpha) <= tol
 
 
-def test_hill_bias_corrected():
-    x = simulate(AR1_STUDENT, 100_000, SeedSpec(master_seed=19))
-    plain = hill_alpha(x, 2_000)
-    corrected = hill_alpha(x, 2_000, bias_corrected=True)
-    assert corrected != plain
-    assert corrected > 0
-    assert abs(corrected - 1.3) <= 0.3
-
-
 def test_hill_validation():
     x = np.arange(1.0, 101.0)
     with pytest.raises(ValueError):
@@ -313,9 +304,9 @@ def test_hill_validation():
 
 
 @given(n=st.integers(min_value=4, max_value=200), data=st.data(),
-       top=st.floats(min_value=1e-3, max_value=1e3), bias_corrected=st.booleans())
+       top=st.floats(min_value=1e-3, max_value=1e3))
 @settings(max_examples=100, deadline=None)
-def test_hill_failures_name_their_cause(n, data, top, bias_corrected):
+def test_hill_failures_name_their_cause(n, data, top):
     k_tail = data.draw(st.integers(min_value=2, max_value=n - 1), label="k_tail")
     below = data.draw(st.lists(st.floats(min_value=0.0, max_value=top),
                                min_size=n - k_tail - 1, max_size=n - k_tail - 1),
@@ -326,7 +317,7 @@ def test_hill_failures_name_their_cause(n, data, top, bias_corrected):
     # spacing is 0
     tied = np.asarray(signs) * np.r_[np.full(k_tail + 1, top), below]
     with pytest.raises(ValueError, match="tied"):
-        hill_alpha(tied, k_tail, bias_corrected=bias_corrected)
+        hill_alpha(tied, k_tail)
     # zero-heavy: at most k_tail nonzero values, so the threshold order
     # statistic is 0
     nonzero = data.draw(st.integers(min_value=0, max_value=k_tail), label="nonzero")
@@ -334,7 +325,7 @@ def test_hill_failures_name_their_cause(n, data, top, bias_corrected):
     heavy[:nonzero] = top * np.arange(1, nonzero + 1)
     heavy = np.asarray(signs) * heavy
     with pytest.raises(ValueError, match="is 0: fewer than"):
-        hill_alpha(heavy, k_tail, bias_corrected=bias_corrected)
+        hill_alpha(heavy, k_tail)
 
 
 # --- shared invariants ----------------------------------------------------

@@ -626,15 +626,27 @@ def test_run_experiment_threads_byte_identical(tmp_path):
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_run_experiment_batches_byte_identical(monkeypatch, tmp_path, threads):
-    # tasks are batches of ceil(reps / threads) replications, capped by the
-    # simulation element budget; neither cut changes a byte of the outputs
-    import lpblocks.models as models
+    # tasks are batches of ceil(reps / threads) replications, capped at a row
+    # tile of noise; neither cut changes a byte of the outputs
+    import lpblocks.experiment as experiment
+    import lpblocks.seqcore as seqcore
 
     config = small_config(model=AR1_STUDENT, reps=7, alpha_mode="oracle")
     run_experiment(config, output=tmp_path / "default")
     width = max(config.n_grid) + config.model.lead
-    monkeypatch.setattr(models, "_CHUNK_ELEMENTS", 2 * width)
+    monkeypatch.setattr(seqcore, "_TILE_BYTES", 2 * 8 * width)
+    tasks = []
+    pool_map = experiment._pool_map
+
+    def spy(fn, batch, threads):
+        tasks.extend(reps for _, reps in batch)
+        return pool_map(fn, batch, threads)
+
+    monkeypatch.setattr(experiment, "_pool_map", spy)
     run_experiment(config, threads=threads, output=tmp_path / "capped")
+    # a tile holds two replications' noise, so the seven are cut at two
+    assert max(len(reps) for reps in tasks) <= 2
+    assert sum(len(reps) for reps in tasks) == 7
     for name in ("results.csv", "summary.csv", "summary.json"):
         assert (tmp_path / "capped" / name).read_bytes() == \
             (tmp_path / "default" / name).read_bytes()
@@ -776,7 +788,7 @@ def test_estimate_from_file_skips_alpha_when_unneeded(tmp_path):
 
 def test_estimate_from_file_validation(tmp_path):
     path, _ = series_file(tmp_path, n=20)
-    with pytest.raises(ValueError, match="block length b is required"):
+    with pytest.raises(TypeError, match="'b'"):
         estimate_from_file(path, "extremal_index_alpha", alpha=1.3)
     with pytest.raises(ValueError, match="block length b is required"):
         estimate_from_file(path, "extremal_index_alpha", b=0, alpha=1.3)
@@ -817,9 +829,9 @@ def test_oracle_report_supwalk_none_below_one():
     assert report["supwalk"] is None
 
 
-def test_oracle_report_alpha_override():
-    report = oracle_report(IID_PARETO15, alpha=1.1, serial_lags=2)
-    assert report["alpha"] == 1.1
+def test_oracle_report_serial_lags():
+    report = oracle_report(IID_PARETO15, serial_lags=2)
+    assert report["alpha"] == 1.5
     assert report["theta"] == 1.0
     assert sorted(report["serial"]) == [0, 1]
 
@@ -979,6 +991,28 @@ def test_cli_ldratio_names_a_zero_moment_count(capsys):
                "--reps", "2000", "--x", "50", "--centered", "--moment-reps", "0"])
     assert rc == 2
     assert capsys.readouterr().err == "error: pilot_reps must be at least 1, got 0\n"
+
+
+def test_cli_ldratio_rejects_an_infinite_tail_index(capsys):
+    # Pareto noise of tail index inf is all 1.0, which counts no hit
+    rc = main(["ldratio", "--model", "linear", "--coeffs", "1", "--noise",
+               "pareto", "--tail-index", "inf", "--n", "10", "--p", "1",
+               "--reps", "2000", "--x", "50"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: tail index alpha must be positive and finite, got inf\n"
+
+
+@pytest.mark.parametrize("centered", [[], ["--centered"]])
+def test_cli_ldratio_rejects_an_infinite_level(capsys, centered):
+    rc = main(["ldratio", "--model", "linear", "--coeffs", "1", "--noise",
+               "pareto", "--tail-index", "1.5", "--n", "10", "--p", "1",
+               "--reps", "2000", "--x", "inf"] + centered)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: x must be positive and finite, got inf\n"
 
 
 def test_cli_ldratio_pilot_and_centered(capsys):

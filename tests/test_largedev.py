@@ -100,6 +100,18 @@ def test_counts_below_one_are_named(run, message):
         run()
 
 
+@pytest.mark.parametrize("x", [math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("run", [
+    lambda x: ld_ratio_mc(IID_PARETO13, 10, 1.3, x, 100, 0),
+    lambda x: ld_ratio_centered_mc(IID_PARETO13, 10, 1.0, 1.3, x, 100, 0),
+    lambda x: centered_level(1.0, 1.3, x, 10, moment_p=1.0),
+], ids=["ld_ratio_mc", "ld_ratio_centered_mc", "centered_level"])
+def test_level_outside_zero_inf_is_named(run, x):
+    # an infinite level would count no hit and report a degenerate ratio of 0
+    with pytest.raises(ValueError, match=f"^x must be positive and finite, got {x}$"):
+        run(x)
+
+
 def test_centered_level_forms():
     # p < alpha: z = x (n E|X|^p / x^p + 1)^(1/p)
     assert centered_level(1.0, 1.3, 1000.0, 100, moment_p=1.0) == pytest.approx(1100.0, rel=1e-12)

@@ -1,5 +1,6 @@
 import concurrent.futures
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -34,6 +35,10 @@ def test_noise_spec_validation():
         NoiseSpec(law="pareto", alpha=0.0)
     with pytest.raises(ValueError):
         NoiseSpec(law="cauchy", alpha=1.0)
+    # an infinite tail index would draw Pareto noise that is all 1.0
+    for alpha in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"positive and finite, got {alpha}"):
+            NoiseSpec(law="pareto", alpha=alpha)
     assert PARETO2.positive_prob == 1.0
     assert STUDENT13.positive_prob == 0.5
 
@@ -223,11 +228,11 @@ def test_stream_independence_of_block_norms():
 
 
 def test_ar1_coefficients_truncation():
-    c = ar1_coefficients(0.8, tol=1e-12)
+    c = ar1_coefficients(0.8)
     assert c[0] == 1.0
     assert len(c) == 125
     assert abs(c[-1]) < 1e-12 / 0.8  # |phi|^L below tol at the cut
-    c6 = ar1_coefficients(0.6, tol=1e-12)
+    c6 = ar1_coefficients(0.6)
     assert len(c6) == 56
     np.testing.assert_allclose(c6, 0.6 ** np.arange(56), rtol=1e-13)
 
