@@ -30,6 +30,7 @@ is the one that reference computes:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,8 +185,11 @@ class SeedSpec:
     def __post_init__(self):
         for name in ("master_seed", "stream_id"):
             v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
             if not 0 <= int(v) < 2 ** 64:
                 raise ValueError(f"{name} must be an unsigned 64-bit integer")
+            object.__setattr__(self, name, int(v))
 
     def generator(self, *subkey: int) -> np.random.Generator:
         """Philox generator for this stream; extra subkey words derive substreams."""
@@ -196,7 +200,7 @@ class SeedSpec:
 def _as_seed(seed) -> SeedSpec:
     if isinstance(seed, SeedSpec):
         return seed
-    return SeedSpec(int(seed))
+    return SeedSpec(seed)
 
 
 def _rng_of(seed) -> np.random.Generator:

@@ -8,16 +8,12 @@ drawn from |phi_j|^alpha / ||phi||_alpha^alpha, and the change-of-norms weight
 ||Theta / ||Theta||_alpha||_p is the deterministic constant
 ||phi||_p / ||phi||_alpha. The sampler exploits this degeneracy; a
 non-linear model would need importance reweighting instead.
-``cluster_constant_mc`` draws ``_SAMPLER_BATCH`` rows at a time.
 
 A Theta draw of a linear process is one of 2(q+1) rows sign * phi / |phi_j|.
 ``theta_sampler_linear`` builds this row table once and returns each batch
-as an ``_IndexedRows``: the table plus one row index per draw. It is
-array-like (``np.asarray`` gives the (count, q+1) draws, and ``shape`` and
-``nbytes`` are those of the batch as stored), and ``cluster_constant_mc``
-reduces the table rather than the draws, once per call, then picks each
-draw's ratio by its index. Every ratio is the one the materialized row
-gives, bit for bit.
+as an ``_IndexedRows``: the table plus one row index per draw, the only
+batch ``cluster_constant_mc`` takes. It reduces the table once per call and
+gives each draw its row's ratio, bit for bit the ratio of the drawn row.
 
 ``ShiftLaw.sample`` draws what ``rng.choice(q + 1, size, p=probabilities)``
 draws, value for value, and leaves the generator in the same state. numpy's
@@ -42,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import AR1ModelSpec, LinearModelSpec, Model, _rng_of, model_coefficients
-from .seqcore import PExponent, _ratio_alpha_pow, as_p, p_modulus
+from .seqcore import _ratio_alpha_pow, as_p, p_modulus
 
 __all__ = [
     "ShiftLaw",
@@ -114,24 +110,30 @@ def _coeffs_of(model_or_coeffs) -> np.ndarray:
     c = np.asarray(model_or_coeffs, dtype=np.float64)
     if c.ndim != 1 or c.size == 0 or not np.any(c != 0):
         raise ValueError("coefficients must be a nonempty vector, not all zero")
+    bad = np.flatnonzero(~np.isfinite(c))
+    if bad.size:
+        raise ValueError(f"coefficients must be finite, got {c[bad].tolist()} "
+                         f"at indices {bad.tolist()}")
     return c
 
 
+def _check_alpha(alpha: float, least: float = 0.0) -> None:
+    """Reject an alpha that is not finite, positive and at least ``least``."""
+    if not (0 < alpha < math.inf and alpha >= least):
+        need = f"at least {least}" if least else "positive"
+        raise ValueError(f"alpha must be {need} and finite, got {alpha!r}")
+
+
 def shift_law(coeffs, alpha: float) -> ShiftLaw:
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
+    _check_alpha(alpha)
     c = np.abs(_coeffs_of(coeffs)) ** alpha
     return ShiftLaw(c / c.sum())
 
 
 @dataclass(frozen=True, eq=False)
 class _IndexedRows:
-    """A batch of draws stored as rows ``table[index]``, not materialized.
-
-    Array-like: ``np.asarray(batch)`` builds the (len(index), width) draws,
-    ``shape`` is their shape and ``nbytes`` counts what is stored, the table
-    and the index.
-    """
+    """Draws stored as rows ``table[index]``: ``shape`` is that of the draws,
+    and ``nbytes`` counts what is stored, the table and the index."""
 
     table: np.ndarray
     index: np.ndarray
@@ -143,9 +145,6 @@ class _IndexedRows:
     @property
     def nbytes(self) -> int:
         return self.table.nbytes + self.index.nbytes
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.table[self.index], dtype=dtype)
 
 
 def theta_sampler_linear(model: Model):
@@ -180,8 +179,7 @@ def theta_sampler_linear(model: Model):
 def cluster_constant_linear(coeffs, alpha: float, p) -> float:
     """Closed form c(p) = (||phi||_p / ||phi||_alpha)^alpha for linear processes."""
     c = _coeffs_of(coeffs)
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
+    _check_alpha(alpha)
     return (p_modulus(c, p) / p_modulus(c, alpha)) ** alpha
 
 
@@ -192,47 +190,16 @@ class MCEstimate:
     n_draws: int
 
 
-def _batch_ratios(sampler, count: int, rng, alpha: float, pe: PExponent,
-                  reduced: list) -> np.ndarray:
-    """Ratios of one sampler batch; an _IndexedRows batch is reduced on its
-    table, and each draw takes its row's ratio.
-
-    ``reduced`` holds the last table and its ratios, [table, ratios], and is
-    updated when a batch brings another table object. The batch is
-    referenced only from this call, so it is freed before the caller asks the
-    sampler for the next one.
-    """
-    batch = sampler(count, rng)
-    if isinstance(batch, _IndexedRows):
-        rows, index = batch.table, batch.index
-    else:
-        batch = rows = np.asarray(batch, dtype=np.float64)
-        index = None
-    shape = batch.shape
-    if len(shape) != 2 or shape[0] != count or shape[1] < 1:
-        raise ValueError(f"sampler must return a 2-d array of {count} rows and at "
-                         f"least one column, got shape {shape}")
-    if index is None:
-        return _ratio_alpha_pow(rows, alpha, pe)
-    if reduced[0] is not rows:
-        reduced[:] = [rows, _ratio_alpha_pow(rows, alpha, pe)]
-    return reduced[1][index]
-
-
 def cluster_constant_mc(sampler, alpha: float, p, n_draws: int, seed) -> MCEstimate:
     """Monte Carlo c(p) = E[(||Theta||_p / ||Theta||_alpha)^alpha].
 
-    ``sampler`` is fn(count, rng) -> (count, width) array of draws (rows
-    zero-padded) or theta_sampler_linear's array-like batch of that shape;
-    Theta draws and rescaled Q^(alpha) draws are both fine since the ratio is
-    scale-free. Draws come in batches of _SAMPLER_BATCH rows; the table of
-    an _IndexedRows batch is reduced once and its ratios reused while the
-    sampler returns the same table. The standard error is the population
+    ``sampler`` is ``theta_sampler_linear(model)``: its batches of
+    _SAMPLER_BATCH rows share one row table, whose ratios are computed once
+    and picked per draw by row index. The standard error is the population
     standard deviation of the per-draw ratios over sqrt(n_draws), from
     centered sums of squares per batch combined by Chan's formula.
     """
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
+    _check_alpha(alpha)
     if isinstance(n_draws, bool) or not isinstance(n_draws, numbers.Integral):
         raise ValueError(f"n_draws must be an integer, got {n_draws!r}")
     if n_draws < 1:
@@ -242,10 +209,17 @@ def cluster_constant_mc(sampler, alpha: float, p, n_draws: int, seed) -> MCEstim
     total = 0.0
     m2 = 0.0
     done = 0
-    reduced = [None, None]
+    table = table_ratios = None
     while done < n_draws:
         count = min(n_draws - done, _SAMPLER_BATCH)
-        ratios = _batch_ratios(sampler, count, rng, alpha, pe, reduced)
+        batch = sampler(count, rng)
+        if not isinstance(batch, _IndexedRows):
+            raise TypeError("sampler must be theta_sampler_linear(model), got a batch "
+                            f"of type {type(batch).__name__}")
+        if batch.table is not table:
+            table = batch.table
+            table_ratios = _ratio_alpha_pow(table, alpha, pe)
+        ratios = table_ratios[batch.index]
         batch_sum = float(ratios.sum())
         dev = ratios - batch_sum / count
         # Chan: the batch's own centered sum of squares, plus the shift of
@@ -268,8 +242,7 @@ def cluster_constant_telescoping(coeffs, alpha: float, p) -> float:
     with S_j the suffix sum of |phi_t|^p (suffix max for p = inf).
     """
     c = np.abs(_coeffs_of(coeffs))
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
+    _check_alpha(alpha)
     pe = as_p(p)
     if pe.is_inf:
         suffix = np.zeros(len(c) + 1)
@@ -287,8 +260,9 @@ def serial_dependence_oracle_linear(coeffs, alpha: float, h: int) -> float:
     """E[g_h(Q^(alpha))] for a linear process: the signed lag-h coefficient sum
     sum_t |phi_t|^a |phi_{t+h}|^a sign(phi_t) sign(phi_{t+h}) / ||phi||_a^(2a)."""
     c = _coeffs_of(coeffs)
-    if h < 0:
-        raise ValueError("h must be nonnegative")
+    _check_alpha(alpha)
+    if isinstance(h, bool) or not isinstance(h, numbers.Integral) or h < 0:
+        raise ValueError(f"h must be an integer lag >= 0, got {h!r}")
     a = np.sign(c) * np.abs(c) ** alpha
     num = float(np.dot(a[: len(a) - h], a[h:])) if h < len(a) else 0.0
     den = float(np.sum(np.abs(c) ** alpha)) ** 2
@@ -303,8 +277,7 @@ def supwalk_constant_oracle_linear(coeffs, alpha: float, noise_sign_balance: flo
     over the sign alone; noise_sign_balance is P(sign = +1).
     """
     c = _coeffs_of(coeffs)
-    if not alpha >= 1:
-        raise ValueError("requires alpha >= 1")
+    _check_alpha(alpha, least=1.0)
     if not 0 <= noise_sign_balance <= 1:
         raise ValueError("noise_sign_balance must be a probability")
     l1 = float(np.sum(np.abs(c)))

@@ -1,6 +1,7 @@
 import concurrent.futures
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from lpblocks.models import (
     SeedSpec,
     _noise_matrix,
     _pool_map,
+    _rng_of,
     ar1_coefficients,
     model_coefficients,
     sample_noise,
@@ -50,6 +52,25 @@ def test_model_spec_validation():
         AR1ModelSpec(phi=1.0, noise=PARETO2)
     with pytest.raises(ValueError):
         AR1ModelSpec(phi=0.5, noise=PARETO2, burn_in=-1)
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, True, "1", None])
+def test_seed_spec_rejects_non_integer_seeds(bad):
+    # a float or bool seed once gave the stream of int(seed)
+    for make in (lambda: SeedSpec(bad), lambda: SeedSpec(1, bad), lambda: _rng_of(bad)):
+        with pytest.raises(ValueError, match=r"must be an integer, got " + re.escape(repr(bad))):
+            make()
+
+
+def test_seed_spec_takes_numpy_integers():
+    for seed in (np.int64(7), np.uint64(7), np.int32(7)):
+        spec = SeedSpec(seed, seed)
+        assert (spec.master_seed, spec.stream_id) == (7, 7)
+        assert type(spec.master_seed) is int and type(spec.stream_id) is int
+        assert _rng_of(seed).random() == _rng_of(7).random()
+    with pytest.raises(ValueError, match="unsigned 64-bit"):
+        SeedSpec(np.int64(-1))
+    assert SeedSpec(2 ** 64 - 1).master_seed == 2 ** 64 - 1
 
 
 def test_pareto_noise_support_and_cdf():

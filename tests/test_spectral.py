@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import struct
 import tracemalloc
 
@@ -61,12 +62,35 @@ def test_shift_law_rejects_non_finite_probabilities():
         ShiftLaw(probabilities=np.array([0.5, -np.inf, 0.5]))
 
 
-@pytest.mark.parametrize("alpha", [0.0, -1.3, np.nan])
+@pytest.mark.parametrize("alpha", [0.0, -1.3, np.nan, np.inf])
 def test_spectral_monte_carlo_rejects_non_positive_alpha(alpha):
-    with pytest.raises(ValueError, match="alpha must be positive"):
-        shift_law((1.0, 0.5), alpha)
-    with pytest.raises(ValueError, match="alpha must be positive"):
-        cluster_constant_mc(theta_sampler_linear(AR1_08), alpha, 1, 100, 1)
+    # every spectral entry point names the bad alpha; supwalk needs alpha >= 1
+    coeffs = (1.0, 0.5)
+    for call in (lambda: shift_law(coeffs, alpha),
+                 lambda: cluster_constant_mc(theta_sampler_linear(AR1_08), alpha, 1, 100, 1),
+                 lambda: cluster_constant_linear(coeffs, alpha, 1),
+                 lambda: cluster_constant_telescoping(coeffs, alpha, 1),
+                 lambda: serial_dependence_oracle_linear(coeffs, alpha, 1)):
+        with pytest.raises(ValueError, match=r"alpha must be positive and finite, got "
+                                             + re.escape(repr(alpha))):
+            call()
+    for bad in (alpha, 0.9):
+        with pytest.raises(ValueError, match=r"alpha must be at least 1.0 and finite, got "
+                                             + re.escape(repr(bad))):
+            supwalk_constant_oracle_linear(coeffs, bad, 0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_oracles_reject_non_finite_coefficients(bad):
+    coeffs = (1.0, bad, 0.5)
+    for call in (lambda: shift_law(coeffs, 1.3),
+                 lambda: cluster_constant_linear(coeffs, 1.3, 1),
+                 lambda: cluster_constant_telescoping(coeffs, 1.3, 1),
+                 lambda: serial_dependence_oracle_linear(coeffs, 1.3, 1),
+                 lambda: supwalk_constant_oracle_linear(coeffs, 1.3, 0.5)):
+        with pytest.raises(ValueError, match=r"coefficients must be finite, got \["
+                                             + re.escape(repr(bad)) + r"\] at indices \[1\]"):
+            call()
 
 
 @pytest.mark.parametrize("n_draws", [100.5, 100.0, "100", True])
@@ -238,20 +262,27 @@ def test_cluster_constant_mc_ar1_matches_closed_form():
     assert est.std_error == pytest.approx(0.0, abs=1e-8)
 
 
+# a fixed Student row table, every tenth row all zero
+HEAVY_TABLE = np.random.default_rng(11).standard_t(1.3, size=(40, 9))
+HEAVY_TABLE[::10] = 0.0
+
+
 def heavy_sampler(count, rng):
-    """Non-degenerate ratios: Student rows, about one in ten all zero."""
-    draws = rng.standard_t(1.3, size=(count, 9))
-    draws[rng.random(count) < 0.1] = 0.0
-    return draws
+    """Non-degenerate ratios: rows of HEAVY_TABLE drawn uniformly, stored as
+    the linear sampler stores its batches."""
+    return spectral._IndexedRows(HEAVY_TABLE, rng.integers(len(HEAVY_TABLE), size=count))
+
+
+def rows_of(batch):
+    """The draws of a row-table batch, materialized."""
+    return batch.table[batch.index]
 
 
 def test_cluster_constant_mc_rejects_bad_input():
-    with pytest.raises(ValueError, match=r"2-d array of 10 rows.*shape \(10,\)"):
-        cluster_constant_mc(lambda count, rng: rng.random(count), 1.3, 1, 10, 0)
-    with pytest.raises(ValueError, match=r"2-d array of 10 rows.*shape \(11, 3\)"):
-        cluster_constant_mc(lambda count, rng: rng.random((count + 1, 3)), 1.3, 1, 10, 0)
-    with pytest.raises(ValueError, match=r"at least one column, got shape \(10, 0\)"):
-        cluster_constant_mc(lambda count, rng: np.zeros((count, 0)), 1.3, 1, 10, 0)
+    # only the linear sampler's row-table batches are taken
+    with pytest.raises(TypeError, match=r"theta_sampler_linear\(model\), got a batch of "
+                                        r"type ndarray"):
+        cluster_constant_mc(lambda count, rng: rng.random((count, 3)), 1.3, 1, 10, 0)
 
 
 @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, INF])
@@ -271,7 +302,7 @@ def test_cluster_constant_mc_std_error_is_std_of_ratios(monkeypatch):
     est = cluster_constant_mc(heavy_sampler, 1.3, pe, n_draws, 8)
     rng = _rng_of(8)
     ratios = np.concatenate([
-        _ratio_alpha_pow(heavy_sampler(count, rng), 1.3, pe)
+        _ratio_alpha_pow(rows_of(heavy_sampler(count, rng)), 1.3, pe)
         for count in (batch, batch, batch, n_draws - 3 * batch)])
     assert est.value == pytest.approx(float(np.mean(ratios)), rel=1e-12)
     assert est.std_error == pytest.approx(
@@ -292,17 +323,14 @@ def test_cluster_constant_mc_tiles_do_not_change_estimates(monkeypatch, tile_byt
 def test_cluster_constant_mc_draws_sampler_batches():
     counts = []
 
+    linear = theta_sampler_linear(AR1_08)
+
     def sampler(count, rng):
         counts.append(count)
-        return heavy_sampler(count, rng)
+        return linear(count, rng)
 
     cluster_constant_mc(sampler, 1.3, 1, 20_000, 0)
     assert counts == [8192, 8192, 20_000 - 2 * 8192]
-
-
-def materialized(sampler):
-    """The sampler's draws as a plain array, for the generic path."""
-    return lambda count, rng: np.asarray(sampler(count, rng))
 
 
 # coefficient vectors with zero taps
@@ -321,21 +349,22 @@ def test_cluster_constant_mc_row_table_is_bit_identical(coeffs, alpha, p, batch,
                                                         tile_bytes, seed):
     # reducing the 2(q+1) table rows gives each draw the ratio its
     # materialized row gives
-    p = alpha if p == "alpha" else p
+    pe = as_p(alpha if p == "alpha" else p)
     sampler = theta_sampler_linear(
         LinearModelSpec(coeffs=tuple(coeffs), noise=NoiseSpec(law="student", alpha=alpha)))
+    drawn = sampler(batch, _rng_of(seed))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral, "_SAMPLER_BATCH", batch)
         mp.setattr(seqcore, "_TILE_BYTES", tile_bytes)
-        table = cluster_constant_mc(sampler, alpha, p, 700, seed)
-        assert table == cluster_constant_mc(materialized(sampler), alpha, p, 700, seed)
+        assert np.array_equal(_ratio_alpha_pow(drawn.table, alpha, pe)[drawn.index],
+                              _ratio_alpha_pow(rows_of(drawn), alpha, pe))
 
 
-def test_theta_sampler_linear_batch_is_array_like():
+def test_theta_sampler_linear_batch_rows():
+    # perfbench's sampler trace reads shape and nbytes of every batch
     coeffs = (0.7, 0.0, -0.3, 1.1)
     sampler = theta_sampler_linear(LinearModelSpec(coeffs=coeffs, noise=STUDENT13))
     batch = sampler(1_000, _rng_of(3))
-    draws = np.asarray(batch)
+    draws = rows_of(batch)
     assert batch.shape == draws.shape == (1_000, 4)
     assert batch.nbytes == 8 * 4 * 8 + 1_000 * batch.index.itemsize
     # each row is sign * phi / |phi_J| for a drawn shift J with phi_J != 0
@@ -345,22 +374,6 @@ def test_theta_sampler_linear_batch_is_array_like():
     sign = np.where(rng.random(1_000) < STUDENT13.positive_prob, 1.0, -1.0)
     assert np.array_equal(draws, np.outer(sign / np.abs(np.asarray(coeffs)[j]), coeffs))
     assert np.isfinite(batch.table).all()
-
-
-def test_cluster_constant_mc_reduces_only_table_rows(monkeypatch):
-    # the linear sampler's batches are never materialized: the ratio kernel
-    # sees at most the 2(q+1) table rows at a time
-    rows = []
-    kernel = spectral._ratio_alpha_pow
-
-    def recording(draws, alpha, pe):
-        rows.append(draws.shape[0])
-        return kernel(draws, alpha, pe)
-
-    monkeypatch.setattr(spectral, "_ratio_alpha_pow", recording)
-    est = cluster_constant_mc(theta_sampler_linear(AR1_08), 1.3, 2.0, 20_000, 5)
-    assert est.n_draws == 20_000
-    assert rows and max(rows) <= 2 * len(model_coefficients(AR1_08))
 
 
 def test_cluster_constant_mc_reduces_the_table_once_per_call(monkeypatch):
@@ -378,18 +391,16 @@ def test_cluster_constant_mc_reduces_the_table_once_per_call(monkeypatch):
     monkeypatch.setattr(spectral, "_ratio_alpha_pow", counting)
     for p in (2.0, INF):
         calls.clear()
-        est = cluster_constant_mc(sampler, 1.3, p, n_draws, 5)
+        assert cluster_constant_mc(sampler, 1.3, p, n_draws, 5).n_draws == n_draws
         assert calls == [2 * len(model_coefficients(AR1_08))]
-        # and the draws' values are those of the materialized batches
-        assert est == cluster_constant_mc(materialized(sampler), 1.3, p, n_draws, 5)
 
 
 def test_cluster_constant_mc_peak_memory_is_one_batch(monkeypatch):
-    # a materialized batch is reduced tile by tile: no batch-sized |x| copy or
-    # power temporary is made, and one batch is freed before the next is drawn
-    sampler = materialized(theta_sampler_linear(AR1_08))
+    # the draws are never materialized (50 MB a batch for the 125-tap AR(1)):
+    # the peak is a few per-draw vectors of one batch, the row indices, their
+    # uniforms and the ratios
+    sampler = theta_sampler_linear(AR1_08)
     batch = 50_000
-    batch_bytes = batch * sampler(1, _rng_of(0)).shape[1] * 8
     monkeypatch.setattr(spectral, "_SAMPLER_BATCH", batch)
     tracemalloc.start()
     try:
@@ -397,7 +408,7 @@ def test_cluster_constant_mc_peak_memory_is_one_batch(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.2 * batch_bytes
+    assert peak < 8 * batch * 8
 
 
 def _oracle_golden_bytes():
@@ -440,6 +451,15 @@ def test_serial_dependence_oracle_examples():
     )
     with pytest.raises(ValueError):
         serial_dependence_oracle_linear(coeffs, 1.3, -1)
+
+
+@pytest.mark.parametrize("h", [1.5, True, -1, "1"])
+def test_serial_dependence_oracle_rejects_bad_lag(h):
+    with pytest.raises(ValueError, match=r"h must be an integer lag >= 0, got "
+                                         + re.escape(repr(h))):
+        serial_dependence_oracle_linear((1.0, 0.5), 1.3, h)
+    assert serial_dependence_oracle_linear((1.0, 0.5), 1.3, np.int64(1)) == \
+        serial_dependence_oracle_linear((1.0, 0.5), 1.3, 1)
 
 
 def test_serial_dependence_oracle_sums_to_one():
