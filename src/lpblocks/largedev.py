@@ -22,14 +22,16 @@ level's (``RatioEstimate.z_std_error``).
 Every simulation goes through one chunk loop, :func:`_map_chunks`: rows are
 split into chunks of fixed size, chunk i of substream s drawn from
 ``seed.generator(s, i)``, so results are byte-identical for any worker
-count. Each chunk is drawn, filtered and reduced one row tile
-(``models._tile_rows``) at a time, in new arrays: a moving average of Pareto
-noise takes several tiles, any other chunk is one tile whose noise array the
-filter overwrites. The count asks only whether each window's norm is above
-the level: ``seqcore._row_p_exceeds`` answers from each window's max and l1
-sum, and ``seqcore.row_p_moduli`` the windows those leave undecided, so the
-counts are those of the exact norms; the pilot level's quantile takes every
-norm from ``row_p_moduli``.
+count. Each chunk is drawn and filtered ``models._tile_rows`` rows at a
+time, in new arrays: a moving average of Pareto noise in several tiles, any
+other chunk whole, its noise array overwritten by the filter. Each drawn
+batch is then reduced one ``seqcore._row_tiles`` tile at a time and released
+before the next is drawn, so a reducer's temporaries are tile-sized even on a
+whole 16 MB chunk; the kernels themselves do not tile. The count asks only
+whether each window's norm is above the level: ``seqcore._row_p_exceeds``
+answers from each window's max and l1 sum, and ``seqcore.row_p_moduli`` the
+windows those leave undecided, so the counts are those of the exact norms;
+the pilot level's quantile takes every norm from ``row_p_moduli``.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ import numpy as np
 
 from . import models
 from .models import Model, SeedSpec, _as_seed, _batch_rows, _pool_map, simulate_batch
-from .seqcore import PExponent, _row_p_exceeds, as_p, row_p_moduli
+from .seqcore import PExponent, _row_p_exceeds, _row_tiles, as_p, row_p_moduli
+from .spectral import _check_alpha
 
 __all__ = [
     "RatioEstimate",
@@ -82,11 +85,15 @@ def _chunk_shapes(model: Model, row_values: int, total: int) -> list:
 
 
 def _run_chunk(reduce, model, width, count, seed, subkey, extra) -> tuple:
-    """reduce(rows, *extra) on chunk `subkey`, one tile of rows at a time."""
+    """reduce(rows, *extra) on chunk `subkey`: drawn ``models._tile_rows`` rows
+    at a time, each batch reduced one ``seqcore._row_tiles`` tile at a time."""
     rng = seed.generator(*subkey)
     step = models._tile_rows(model, width, count)
-    tiles = [reduce(simulate_batch(model, width, min(step, count - start), rng), *extra)
-             for start in range(0, count, step)]
+    tiles = []
+    for start in range(0, count, step):
+        rows = simulate_batch(model, width, min(step, count - start), rng)
+        tiles += [reduce(rows[tile], *extra) for tile in _row_tiles(rows)]
+        del rows  # the next batch replaces this one instead of joining it
     return tuple(np.concatenate(column) for column in zip(*tiles))
 
 
@@ -206,8 +213,7 @@ def centered_level(p, alpha: float, x: float, n: int, moment_p: Optional[float] 
     p = alpha: same formula with the truncated moment E[|X|^a 1(|X| <= x)];
     p > alpha: z = x and no moment may be supplied.
     """
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
+    _check_alpha(alpha)
     if not 0 < x < math.inf:
         raise ValueError(f"x must be positive and finite, got {x!r}")
     if n < 1:
@@ -253,6 +259,7 @@ def ld_ratio_centered_mc(model: Model, n: int, p, alpha: float, x: float,
     derivative in the moment, is ``z_std_error``. For p > alpha this
     coincides with ld_ratio_mc and z_std_error is 0.
     """
+    _check_alpha(alpha)
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
     if pilot_reps < 1:

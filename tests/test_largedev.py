@@ -112,6 +112,20 @@ def test_level_outside_zero_inf_is_named(run, x):
         run(x)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+@pytest.mark.parametrize("run", [
+    lambda a: ld_ratio_centered_mc(MA3_PARETO13, 50, 1.0, a, 500.0, 100, 0),
+    lambda a: centered_level(1.0, a, 500.0, 50, moment_p=1.0),
+], ids=["ld_ratio_centered_mc", "centered_level"])
+def test_non_finite_tail_index_is_named_before_any_draw(run, alpha):
+    # a nan alpha drew the whole pilot moment before failing; an inf alpha
+    # returned an estimate
+    before = largedev._drawn.copy()
+    with pytest.raises(ValueError, match=f"^alpha must be positive and finite, got {alpha}$"):
+        run(alpha)
+    assert largedev._drawn == before
+
+
 def test_centered_level_forms():
     # p < alpha: z = x (n E|X|^p / x^p + 1)^(1/p)
     assert centered_level(1.0, 1.3, 1000.0, 100, moment_p=1.0) == pytest.approx(1100.0, rel=1e-12)
@@ -467,3 +481,31 @@ def test_ld_pareto_chunk_peak_is_tile_sized(reduce, extra, per_row):
     assert [len(column) for column in columns] == [499 * per_row] * len(columns)
     assert columns[0].sum() > 0
     assert peak < 4_000_000
+
+
+@pytest.mark.parametrize("reduce, extra, per_row", [
+    (largedev._window_chunk, (100, INF, 2000.0, 2000.0), 1),
+    (largedev._window_chunk, (100, as_p(1.3), 2000.0, 2000.0), 1),
+    (largedev._norms_chunk, (100, as_p(1.3)), 40),
+], ids=["window-inf", "window-1.3", "norms"])
+def test_ld_whole_chunk_is_reduced_in_row_tiles(reduce, extra, per_row):
+    # an AR(1) chunk with Student noise is drawn whole: 481 rows of 150 + 4000
+    # values are 16.0 MB, but the reducer takes it one row tile at a time, so
+    # its temporaries (the np.abs copy, the powers) are two tile-sized arrays,
+    # not chunk-sized ones; the per-row columns take well under 1 MB
+    width = largedev._row_values(AR1_STUDENT, 100)
+    assert largedev._chunk_shapes(AR1_STUDENT, width, 481 * width) == [(4000, 481)]
+
+    def run(rows):
+        return largedev._map_chunks(reduce, AR1_STUDENT, width, rows * width,
+                                    SeedSpec(15), 0, extra)
+
+    run(1)  # first-call allocations
+    tracemalloc.start()
+    try:
+        columns = run(481)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [len(column) for column in columns] == [481 * per_row] * len(columns)
+    assert peak < 481 * (150 + 4000) * 8 + 2 * seqcore._TILE_BYTES + 1_000_000
