@@ -22,16 +22,14 @@ level's (``RatioEstimate.z_std_error``).
 Every simulation goes through one chunk loop, :func:`_map_chunks`: rows are
 split into chunks of fixed size, chunk i of substream s drawn from
 ``seed.generator(s, i)``, so results are byte-identical for any worker
-count. Each chunk is drawn and filtered ``models._tile_rows`` rows at a
-time, in new arrays: a moving average of Pareto noise in several tiles, any
-other chunk whole, its noise array overwritten by the filter. Each drawn
-batch is then reduced one ``seqcore._row_tiles`` tile at a time and released
-before the next is drawn, so a reducer's temporaries are tile-sized even on a
-whole 16 MB chunk; the kernels themselves do not tile. The count asks only
-whether each window's norm is above the level: ``seqcore._row_p_exceeds``
-answers from each window's max and l1 sum, and ``seqcore.row_p_moduli`` the
-windows those leave undecided, so the counts are those of the exact norms;
-the pilot level's quantile takes every norm from ``row_p_moduli``.
+count. Each chunk is drawn, filtered and reduced one row tile
+(``models._tile_rows``) at a time, in new arrays: a moving average of Pareto
+noise takes several tiles, any other chunk is one tile whose noise array the
+filter overwrites. The count asks only whether each window's norm is above
+the level: ``seqcore._row_p_exceeds`` answers from each window's max and l1
+sum, and ``seqcore.row_p_moduli`` the windows those leave undecided, so the
+counts are those of the exact norms; the pilot level's quantile takes every
+norm from ``row_p_moduli``.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ import numpy as np
 
 from . import models
 from .models import Model, SeedSpec, _as_seed, _batch_rows, _pool_map, simulate_batch
-from .seqcore import PExponent, _row_p_exceeds, _row_tiles, as_p, row_p_moduli
+from .seqcore import PExponent, _row_p_exceeds, as_p, row_p_moduli
 from .spectral import _check_alpha
 
 __all__ = [
@@ -85,15 +83,11 @@ def _chunk_shapes(model: Model, row_values: int, total: int) -> list:
 
 
 def _run_chunk(reduce, model, width, count, seed, subkey, extra) -> tuple:
-    """reduce(rows, *extra) on chunk `subkey`: drawn ``models._tile_rows`` rows
-    at a time, each batch reduced one ``seqcore._row_tiles`` tile at a time."""
+    """reduce(rows, *extra) on chunk `subkey`, one tile of rows at a time."""
     rng = seed.generator(*subkey)
     step = models._tile_rows(model, width, count)
-    tiles = []
-    for start in range(0, count, step):
-        rows = simulate_batch(model, width, min(step, count - start), rng)
-        tiles += [reduce(rows[tile], *extra) for tile in _row_tiles(rows)]
-        del rows  # the next batch replaces this one instead of joining it
+    tiles = [reduce(simulate_batch(model, width, min(step, count - start), rng), *extra)
+             for start in range(0, count, step)]
     return tuple(np.concatenate(column) for column in zip(*tiles))
 
 

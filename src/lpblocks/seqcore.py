@@ -10,15 +10,11 @@ A count of rows whose norm exceeds a level needs only the comparison:
 :func:`row_p_moduli` on the rest, so its answer is that of the norms.
 
 The row kernels, :func:`row_p_moduli`, :func:`_row_p_exceeds` and the c(p)
-ratio kernel :func:`_ratio_alpha_pow`, are row-wise and do not tile: their
-temporaries (the ``np.abs`` copy, the powers) are the size of their input,
-so a matrix larger than one row tile makes matrix-sized temporaries. Callers
-keep what they pass small: the large-deviation chunk loop reduces each drawn
-batch over :func:`_row_tiles`, and the experiment's block stacks and the
-c(p) row table are sized below a tile. This module owns the tile size,
-``_TILE_BYTES`` (about 2 MB), read only through :func:`_tile_height`; the
-draw step, the moving-average filter, the Student divisors and the
-experiment's stacks are tiled with it where they are built.
+ratio kernel :func:`_ratio_alpha_pow`, tile themselves: a matrix above
+``_TILE_BYTES`` (about 2 MB) is reduced one row tile at a time
+(:func:`_map_row_tiles`), so the temporaries (the ``np.abs`` copy, the
+powers) stay in cache instead of being matrix-sized. Each row takes the same
+operations, so results are equal.
 """
 
 from __future__ import annotations
@@ -146,14 +142,14 @@ def row_p_moduli(matrix, p) -> np.ndarray:
     """Per-row p-moduli of a 2-d array.
 
     Rows are rescaled by their max before powering so large entries do not
-    overflow; all-zero rows yield 0. Fast paths cover p in {1, 2, inf}. The
-    temporaries are matrix-sized: a caller with a matrix above one row tile
-    passes it over :func:`_row_tiles`.
+    overflow; all-zero rows yield 0. Fast paths cover p in {1, 2, inf}.
     """
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError("expected a 2-d array")
     pe = as_p(p)
+    if m.shape[0] > 1 and m.nbytes > _TILE_BYTES:
+        return _map_row_tiles(row_p_moduli, m, pe)
     a = np.abs(m)
     if pe.is_inf:
         return a.max(axis=1)
@@ -183,6 +179,8 @@ def _row_p_exceeds(matrix: np.ndarray, p, level) -> np.ndarray:
     delta = 8 * (n + 4) * _EPS / min(pe.value, 1.0)
     if pe.is_inf or not delta < 2 ** -20:
         return row_p_moduli(m, pe) > level
+    if m.shape[0] > 1 and m.nbytes > _TILE_BYTES:
+        return _map_row_tiles(_row_p_exceeds, m, pe, level)
     a = np.abs(m)
     top = a.max(axis=1)
     total = a.sum(axis=1)
@@ -208,6 +206,8 @@ def _ratio_alpha_pow(draws: np.ndarray, alpha: float, pe: PExponent) -> np.ndarr
     """Per-row (||x||_p / ||x||_alpha)^alpha of 2-d draws x via max-rescaled
     power sums: S_p^(alpha/p) / S_alpha, and 1 / S_alpha for p = inf; all-zero
     rows give 0."""
+    if draws.shape[0] > 1 and draws.nbytes > _TILE_BYTES:
+        return _map_row_tiles(_ratio_alpha_pow, draws, alpha, pe)
     u = np.abs(draws)
     top = _rescale_rows(u)
     s_alpha = _row_power_sums(u, alpha)
@@ -232,3 +232,15 @@ def _row_tiles(matrix: np.ndarray, held: int = 1) -> list:
     rows = _tile_height(matrix.shape[1] * matrix.itemsize, held)
     return [slice(i, i + rows) for i in range(0, matrix.shape[0], rows)]
 
+
+def _map_row_tiles(fn, matrix: np.ndarray, *args) -> np.ndarray:
+    """fn(tile, *args) over the row tiles of a 2-d ``matrix``, concatenated.
+
+    ``fn`` must be row-wise: row i of its 1-d result depends on row i of its
+    input alone. The result then equals fn(matrix, *args), while the
+    temporaries fn makes are tile-sized instead of matrix-sized.
+    """
+    tiles = _row_tiles(matrix)
+    if len(tiles) <= 1:
+        return fn(matrix, *args)
+    return np.concatenate([fn(matrix[rows], *args) for rows in tiles])

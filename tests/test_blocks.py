@@ -1,15 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lpblocks import seqcore
 from lpblocks.blocks import (
     BlockFrame,
     default_k,
     partition,
     threshold_from_order_stat,
 )
-from lpblocks.seqcore import INF
+from lpblocks.seqcore import INF, row_p_moduli
 
 
 def test_partition_examples():
@@ -115,3 +118,22 @@ def test_frame_matrix_is_readonly_view_of_prefix():
     with pytest.raises(ValueError):
         frame.matrix[0, 0] = 99.0
     np.testing.assert_array_equal(frame.matrix.reshape(-1), x[:9])
+
+
+@pytest.mark.parametrize("p", [1.3, INF], ids=["1.3", "inf"])
+def test_long_series_block_norms_are_reduced_in_row_tiles(p):
+    # a series file of 2,000,000 values (16 MB) is one block stack; its norms
+    # take it one row tile at a time, so the temporaries are tile-sized and
+    # not the size of the series
+    series = np.random.default_rng(17).standard_t(1.3, size=2_000_000)
+    frame = partition(series, 100)
+    assert frame.matrix.nbytes > 7 * seqcore._TILE_BYTES
+    want = row_p_moduli(frame.matrix[:1000], p)
+    tracemalloc.start()
+    try:
+        norms = frame.norms(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(norms[:1000], want)
+    assert peak < 3 * seqcore._TILE_BYTES

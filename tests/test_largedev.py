@@ -490,9 +490,10 @@ def test_ld_pareto_chunk_peak_is_tile_sized(reduce, extra, per_row):
 ], ids=["window-inf", "window-1.3", "norms"])
 def test_ld_whole_chunk_is_reduced_in_row_tiles(reduce, extra, per_row):
     # an AR(1) chunk with Student noise is drawn whole: 481 rows of 150 + 4000
-    # values are 16.0 MB, but the reducer takes it one row tile at a time, so
-    # its temporaries (the np.abs copy, the powers) are two tile-sized arrays,
-    # not chunk-sized ones; the per-row columns take well under 1 MB
+    # values are 16.0 MB, but the row kernels take its windows one row tile at
+    # a time, so their temporaries (the np.abs copy, the powers) are two
+    # tile-sized arrays, not chunk-sized ones; the per-row columns take well
+    # under 1 MB
     width = largedev._row_values(AR1_STUDENT, 100)
     assert largedev._chunk_shapes(AR1_STUDENT, width, 481 * width) == [(4000, 481)]
 
@@ -509,3 +510,28 @@ def test_ld_whole_chunk_is_reduced_in_row_tiles(reduce, extra, per_row):
         tracemalloc.stop()
     assert [len(column) for column in columns] == [481 * per_row] * len(columns)
     assert peak < 481 * (150 + 4000) * 8 + 2 * seqcore._TILE_BYTES + 1_000_000
+
+
+@pytest.mark.parametrize("reduce, extra", [
+    (largedev._window_chunk, (49_000, INF, 2000.0, 2000.0)),
+    (largedev._window_chunk, (49_000, as_p(1.3), 2000.0, 2000.0)),
+    (largedev._norms_chunk, (49_000, as_p(1.3))),
+], ids=["window-inf", "window-1.3", "norms"])
+def test_ld_long_windows_are_reduced_in_row_tiles(reduce, extra):
+    # at n = 49,000 a chunk is one row of 40 windows (15.7 MB), which the chunk
+    # loop cannot split; the reducers' (40, n) window matrix is still taken
+    # one row tile of windows at a time, not whole
+    n = extra[0]
+    width = largedev._row_values(AR1_STUDENT, n)
+    assert width == 40 * n
+    assert largedev._chunk_shapes(AR1_STUDENT, width, width) == [(width, 1)]
+    rows = np.random.default_rng(16).standard_t(1.3, size=(1, width))
+    reduce(rows[:, : 2 * n], *extra)  # first-call allocations
+    tracemalloc.start()
+    try:
+        columns = reduce(rows, *extra)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(columns[0]) in (1, 40)
+    assert peak < 3 * seqcore._TILE_BYTES

@@ -7,9 +7,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lpblocks import seqcore
+from lpblocks.largedev import _window_chunk
 from lpblocks.seqcore import (
     INF,
     PExponent,
+    _ratio_alpha_pow,
     _row_p_exceeds,
     as_p,
     as_series,
@@ -152,23 +154,75 @@ def test_p_modulus_extreme_scales_no_overflow():
     assert p_modulus(big, 0.5) == pytest.approx(4 * 1e300, rel=1e-12)
 
 
-def test_row_tiles_split_rows_by_tile_bytes(monkeypatch):
+def test_map_row_tiles_splits_rows_by_tile_bytes(monkeypatch):
+    seen = []
+
+    def rows_of(tile):
+        seen.append(tile.shape[0])
+        return tile[:, 0].copy()
+
     matrix = np.arange(70.0).reshape(10, 7)
-
-    def heights():
-        return [len(matrix[rows]) for rows in seqcore._row_tiles(matrix)]
-
     # 3 rows of 7 float64 = 168 bytes; 170 is not a multiple of a row
     monkeypatch.setattr(seqcore, "_TILE_BYTES", 170)
-    assert heights() == [3, 3, 3, 1]
-    assert np.array_equal(
-        np.concatenate([matrix[rows] for rows in seqcore._row_tiles(matrix)]), matrix)
+    assert np.array_equal(seqcore._map_row_tiles(rows_of, matrix), matrix[:, 0])
+    assert seen == [3, 3, 3, 1]
     # a tile smaller than one row still holds one row
+    seen.clear()
     monkeypatch.setattr(seqcore, "_TILE_BYTES", 1)
-    assert heights() == [1] * 10
-    # a matrix that fits one tile is one slice
+    seqcore._map_row_tiles(rows_of, matrix)
+    assert seen == [1] * 10
+    # a matrix that fits one tile is passed whole
+    seen.clear()
     monkeypatch.setattr(seqcore, "_TILE_BYTES", 10 ** 6)
-    assert heights() == [10]
+    seqcore._map_row_tiles(rows_of, matrix)
+    assert seen == [10]
+
+
+@given(rows=st.integers(min_value=1, max_value=40),
+       cols=st.integers(min_value=1, max_value=200),
+       tile_bytes=st.one_of(st.just(1), st.integers(min_value=2, max_value=20_000)),
+       zero_rows=st.lists(st.integers(min_value=0, max_value=39), max_size=6),
+       seed=st.integers(min_value=0, max_value=10_000))
+@settings(deadline=None)
+def test_row_tiles_equal_untiled(rows, cols, tile_bytes, zero_rows, seed):
+    """The self-tiling kernels are == their whole-matrix results: norms, hit
+    counts and the spectral ratios, at any tile size."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.standard_t(1.3, size=(rows, cols))
+    matrix[[r for r in zero_rows if r < rows]] = 0.0
+    # the reference runs at the default tile size, which holds the matrix whole
+    assert matrix.nbytes <= seqcore._TILE_BYTES
+    for p in (0.5, 1.0, 1.3, 2.0, INF):
+        pe = as_p(p)
+        norms = row_p_moduli(matrix, pe)
+        level = float(np.median(norms))
+        hits = int(np.sum(norms > level))
+        ratios = _ratio_alpha_pow(matrix, 1.3, pe)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(seqcore, "_TILE_BYTES", tile_bytes)
+            assert np.array_equal(row_p_moduli(matrix, pe), norms)
+            assert _window_chunk(matrix, cols, pe, level, level)[0].sum() == hits
+            assert np.array_equal(_ratio_alpha_pow(matrix, 1.3, pe), ratios)
+
+
+def test_row_kernels_tile_only_above_one_tile(monkeypatch):
+    tiled = []
+    real = seqcore._map_row_tiles
+
+    def spy(fn, matrix, *args):
+        tiled.append(matrix.shape)
+        return real(fn, matrix, *args)
+
+    monkeypatch.setattr(seqcore, "_map_row_tiles", spy)
+    monkeypatch.setattr(seqcore, "_TILE_BYTES", 8 * 7 * 3)
+    pe = as_p(1.3)
+    for kernel in (lambda m: row_p_moduli(m, pe), lambda m: _ratio_alpha_pow(m, 1.3, pe)):
+        tiled.clear()
+        kernel(np.ones((3, 7)))    # one tile: computed whole
+        kernel(np.ones((1, 100)))  # one row above a tile: a row is never split
+        assert tiled == []
+        kernel(np.ones((10, 7)))
+        assert tiled == [(10, 7)]
 
 
 ROW_KINDS = st.sampled_from(["spread", "flat", "one", "zero"])
@@ -196,9 +250,10 @@ def kinds_matrix(rng, cols, kinds):
 @given(cols=st.integers(min_value=1, max_value=60),
        kinds=st.lists(st.tuples(ROW_KINDS, ROW_SCALES), min_size=1, max_size=25),
        p=st.sampled_from([0.3, 0.5, 1.0, 1.3, 2.0, 3.7, math.inf]),
+       tile_bytes=st.one_of(st.just(1), st.integers(min_value=2, max_value=20_000)),
        seed=st.integers(min_value=0, max_value=10_000))
 @settings(deadline=None)
-def test_row_p_exceeds_equals_norms_above_level(cols, kinds, p, seed):
+def test_row_p_exceeds_equals_norms_above_level(cols, kinds, p, tile_bytes, seed):
     """The exceedance kernel is == the exact norms' comparison at every
     level where the two could part: each row's computed norm and its two
     neighbouring floats. Rows scaled to 1e306 may hold inf entries and
@@ -208,7 +263,8 @@ def test_row_p_exceeds_equals_norms_above_level(cols, kinds, p, seed):
         norms = row_p_moduli(matrix, p)
     levels = np.concatenate([norms, np.nextafter(norms, -np.inf),
                              np.nextafter(norms, np.inf)])
-    with np.errstate(over="ignore", invalid="ignore"):
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+        mp.setattr(seqcore, "_TILE_BYTES", tile_bytes)
         for level in levels:
             assert np.array_equal(_row_p_exceeds(matrix, p, level), norms > level)
 

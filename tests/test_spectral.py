@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lpblocks import spectral
+from lpblocks import seqcore, spectral
 from lpblocks.models import (AR1ModelSpec, LinearModelSpec, NoiseSpec, SeedSpec, _rng_of,
                              model_coefficients)
 from lpblocks.seqcore import INF, _ratio_alpha_pow, as_p, p_modulus
@@ -311,6 +311,16 @@ def test_cluster_constant_mc_std_error_is_std_of_ratios(monkeypatch):
     assert est.std_error > 0
 
 
+@pytest.mark.parametrize("tile_bytes", [1, 8 * 9 * 5 + 3, 8 * 9 * 1000])
+def test_cluster_constant_mc_tiles_do_not_change_estimates(monkeypatch, tile_bytes):
+    args = (heavy_sampler, 1.3, 0.5, 5_003, 3)
+    monkeypatch.setattr(spectral, "_SAMPLER_BATCH", 2_000)
+    whole = cluster_constant_mc(*args)
+    monkeypatch.setattr(seqcore, "_TILE_BYTES", tile_bytes)
+    tiled = cluster_constant_mc(*args)
+    assert tiled == whole
+
+
 def test_cluster_constant_mc_draws_sampler_batches():
     counts = []
 
@@ -332,18 +342,22 @@ tap_vectors = st.lists(st.one_of(st.just(0.0), nonzero_taps),
 @given(coeffs=tap_vectors, alpha=st.sampled_from([0.8, 1.3, 2.0]),
        p=st.sampled_from(["alpha", 0.5, 1.0, 2.0, 3.0, INF]),
        batch=st.integers(min_value=1, max_value=300),
+       tile_bytes=st.sampled_from([1, 100, 2 ** 21]),
        seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
-@example(coeffs=[0.7], alpha=1.3, p=1.0, batch=300, seed=0)
+@example(coeffs=[0.7], alpha=1.3, p=1.0, batch=300, tile_bytes=2 ** 21, seed=0)
 @settings(max_examples=80, deadline=None)
-def test_cluster_constant_mc_row_table_is_bit_identical(coeffs, alpha, p, batch, seed):
+def test_cluster_constant_mc_row_table_is_bit_identical(coeffs, alpha, p, batch,
+                                                        tile_bytes, seed):
     # reducing the 2(q+1) table rows gives each draw the ratio its
     # materialized row gives
     pe = as_p(alpha if p == "alpha" else p)
     sampler = theta_sampler_linear(
         LinearModelSpec(coeffs=tuple(coeffs), noise=NoiseSpec(law="student", alpha=alpha)))
     drawn = sampler(batch, _rng_of(seed))
-    assert np.array_equal(_ratio_alpha_pow(drawn.table, alpha, pe)[drawn.index],
-                          _ratio_alpha_pow(rows_of(drawn), alpha, pe))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(seqcore, "_TILE_BYTES", tile_bytes)
+        assert np.array_equal(_ratio_alpha_pow(drawn.table, alpha, pe)[drawn.index],
+                              _ratio_alpha_pow(rows_of(drawn), alpha, pe))
 
 
 def test_theta_sampler_linear_batch_rows():
