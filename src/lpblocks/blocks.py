@@ -6,9 +6,9 @@ R frames of m blocks of length b as one (R*m, b) matrix, frame r in rows
 r*m to r*m + m - 1. Each p's norms are one ``row_p_moduli`` call and each
 (p, k) threshold one ``np.partition`` along the frames' axis, both cached
 for all R frames. A ``BlockFrame`` is the one-frame stack, a subclass that
-validates the series and cuts it; the experiment stacks the frames of many
-replications at one (n, b) grid point, about 256 KB of series values per
-stack.
+validates the series and cuts it; the experiment stacks the frames of all
+of a task's replications at one (n, b) grid point, at most one row tile
+(about 2 MB) of series values.
 """
 
 from __future__ import annotations

@@ -2,15 +2,15 @@
 
 Runs estimator grids over simulated series with one derived RNG stream per
 replication, so every estimator at a grid point sees the same sample (paired
-boxplots) and output files are byte-identical for any worker count; a
-batch of replications (at most about a row tile, _TILE_BYTES, of noise) is
-filtered at once, one noise stream per row. Each (n, b) grid point is
-evaluated over the batch's replications together, in block stacks of about
-256 KB of series values (_TILE_BYTES / 8): one norm vector per p and one
-threshold per (p, k) per stack, and one run of each estimator's kernels
-over every frame in it, with the values of the per-frame estimators. One
-table maps each built-in estimator id to whether it needs alpha and its
-stack function; an EstimatorEntry's run is that function's one-frame case.
+boxplots) and output files are byte-identical for any worker count. The
+replications are cut into tasks of at most a row tile (_TILE_BYTES) of
+noise, filtered at once, one noise stream per row. Each (n, b) grid point
+is evaluated over all of a task's replications as one block stack: one norm
+vector per p and one threshold per (p, k), and one run of each estimator's
+kernels over every frame in it, with the values of the per-frame
+estimators. One table maps each built-in estimator id to whether it needs
+alpha and its stack function; an EstimatorEntry's run is that function's
+one-frame case.
 Also hosts config parsing, series-file ingestion, and the closed-form report.
 """
 
@@ -244,15 +244,23 @@ def _listed(name: str, value) -> tuple:
     raise ValueError(f"{name} must be a list, got {value!r}")
 
 
+def _distinct(name: str, entries: tuple) -> tuple:
+    """entries as given; an entry listed twice fails, naming the key and it."""
+    for i, entry in enumerate(entries):
+        if entry in entries[:i]:
+            raise ValueError(f"{name} lists {entry!r} more than once")
+    return entries
+
+
 def _grid(name: str, value) -> tuple:
-    """A grid as a tuple of ints; integral floats (120.0) are taken, any other
-    entry fails, naming the key."""
+    """A grid as a tuple of distinct ints; integral floats (120.0) are taken,
+    any other entry fails, naming the key."""
     entries = []
     for v in _listed(name, value):
         if isinstance(v, float) and v.is_integer():
             v = int(v)
         entries.append(_integer(f"{name} entry", v))
-    return tuple(entries)
+    return _distinct(name, tuple(entries))
 
 
 def _mapping(name: str, value) -> dict:
@@ -296,6 +304,7 @@ class ExperimentConfig:
                 raise ValueError(f"estimators entry must be a name, got {estimator_id!r}")
             get_estimator(estimator_id)
             self._check_estimator(estimator_id, mode)
+        _distinct("estimators", self.estimators)
         n_min = min(self.n_grid)
         if mode.kind == "hill" and mode.value is not None and mode.value >= n_min:
             raise ValueError(f"hill k_tail={int(mode.value)} must be below the "
@@ -408,13 +417,6 @@ class ResultRow:
     degenerate: bool
 
 
-def _stack_reps(n: int) -> int:
-    """Replications per grid-point stack: n float64 values each, an eighth
-    of a row tile (256 KB) together, so a stack and the temporaries made of
-    it stay small."""
-    return _tile_height(8 * 8 * n)
-
-
 def _run_stacked(entry: EstimatorEntry, stack, alphas: list, k: int):
     """One estimator over a grid point's stack: (values, degenerate,
     failures), the first two per frame, failures as (frame, error).
@@ -455,11 +457,11 @@ def _replication_rows(config, reps) -> tuple[list[tuple], list[str]]:
     over the range's replications, so the caller builds the ResultRows once
     the simulated series are freed.
 
-    Each (n, b) grid point is evaluated over all the range's replications at
-    once, in stacks of _stack_reps(n) of them: one norm vector per p and one
-    threshold per (p, k) for the whole stack, and each estimator's kernels
-    run once over the selected blocks of every frame in it. Every value is
-    the one the per-frame estimator gives.
+    Each (n, b) grid point is evaluated over all the range's replications as
+    one block stack, no larger than the range's noise: one norm vector per p
+    and one threshold per (p, k) for the whole stack, and each estimator's
+    kernels run once over the selected blocks of every frame in it. Every
+    value is the one the per-frame estimator gives.
 
     When the tail index cannot be resolved at some n (a Hill estimate
     fails), the estimators that need it record degenerate rows at that n,
@@ -488,24 +490,17 @@ def _replication_rows(config, reps) -> tuple[list[tuple], list[str]]:
                                  f"({exc}); estimators that need alpha are "
                                  "recorded as degenerate"))
                 alphas.append(None)
-        size = _stack_reps(n)
         for bi, b in enumerate(config.b_grid):
             # a grid point with too few blocks (m < 2) is skipped, k = 0
             k = default_k(n, b, config.kappa) if n // b >= 2 else 0
-            grid = [(entry.estimator_id, n, b, k, [], []) for entry in entries]
-            for lo in range(0, len(reps), size):
-                stack = _BlockStack.cut(series[lo:lo + size, :n], b) if k else None
-                for ei, entry in enumerate(entries):
-                    values, degenerate, failures = _run_stacked(
-                        entry, stack, alphas[lo:lo + size], k)
-                    for i, exc in failures:
-                        problems.append((lo + i, ni, bi, ei,
-                                         f"rep {reps[lo + i]}, n={n}, b={b}: "
-                                         f"{entry.estimator_id} failed ({exc}); "
-                                         "recorded as degenerate"))
-                    grid[ei][4].extend(values)
-                    grid[ei][5].extend(degenerate)
-            columns.extend(grid)
+            stack = _BlockStack.cut(series[:, :n], b) if k else None
+            for ei, entry in enumerate(entries):
+                values, degenerate, failures = _run_stacked(entry, stack, alphas, k)
+                for i, exc in failures:
+                    problems.append((i, ni, bi, ei, f"rep {reps[i]}, n={n}, b={b}: "
+                                     f"{entry.estimator_id} failed ({exc}); "
+                                     "recorded as degenerate"))
+                columns.append((entry.estimator_id, n, b, k, values, degenerate))
     problems.sort(key=lambda problem: problem[:4])
     return columns, [problem[4] for problem in problems]
 
@@ -515,8 +510,9 @@ def run_experiment(config: ExperimentConfig, threads: int = 1,
     """Run the full grid; returns (rows, summary) and writes CSV/JSON files
     when an output directory is configured. Byte-identical for any threads:
     the replications are cut into equal tasks, at least one per thread, and
-    a task's noise stays within a row tile (_TILE_BYTES), so its series are
-    small next to the stacks made of them."""
+    a task's noise stays within a row tile (_TILE_BYTES). That cap is what
+    sizes a task's memory: each grid point's block stack is the task's
+    replications, so it stays within a row tile too."""
     width = max(config.n_grid) + config.model.lead
     cap = _tile_height(8 * width)
     size = math.ceil(config.reps / max(threads, math.ceil(config.reps / cap)))
@@ -617,7 +613,7 @@ def write_outputs(rows, summary, out_dir) -> dict:
 
 
 def read_series_file(path) -> np.ndarray:
-    """One numeric value per line; blank lines and '#' comments skipped."""
+    """One finite numeric value per line; blank lines and '#' comments skipped."""
     values = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -633,6 +629,8 @@ def read_series_file(path) -> np.ndarray:
                 raise ValueError(
                     f"{path}: line {lineno}: could not parse {text!r} as a number"
                 ) from None
+            if not math.isfinite(values[-1]):
+                raise ValueError(f"{path}: line {lineno}: {text!r} is not finite")
     if not values:
         raise ValueError(f"{path}: no numeric data")
     return np.asarray(values, dtype=np.float64)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import multiprocessing
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -295,6 +296,13 @@ def test_config_validation():
         with pytest.raises(ValueError, match=rf"'supwalk' needs alpha >= 1, but "
                                              rf"alpha_mode {mode!r} gives 0.8"):
             small_config(model=heavy, alpha_mode=mode, estimators=("supwalk",))
+    # a grid or estimator listed twice would write its rows twice
+    for key, value, cause in (("n_grid", [200, 200.0], "n_grid lists 200 more than once"),
+                              ("b_grid", [10, 20, 10], "b_grid lists 10 more than once"),
+                              ("estimators", ["supwalk", "serial:1", "supwalk"],
+                               "estimators lists 'supwalk' more than once")):
+        with pytest.raises(ValueError, match=re.escape(cause)):
+            config_from_dict({**data, "reps": 3, key: value})
     # every value is type-checked, naming its key; strings are not lists
     model = data["model"]
     for key, value, cause in (
@@ -579,7 +587,8 @@ FORKED = multiprocessing.get_start_method() == "fork"
        per_stack=st.integers(min_value=1, max_value=4),
        threads=st.sampled_from([1, 2] if FORKED else [1]))
 def test_run_experiment_rows_equal_per_frame_reports(data, mode, reps, per_stack, threads):
-    # rows of a grid point come from stacks of per_stack replications, which
+    # a row tile holds per_stack replications' noise, so rows of a grid point
+    # come from tasks, and stacks, of at most per_stack replications, which
     # need not divide reps; each must equal (==) its frame's public estimator
     # report. b = 25 leaves n = 36 with one block, a skipped grid point.
     config = small_config(n_grid=(60, 36), b_grid=(4, 10, 25), reps=reps,
@@ -592,10 +601,12 @@ def test_run_experiment_rows_equal_per_frame_reports(data, mode, reps, per_stack
     series = [crafted_series(kind, seed, max(config.n_grid))
               for kind, seed in zip(kinds, seeds)]
     import lpblocks.experiment as experiment
+    import lpblocks.seqcore as seqcore
 
+    width = max(config.n_grid) + config.model.lead
     with mock.patch.object(experiment, "sample_noise",
                            lambda noise, width, seed: series[seed.stream_id].copy()), \
-            mock.patch.object(experiment, "_stack_reps", lambda n: per_stack):
+            mock.patch.object(seqcore, "_TILE_BYTES", per_stack * 8 * width):
         rows, _ = run_experiment(config, threads=threads)
     mode = parse_alpha_mode(mode)
     want = []
@@ -650,6 +661,48 @@ def test_run_experiment_batches_byte_identical(monkeypatch, tmp_path, threads):
     for name in ("results.csv", "summary.csv", "summary.json"):
         assert (tmp_path / "capped" / name).read_bytes() == \
             (tmp_path / "default" / name).read_bytes()
+
+
+def test_a_task_is_one_block_stack_per_grid_point(monkeypatch):
+    # ten replications at n = 8192 fit one task (a row tile holds 30 of
+    # them), so each grid point with k > 0 cuts one stack of all ten; b = 8192
+    # leaves one block, a skipped grid point that cuts none
+    import lpblocks.blocks as blocks
+
+    cut = blocks._BlockStack.cut
+    cuts = []
+
+    def spy(rows, b):
+        cuts.append((rows.shape, b))
+        return cut(rows, b)
+
+    monkeypatch.setattr(blocks._BlockStack, "cut", staticmethod(spy))
+    config = small_config(model=AR1_STUDENT, n_grid=(8192,), b_grid=(16, 64, 8192),
+                          reps=10, alpha_mode="oracle")
+    run_experiment(config)
+    assert cuts == [((10, 8192), 16), ((10, 8192), 64)]
+
+
+def test_a_full_task_peaks_below_four_row_tiles():
+    # the task cap is the one rule that sizes a study's memory: a task of 31
+    # replications at width 8,300 is a full row tile of noise, and it holds
+    # its noise, its series and one grid point's stack at a time
+    import lpblocks.experiment as experiment
+    import lpblocks.seqcore as seqcore
+
+    config = small_config(model=AR1_STUDENT, n_grid=(8000,),
+                          b_grid=(10, 20, 40, 80, 160, 320), reps=31,
+                          estimators=BUILTIN_IDS + ("serial:1",), alpha_mode="oracle")
+    width = max(config.n_grid) + config.model.lead
+    assert width == 8300 and seqcore._tile_height(8 * width) == 31
+    tracemalloc.start()
+    try:
+        columns, _ = experiment._replication_rows(config, range(31))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(columns) == 6 * 6 and all(len(column[4]) == 31 for column in columns)
+    assert peak < 4 * seqcore._TILE_BYTES
 
 
 # the two tiny studies of the CI workflow: AR(1) Student noise with the
@@ -753,6 +806,10 @@ def test_read_series_file_errors(tmp_path):
     path.write_text("1.0\nabc\n", encoding="utf-8")
     with pytest.raises(ValueError, match="line 2: could not parse"):
         read_series_file(path)
+    for text in ("nan", "-inf", "1e999"):
+        path.write_text(f"1.0\n# note\n{text}\n2.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: {text!r} is not finite")):
+            read_series_file(path)
     path.write_text("# only comments\n\n", encoding="utf-8")
     with pytest.raises(ValueError, match="no numeric data"):
         read_series_file(path)
