@@ -47,9 +47,9 @@ def main() -> int:
             kappa=args.kappa,
             alpha_mode="oracle",
             master_seed=args.seed,
-            output=str(Path(args.out) / f"phi{phi:g}"),
         )
-        rows, summary = run_experiment(config, threads=args.threads)
+        out_dir = Path(args.out) / f"phi{phi:g}"
+        rows, summary = run_experiment(config, threads=args.threads, output=out_dir)
         coeffs = ar1_coefficients(phi)
         theta = cluster_constant_linear(coeffs, args.tail_index, INF)
         c1 = cluster_constant_linear(coeffs, args.tail_index, 1.0)
@@ -59,7 +59,7 @@ def main() -> int:
             med = "-" if rec["q50"] is None else f"{rec['q50']:10.4f}"
             print(f"{rec['estimator_id']:>24} {rec['n']:>6} {rec['b']:>4} "
                   f"{rec['k']:>5} {med}")
-        print(f"wrote {config.output}/")
+        print(f"wrote {out_dir}/")
     return 0
 
 

@@ -41,7 +41,11 @@ def _build_model(args: argparse.Namespace):
         return AR1ModelSpec(phi=args.phi, noise=noise, burn_in=args.burn_in)
     if not args.coeffs:
         raise ValueError("--model linear requires --coeffs")
-    coeffs = tuple(float(tok) for tok in args.coeffs.split(",") if tok.strip())
+    try:
+        coeffs = tuple(float(tok) for tok in args.coeffs.split(",") if tok.strip())
+    except ValueError:
+        raise ValueError(
+            f"--coeffs must be comma-separated numbers, got {args.coeffs!r}") from None
     return LinearModelSpec(coeffs=coeffs, noise=noise)
 
 
@@ -80,13 +84,12 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
     rows, summary = run_experiment(config, threads=args.threads, output=args.out)
-    out_dir = args.out if args.out is not None else config.output
-    if out_dir is None:
+    if args.out is None:
         sys.stdout.write(summary_csv_text(summary))
     else:
-        print(f"wrote {out_dir}/results.csv ({len(rows)} rows)")
-        print(f"wrote {out_dir}/summary.csv ({len(summary)} groups)")
-        print(f"wrote {out_dir}/summary.json")
+        print(f"wrote {args.out}/results.csv ({len(rows)} rows)")
+        print(f"wrote {args.out}/summary.csv ({len(summary)} groups)")
+        print(f"wrote {args.out}/summary.json")
     return 0
 
 
@@ -170,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser("experiment", help="run a Monte Carlo grid from a JSON config")
     exp.add_argument("config", help="JSON config file")
     exp.add_argument("--threads", type=int, default=1)
-    exp.add_argument("--out", help="output directory (overrides config)")
+    exp.add_argument("--out", help="output directory (default: summary to stdout)")
     exp.add_argument("--seed", type=int, default=None,
                      help="override the config master_seed")
     exp.set_defaults(fn=_cmd_experiment)

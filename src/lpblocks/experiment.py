@@ -21,9 +21,8 @@ import json
 import math
 import numbers
 import operator
-import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -204,15 +203,18 @@ def get_estimator(estimator_id: str) -> EstimatorEntry:
 
 
 def _serial_lag(estimator_id: str) -> Optional[int]:
-    """The lag h of a 'serial:<h>' id; None for any other id."""
+    """The lag h of a 'serial:<h>' id, h written as str(h); None for any other id."""
     if not estimator_id.startswith("serial:"):
         return None
+    text = estimator_id.split(":", 1)[1]
     try:
-        h = int(estimator_id.split(":", 1)[1])
+        h = int(text)
     except ValueError:
         raise ValueError(f"bad serial lag in {estimator_id!r}") from None
     if h < 0:
         raise ValueError("serial lag must be nonnegative")
+    if text != str(h):
+        raise ValueError(f"write {estimator_id!r} as 'serial:{h}' (lag in plain decimal)")
     return h
 
 
@@ -280,7 +282,6 @@ class ExperimentConfig:
     kappa: float = 1.0
     alpha_mode: str = "oracle"
     master_seed: int = 0
-    output: Optional[str] = None
 
     def __post_init__(self):
         object.__setattr__(self, "n_grid", _grid("n_grid", self.n_grid))
@@ -311,8 +312,6 @@ class ExperimentConfig:
                              f"smallest sample size n={n_min}")
         if not _real("kappa", self.kappa) > 0:
             raise ValueError("kappa must be positive")
-        if self.output is not None and not isinstance(self.output, (str, os.PathLike)):
-            raise ValueError(f"output must be a directory path, got {self.output!r}")
 
     def _check_estimator(self, estimator_id: str, mode: AlphaMode) -> None:
         """Reject settings under which an estimator fails at every replication."""
@@ -330,8 +329,6 @@ class ExperimentConfig:
 _MODEL_KEYS = {"ar1": {"kind", "phi", "noise", "burn_in"},
                "linear": {"kind", "coeffs", "noise"}}
 _NOISE_KEYS = {"law", "alpha"}
-_CONFIG_KEYS = {"model", "n_grid", "b_grid", "reps", "estimators",
-                "kappa", "alpha_mode", "master_seed", "output"}
 
 
 def _check_keys(data: dict, allowed: set, where: str, required=()) -> None:
@@ -372,25 +369,20 @@ def model_to_dict(model: Model) -> dict:
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    _check_keys(data, _CONFIG_KEYS, "config",
-                ("model", "n_grid", "b_grid", "reps", "estimators"))
+    keys = fields(ExperimentConfig)  # a field without a default is required
+    _check_keys(data, {f.name for f in keys}, "config",
+                [f.name for f in keys if f.default is MISSING])
     kwargs = dict(data)
     kwargs["model"] = model_from_dict(data["model"])
     return ExperimentConfig(**kwargs)
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    return {
-        "model": model_to_dict(config.model),
-        "n_grid": list(config.n_grid),
-        "b_grid": list(config.b_grid),
-        "reps": config.reps,
-        "estimators": list(config.estimators),
-        "kappa": config.kappa,
-        "alpha_mode": config.alpha_mode,
-        "master_seed": config.master_seed,
-        "output": config.output,
-    }
+    data = {f.name: getattr(config, f.name) for f in fields(config)}
+    data["model"] = model_to_dict(config.model)
+    for key in ("n_grid", "b_grid", "estimators"):
+        data[key] = list(data[key])
+    return data
 
 
 def load_config(path) -> ExperimentConfig:
@@ -507,8 +499,9 @@ def _replication_rows(config, reps) -> tuple[list[tuple], list[str]]:
 
 def run_experiment(config: ExperimentConfig, threads: int = 1,
                    output=None) -> tuple[list[ResultRow], list[dict]]:
-    """Run the full grid; returns (rows, summary) and writes CSV/JSON files
-    when an output directory is configured. Byte-identical for any threads:
+    """Run the full grid; returns (rows, summary), and writes results.csv,
+    summary.csv and summary.json into the directory ``output`` when it is
+    given (the config names no output). Byte-identical for any threads:
     the replications are cut into equal tasks, at least one per thread, and
     a task's noise stays within a row tile (_TILE_BYTES). That cap is what
     sizes a task's memory: each grid point's block stack is the task's
@@ -528,9 +521,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1,
             for rep, value, flag in zip(reps, values, degenerate)]
     rows.sort(key=lambda r: (r.estimator_id, r.n, r.b, r.rep))
     summary = summarize(rows)
-    out_dir = output if output is not None else config.output
-    if out_dir is not None:
-        write_outputs(rows, summary, out_dir)
+    if output is not None:
+        write_outputs(rows, summary, output)
     return rows, summary
 
 

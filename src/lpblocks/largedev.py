@@ -57,8 +57,8 @@ __all__ = [
 # length-n windows per simulated row: one lead is paid per _WINDOWS windows
 _WINDOWS = 40
 
-# values drawn, rows, chunks and tiles over every chunk loop run in this process;
-# a caller reads the difference across a call (``lpblocks ldratio`` prints it)
+# values drawn, rows, chunks and tiles of every chunk loop that returned in this
+# process; a caller reads the difference across a call (``lpblocks ldratio`` prints it)
 _drawn: Counter = Counter()
 
 
@@ -98,12 +98,13 @@ def _map_chunks(reduce, model: Model, row_values: int, total: int, seed: SeedSpe
     i); ``reduce``, module-level so that workers can unpickle it, returns a
     tuple of arrays and may overwrite `rows`."""
     shapes = _chunk_shapes(model, row_values, total)
+    tasks = [(reduce, model, width, count, seed, (stream, i), extra)
+             for i, (width, count) in enumerate(shapes)]
+    chunks = _pool_map(_run_chunk, tasks, threads)
     for width, count in shapes:
         _drawn.update(values=count * (width + model.lead), rows=count, chunks=1,
                       tiles=-(-count // models._tile_rows(model, width, count)))
-    tasks = [(reduce, model, width, count, seed, (stream, i), extra)
-             for i, (width, count) in enumerate(shapes)]
-    return [np.concatenate(column) for column in zip(*_pool_map(_run_chunk, tasks, threads))]
+    return [np.concatenate(column) for column in zip(*chunks)]
 
 
 def _window_chunk(rows, n, pe, level, x) -> tuple:

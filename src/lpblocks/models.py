@@ -51,8 +51,8 @@ __all__ = [
 ]
 
 _NOISE_LAWS = ("pareto", "student")
-# noise values per simulation batch (16 MB as float64): the memory budget of
-# every batched caller
+# noise values per large-deviation chunk (16 MB as float64); the study sizes
+# its tasks by one row tile (seqcore._TILE_BYTES) instead
 _CHUNK_ELEMENTS = 2_000_000
 
 

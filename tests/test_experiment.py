@@ -220,6 +220,11 @@ def test_get_estimator_matches_direct_call(estimator_id):
         assert report.extras == {"h": int(estimator_id[len("serial:"):])}
 
 
+# serial ids that int() reads, and the canonical id each one names
+NON_CANONICAL_SERIAL = (("serial:01", "serial:1"), ("serial: 1", "serial:1"),
+                        ("serial:+1", "serial:1"), ("serial:1_0", "serial:10"))
+
+
 def test_get_estimator_rejects():
     with pytest.raises(ValueError, match="bad serial lag"):
         get_estimator("serial:x")
@@ -227,6 +232,11 @@ def test_get_estimator_rejects():
         get_estimator("serial:-1")
     with pytest.raises(ValueError, match="unknown estimator"):
         get_estimator("bogus")
+    # a lag has one id, in plain decimal; other spellings int() reads name it
+    for estimator_id, canonical in NON_CANONICAL_SERIAL:
+        with pytest.raises(ValueError, match=re.escape(
+                f"write {estimator_id!r} as {canonical!r}")):
+            get_estimator(estimator_id)
 
 
 # --- configuration ---------------------------------------------------------
@@ -303,6 +313,11 @@ def test_config_validation():
                                "estimators lists 'supwalk' more than once")):
         with pytest.raises(ValueError, match=re.escape(cause)):
             config_from_dict({**data, "reps": 3, key: value})
+    # so would one lag under two spellings; only the canonical one loads
+    for estimator_id, canonical in NON_CANONICAL_SERIAL:
+        with pytest.raises(ValueError, match=re.escape(
+                f"write {estimator_id!r} as {canonical!r}")):
+            config_from_dict({**data, "estimators": ["serial:1", estimator_id]})
     # every value is type-checked, naming its key; strings are not lists
     model = data["model"]
     for key, value, cause in (
@@ -313,7 +328,7 @@ def test_config_validation():
             ("estimators", ["supwalk", 3], "estimators entry must be a name, got 3"),
             ("kappa", True, "kappa must be a number, got True"),
             ("kappa", "x", "kappa must be a number, got 'x'"),
-            ("output", 5, "output must be a directory path, got 5"),
+            ("output", 5, "unknown config keys: output"),
             ("model", "ar1", "model must be a JSON object, got 'ar1'"),
             ("model", {"kind": "ar1", "phi": "abc", "noise": model["noise"]},
              "phi must be a number, got 'abc'"),
@@ -341,7 +356,7 @@ def test_cli_experiment_bad_config_exits_2(tmp_path, capsys):
 
 def test_config_dict_round_trip():
     for model in (IID_PARETO15, AR1_STUDENT):
-        config = small_config(model=model, alpha_mode="oracle", output="out")
+        config = small_config(model=model, alpha_mode="oracle")
         assert config_from_dict(config_to_dict(config)) == config
 
 
@@ -728,11 +743,17 @@ def test_study_outputs_are_pinned(tmp_path):
         "0421e13c56d77201430b039a17691f22f6df2839ef83c1d04bc77eb3a192a5c1")
 
 
-def test_run_experiment_output_argument_overrides_config(tmp_path):
-    config = small_config(output=str(tmp_path / "from_config"))
-    run_experiment(config, output=tmp_path / "override")
-    assert (tmp_path / "override" / "results.csv").exists()
-    assert not (tmp_path / "from_config").exists()
+def test_config_naming_an_output_is_rejected(tmp_path, capsys):
+    # a run writes where --out or run_experiment(output=) says; a config has
+    # no output key of its own
+    data = {**config_to_dict(small_config()), "output": str(tmp_path / "from_config")}
+    with pytest.raises(ValueError, match="^unknown config keys: output$"):
+        config_from_dict(data)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["experiment", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: unknown config keys: output\n"
+    assert not (tmp_path / "from_config").exists() and not (tmp_path / "out").exists()
 
 
 def test_summarize_matches_recomputed_quantiles():
@@ -945,6 +966,10 @@ def test_cli_error_exit_code(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.err.startswith("error: unknown estimator")
+    assert main(["estimate", str(path), "--estimator", "serial:01", "--b", "10",
+                 "--alpha", "1.5"]) == 2
+    assert capsys.readouterr().err == \
+        "error: write 'serial:01' as 'serial:1' (lag in plain decimal)\n"
     rc = main(["simulate", "--model", "ar1", "--noise", "student",
                "--tail-index", "1.3", "--n", "10"])
     assert rc == 2
@@ -962,6 +987,12 @@ def test_cli_error_exit_code(tmp_path, capsys):
                      "--x", "50", "--reps", "100"]) == 2
         assert capsys.readouterr().err == \
             f"error: sample length n must be at least 1, got {n}\n"
+    # and a coefficient that is not a number, naming the option
+    assert main(["ldratio", "--model", "linear", "--coeffs", "1,x,0.5", "--noise",
+                 "pareto", "--tail-index", "1.5", "--n", "10", "--p", "1",
+                 "--x", "50", "--reps", "100"]) == 2
+    assert capsys.readouterr().err == \
+        "error: --coeffs must be comma-separated numbers, got '1,x,0.5'\n"
 
 
 def test_cli_experiment_with_output(tmp_path, capsys):

@@ -454,6 +454,30 @@ def test_drawn_tiles_are_the_tiles_that_run(monkeypatch, model):
     assert tiles == (8 if model is MA3_PARETO13 else 4)
 
 
+def test_a_call_that_raises_counts_no_draws():
+    # the draws are counted once every chunk has returned: a worker count
+    # below one fails before any chunk runs, and a reducer that fails on the
+    # second chunk (405 values of windows of 10: a row of 400, then one of
+    # 5) leaves the first chunk uncounted too
+    before = largedev._drawn.copy()
+    with pytest.raises(ValueError, match="threads must be at least 1"):
+        ld_ratio_mc(AR1_STUDENT, 100, INF, 2000.0, 100_000, 0, threads=0)
+    assert largedev._drawn == before
+    widths = []
+
+    def fail_on_second_chunk(rows):
+        widths.append(rows.shape[1])
+        if len(widths) == 2:
+            raise RuntimeError("second chunk")
+        return (rows.sum(axis=1),)
+
+    with pytest.raises(RuntimeError, match="second chunk"):
+        largedev._map_chunks(fail_on_second_chunk, IID_PARETO13,
+                             largedev._row_values(IID_PARETO13, 10), 405, SeedSpec(3), 0)
+    assert widths == [400, 5]
+    assert largedev._drawn == before
+
+
 @pytest.mark.parametrize("reduce, extra, per_row", [
     (largedev._window_chunk, (100, as_p(1.3), 500.0, 500.0), 1),
     (largedev._norms_chunk, (100, as_p(1.3)), 40),
