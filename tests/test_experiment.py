@@ -743,6 +743,22 @@ def test_study_outputs_are_pinned(tmp_path):
         "0421e13c56d77201430b039a17691f22f6df2839ef83c1d04bc77eb3a192a5c1")
 
 
+# an odd grid: 403 is a multiple of neither block length, and at b = 40 the
+# sample sizes 200 and 207 cut the same m = 5 blocks
+ODD_STUDY = {**CI_STUDY, "n_grid": [200, 207, 403], "b_grid": [7, 40]}
+
+
+def test_odd_grid_study_outputs_are_pinned(tmp_path):
+    digest = hashlib.sha256()
+    for mode in (1.2, "hill:20"):
+        out = tmp_path / str(mode).replace(":", "-")
+        run_experiment(config_from_dict({**ODD_STUDY, "alpha_mode": mode}), output=out)
+        for name in ("results.csv", "summary.csv", "summary.json"):
+            digest.update((out / name).read_bytes())
+    assert digest.hexdigest() == (
+        "c90adf456b9122169f0f419a3168fabecedf957b5b034be4c9fd83043a5acf46")
+
+
 def test_config_naming_an_output_is_rejected(tmp_path, capsys):
     # a run writes where --out or run_experiment(output=) says; a config has
     # no output key of its own
