@@ -3,12 +3,13 @@ order-statistic thresholds.
 
 The norms and thresholds live on a block stack (``_BlockStack``, private):
 R frames of m blocks of length b as one (R*m, b) matrix, frame r in rows
-r*m to r*m + m - 1. Each p's norms are one ``row_p_moduli`` call and each
-(p, k) threshold one ``np.partition`` along the frames' axis, both cached
-for all R frames. A ``BlockFrame`` is the one-frame stack, a subclass that
-validates the series and cuts it; the experiment stacks the frames of all
-of a task's replications at one (n, b) grid point, at most one row tile
-(about 2 MB) of series values.
+r*m to r*m + m - 1. The norms of several exponents are one ``row_p_moduli``
+pass and each (p, k) threshold one ``np.partition`` along the frames' axis,
+both cached for all R frames. A ``BlockFrame`` is the one-frame stack, a
+subclass that validates the series and cuts it; the experiment cuts the
+frames of all of a task's replications (at most one row tile, about 2 MB, of
+series values) once per b at its largest n, and each smaller n's stack is a
+prefix of it whose norms are sliced, not recomputed.
 """
 
 from __future__ import annotations
@@ -32,9 +33,10 @@ class _BlockStack:
     in rows r*m to r*m + m - 1, each cut from n values.
 
     ``norms(p)`` (flat, block t of frame r at r*m + t) and ``thresholds(p,
-    k)`` (one per frame) are computed once for all R frames and cached. Every
-    value is the one the frame's own BlockFrame gives: the norm kernel is
-    row-wise, and the k-th largest norm does not depend on how it is found.
+    k)`` (one per frame) are computed once for all R frames and cached;
+    ``fill`` norms several exponents in one kernel pass. Every value is the
+    one the frame's own BlockFrame gives: the norm kernel is row-wise, and
+    the k-th largest norm does not depend on how it is found.
     """
 
     def __init__(self, matrix: np.ndarray, m: int, n: int):
@@ -52,15 +54,20 @@ class _BlockStack:
         m = n // b
         return _BlockStack(rows[:, : m * b].reshape(-1, b), m, n)
 
+    def fill(self, ps) -> None:
+        """Norm, in one ``row_p_moduli`` pass, each exponent of ps not yet cached."""
+        todo = list(dict.fromkeys(pe.value for pe in map(as_p, ps)
+                                  if pe.value not in self._norms))
+        if todo:
+            for value, got in zip(todo, row_p_moduli(self.matrix, todo)):
+                got.setflags(write=False)
+                self._norms[value] = got
+
     def norms(self, p) -> np.ndarray:
         """Per-block p-moduli ||B_t||_p, cached per exponent."""
-        pe = as_p(p)
-        got = self._norms.get(pe.value)
-        if got is None:
-            got = row_p_moduli(self.matrix, pe)
-            got.setflags(write=False)
-            self._norms[pe.value] = got
-        return got
+        value = as_p(p).value
+        self.fill([value])
+        return self._norms[value]
 
     def thresholds(self, p, k: int) -> np.ndarray:
         """The k-th largest block p-norm of each frame."""
@@ -73,6 +80,18 @@ class _BlockStack:
             got = np.partition(norms, self.m - k, axis=1)[:, self.m - k]
             self._thresholds[key] = got
         return got
+
+    def prefix(self, n: int) -> "_BlockStack":
+        """Each frame's first n // b blocks, the stack cut from the first n
+        values of each series, with the cached norms sliced, not recomputed
+        (the kernel is row-wise, so they are equal); a view where that is
+        all of each frame."""
+        m, shape = n // self.b, (self.reps, self.m)
+        sub = _BlockStack(self.matrix.reshape(*shape, self.b)[:, :m].reshape(-1, self.b),
+                          m, n)
+        sub._norms = {key: got.reshape(shape)[:, :m].reshape(-1)
+                      for key, got in self._norms.items()}
+        return sub
 
     def take(self, frames) -> "_BlockStack":
         """The stack of the given frames (indices, in order), with the cached

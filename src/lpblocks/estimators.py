@@ -446,7 +446,11 @@ def hill_alpha(series, k_tail: int) -> float:
     if not x[k_tail] > 0:
         raise ValueError(f"the threshold order statistic |x|_({k_tail + 1}) is 0: "
                          f"fewer than {k_tail + 1} nonzero observations")
-    g = float(np.mean(np.log(x[:k_tail] / x[k_tail])))
+    with np.errstate(over="ignore"):
+        g = float(np.mean(np.log(x[:k_tail] / x[k_tail])))
+    if g == np.inf:
+        raise ValueError(f"Hill gamma overflows: a top order statistic over |x|_({k_tail + 1})"
+                         " exceeds the float range")
     if not g > 0:
         raise ValueError(f"tail index estimate is not positive (Hill gamma = {g!r}): "
                          f"the top {k_tail + 1} order statistics are tied or the "

@@ -4,13 +4,14 @@ Runs estimator grids over simulated series with one derived RNG stream per
 replication, so every estimator at a grid point sees the same sample (paired
 boxplots) and output files are byte-identical for any worker count. The
 replications are cut into tasks of at most a row tile (_TILE_BYTES) of
-noise, filtered at once, one noise stream per row. Each (n, b) grid point
-is evaluated over all of a task's replications as one block stack: one norm
-vector per p and one threshold per (p, k), and one run of each estimator's
-kernels over every frame in it, with the values of the per-frame
-estimators. One table maps each built-in estimator id to whether it needs
-alpha and its stack function; an EstimatorEntry's run is that function's
-one-frame case.
+noise, filtered at once, one noise stream per row. A task cuts its blocks
+once per b, at its largest n, and norms them there in one pass for every
+exponent the estimators read; each (n, b) grid point is a prefix of that
+block stack: one threshold per (p, k), and one run of each estimator's
+kernels over every frame in it, with the values of the per-frame estimators.
+One table maps each built-in estimator id to whether it needs alpha and its
+stack function, another to the norms it reads; an EstimatorEntry's run is
+that function's one-frame case.
 Also hosts config parsing, series-file ingestion, and the closed-form report.
 """
 
@@ -186,6 +187,11 @@ _ESTIMATORS = {
     "cluster_index_c1_infty": (False, _cluster_index_c1_infty),
     "supwalk": (True, _supwalk_constant),
 }
+# id -> the block-norm exponents its stack function reads ("alpha": the tail
+# index); "serial:<h>" reads alpha's
+_NORMS_READ = {"extremal_index_alpha": ("alpha",), "extremal_index_infty": (math.inf,),
+               "cluster_index_c1": (1.0,), "cluster_index_c1_infty": (1.0, math.inf),
+               "supwalk": (1.0, "alpha")}
 
 
 def known_estimators() -> list[str]:
@@ -450,10 +456,13 @@ def _replication_rows(config, reps) -> tuple[list[tuple], list[str]]:
     the simulated series are freed.
 
     Each (n, b) grid point is evaluated over all the range's replications as
-    one block stack, no larger than the range's noise: one norm vector per p
-    and one threshold per (p, k) for the whole stack, and each estimator's
-    kernels run once over the selected blocks of every frame in it. Every
-    value is the one the per-frame estimator gives.
+    one block stack, no larger than the range's noise, b by b: the frames of
+    block length b are cut once, at the largest n, where one kernel pass
+    norms every exponent the estimators read (alpha only where all frames
+    share it: not under Hill), and each n's stack is its prefix, with those
+    norms sliced. Thresholds are taken per (n, b, p, k), and each
+    estimator's kernels run once over the selected blocks of every frame in
+    a stack. Every value is the one the per-frame estimator gives.
 
     When the tail index cannot be resolved at some n (a Hill estimate
     fails), the estimators that need it record degenerate rows at that n,
@@ -467,27 +476,34 @@ def _replication_rows(config, reps) -> tuple[list[tuple], list[str]]:
     z = np.empty((len(reps), width))
     for i, rep in enumerate(reps):
         z[i] = sample_noise(model.noise, width, SeedSpec(config.master_seed, rep))
-    series = model.filter(z)
+    series = model.filter(z)  # max(n_grid) values per row
     mode = parse_alpha_mode(config.alpha_mode)
     entries = [get_estimator(e) for e in config.estimators]
+    shared = None if mode.kind == "hill" else resolve_alpha(mode, model=model)
+    exponents = [shared if p == "alpha" else p for e in config.estimators
+                 for p in _NORMS_READ.get(e, ("alpha",)) if p != "alpha" or shared]
     columns = []
     problems = []  # (rep index, n index, b index, entry index, text)
+    alphas = [[] for _ in config.n_grid]
     for ni, n in enumerate(config.n_grid):
-        alphas = []
         for i, rep in enumerate(reps):
             try:
-                alphas.append(resolve_alpha(mode, series[i, :n], model))
+                alphas[ni].append(resolve_alpha(mode, series[i, :n], model))
             except ValueError as exc:
                 problems.append((i, ni, -1, -1, f"rep {rep}, n={n}: no tail index "
                                  f"({exc}); estimators that need alpha are "
                                  "recorded as degenerate"))
-                alphas.append(None)
-        for bi, b in enumerate(config.b_grid):
-            # a grid point with too few blocks (m < 2) is skipped, k = 0
-            k = default_k(n, b, config.kappa) if n // b >= 2 else 0
-            stack = _BlockStack.cut(series[:, :n], b) if k else None
+                alphas[ni].append(None)
+    for bi, b in enumerate(config.b_grid):
+        # a grid point with too few blocks (m < 2) is skipped, k = 0
+        ks = [default_k(n, b, config.kappa) if n // b >= 2 else 0 for n in config.n_grid]
+        if any(ks):
+            full = _BlockStack.cut(series, b)
+            full.fill(exponents)
+        for ni, (n, k) in enumerate(zip(config.n_grid, ks)):
+            stack = full.prefix(n) if k else None
             for ei, entry in enumerate(entries):
-                values, degenerate, failures = _run_stacked(entry, stack, alphas, k)
+                values, degenerate, failures = _run_stacked(entry, stack, alphas[ni], k)
                 for i, exc in failures:
                     problems.append((i, ni, bi, ei, f"rep {reps[i]}, n={n}, b={b}: "
                                      f"{entry.estimator_id} failed ({exc}); "

@@ -71,6 +71,13 @@ def _row_values(model: Model, n: int) -> int:
     return n * max(1, min(_WINDOWS, fit))
 
 
+def _check_counts(**counts) -> None:
+    """Reject a draw count below 1, naming it; callers check before any draw."""
+    for name, count in counts.items():
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1, got {count}")
+
+
 def _chunk_shapes(model: Model, row_values: int, total: int) -> list:
     """(kept values per row, rows) of each chunk holding `total` kept values:
     full rows of `row_values`, as many to a chunk as fit the budget, then one
@@ -194,8 +201,7 @@ def ld_ratio_mc(model: Model, n: int, p, x: float, reps: int, seed,
     draw against the same level x. The limit of this ratio along far-tail
     levels is c(p).
     """
-    if reps < 1:
-        raise ValueError(f"reps must be at least 1, got {reps}")
+    _check_counts(reps=reps)
     if not 0 < x < math.inf:
         raise ValueError(f"x must be positive and finite, got {x!r}")
     return _ratio_mc(model, n, as_p(p), x, x, reps, _as_seed(seed), threads)
@@ -255,10 +261,7 @@ def ld_ratio_centered_mc(model: Model, n: int, p, alpha: float, x: float,
     coincides with ld_ratio_mc and z_std_error is 0.
     """
     _check_alpha(alpha)
-    if reps < 1:
-        raise ValueError(f"reps must be at least 1, got {reps}")
-    if pilot_reps < 1:
-        raise ValueError(f"pilot_reps must be at least 1, got {pilot_reps}")
+    _check_counts(reps=reps, pilot_reps=pilot_reps)
     if not 0 < x < math.inf:
         raise ValueError(f"x must be positive and finite, got {x!r}")
     seed = _as_seed(seed)
@@ -285,8 +288,7 @@ def pilot_level(model: Model, n: int, p, q: float, reps: int = 20_000, seed=0,
     :func:`seqcore.row_p_moduli`."""
     if not 0 < q < 1:
         raise ValueError("q must lie in (0, 1)")
-    if reps < 1:
-        raise ValueError(f"reps must be at least 1, got {reps}")
+    _check_counts(reps=reps)
     norms, = _map_chunks(_norms_chunk, model, _row_values(model, n), reps * n,
                          _as_seed(seed), 3, (n, as_p(p)), threads)
     return float(np.quantile(norms, q))

@@ -4,7 +4,8 @@ A series is represented as a 1-d float64 numpy array; ``as_series`` is the
 single validation point (1-d, finite entries, length >= 1). The exponent p
 lives in (0, inf] and is carried by :class:`PExponent`. Every p-modulus goes
 through one kernel: :func:`row_p_moduli` rescales rows by their max and sums
-powers with :func:`_row_power_sums`; :func:`p_modulus` is its one-row case.
+powers with :func:`_row_power_sums`, for several exponents in one pass (|x|,
+the row max and the rescale done once); :func:`p_modulus` is its one-row case.
 A count of rows whose norm exceeds a level needs only the comparison:
 :func:`_row_p_exceeds` decides most rows from their max and l1 sum and runs
 :func:`row_p_moduli` on the rest, so its answer is that of the norms.
@@ -139,7 +140,8 @@ def _rescale_rows(u: np.ndarray) -> np.ndarray:
 
 
 def row_p_moduli(matrix, p) -> np.ndarray:
-    """Per-row p-moduli of a 2-d array.
+    """Per-row p-moduli of a 2-d array; for a list or tuple of exponents p,
+    one row of moduli per exponent, all from one pass over the matrix.
 
     Rows are rescaled by their max before powering so large entries do not
     overflow; all-zero rows yield 0. Fast paths cover p in {1, 2, inf}.
@@ -147,15 +149,20 @@ def row_p_moduli(matrix, p) -> np.ndarray:
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError("expected a 2-d array")
-    pe = as_p(p)
+    if isinstance(p, (list, tuple)):
+        return _row_p_moduli(m, tuple(map(as_p, p)))
+    return _row_p_moduli(m, (as_p(p),))[0]
+
+
+def _row_p_moduli(m: np.ndarray, pes: tuple) -> np.ndarray:
+    """(len(pes), rows) moduli: |x|, the row max (the inf-norm) and the
+    max-rescaled rows once per tile, then one power sum per finite p."""
     if m.shape[0] > 1 and m.nbytes > _TILE_BYTES:
-        return _map_row_tiles(row_p_moduli, m, pe)
+        return _map_row_tiles(_row_p_moduli, m, pes)
     a = np.abs(m)
-    if pe.is_inf:
-        return a.max(axis=1)
-    rowmax = _rescale_rows(a)
-    pv = pe.value
-    return rowmax * _row_power_sums(a, pv) ** (1.0 / pv)
+    rowmax = a.max(axis=1) if all(pe.is_inf for pe in pes) else _rescale_rows(a)
+    return np.array([rowmax if pe.is_inf else
+                     rowmax * _row_power_sums(a, pe.value) ** (1.0 / pe.value) for pe in pes])
 
 
 def _row_p_exceeds(matrix: np.ndarray, p, level) -> np.ndarray:
@@ -234,13 +241,14 @@ def _row_tiles(matrix: np.ndarray, held: int = 1) -> list:
 
 
 def _map_row_tiles(fn, matrix: np.ndarray, *args) -> np.ndarray:
-    """fn(tile, *args) over the row tiles of a 2-d ``matrix``, concatenated.
+    """fn(tile, *args) over the row tiles of a 2-d ``matrix``, concatenated
+    along the result's last axis.
 
-    ``fn`` must be row-wise: row i of its 1-d result depends on row i of its
-    input alone. The result then equals fn(matrix, *args), while the
-    temporaries fn makes are tile-sized instead of matrix-sized.
+    ``fn`` must be row-wise: entry i along its result's last axis depends on
+    row i of its input alone. The result then equals fn(matrix, *args), while
+    the temporaries fn makes are tile-sized instead of matrix-sized.
     """
     tiles = _row_tiles(matrix)
     if len(tiles) <= 1:
         return fn(matrix, *args)
-    return np.concatenate([fn(matrix[rows], *args) for rows in tiles])
+    return np.concatenate([fn(matrix[rows], *args) for rows in tiles], axis=-1)

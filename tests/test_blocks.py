@@ -12,6 +12,7 @@ from lpblocks.blocks import (
     partition,
     threshold_from_order_stat,
 )
+from lpblocks.models import AR1ModelSpec, NoiseSpec, simulate_batch
 from lpblocks.seqcore import INF, row_p_moduli
 
 
@@ -137,3 +138,36 @@ def test_long_series_block_norms_are_reduced_in_row_tiles(p):
         tracemalloc.stop()
     assert np.array_equal(norms[:1000], want)
     assert peak < 3 * seqcore._TILE_BYTES
+
+
+def test_prefix_stacks_equal_fresh_cuts(monkeypatch):
+    # each n's stack is a prefix of the stack cut at the largest n: its norms
+    # are sliced from that stack's, with no kernel run, and its norms and
+    # thresholds equal (==) a fresh cut's at every (n, b, p) of an odd grid,
+    # where 403 is a multiple of neither b and at b = 40 the sizes 200 and
+    # 207 cut the same m = 5
+    from lpblocks import blocks
+
+    series = simulate_batch(AR1ModelSpec(phi=0.8, noise=NoiseSpec("student", 1.3),
+                                         burn_in=50), 403, 5, 3)
+    exponents = [1.2, 1.0, INF]
+    for b in (7, 40):
+        full = blocks._BlockStack.cut(series, b)
+        full.fill(exponents)
+        for n in (200, 207, 403):
+            fresh = blocks._BlockStack.cut(series[:, :n], b)
+            ks = (2, default_k(n, b), n // b)
+            want = {p: (fresh.norms(p), [fresh.thresholds(p, k) for k in ks])
+                    for p in exponents}
+            calls = []
+            monkeypatch.setattr(blocks, "row_p_moduli",
+                                lambda m, p: calls.append(p) or row_p_moduli(m, p))
+            stack = full.prefix(n)
+            assert (stack.reps, stack.m, stack.n, stack.b) == (5, n // b, n, b)
+            assert np.array_equal(stack.matrix, fresh.matrix)
+            for p, (norms, thresholds) in want.items():
+                assert np.array_equal(stack.norms(p), norms)
+                for k, got in zip(ks, thresholds):
+                    assert np.array_equal(stack.thresholds(p, k), got)
+            assert calls == []
+            monkeypatch.undo()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -301,6 +302,19 @@ def test_hill_validation():
         hill_alpha(np.ones(100), 10)  # zero log spacings: no positive estimate
     with pytest.raises(ValueError):
         hill_alpha(np.concatenate([np.zeros(90), np.arange(1.0, 11.0)]), 20)
+
+
+def test_hill_rejects_an_overflowing_gamma():
+    # the top order statistics over the subnormal threshold overflow to inf,
+    # which gave gamma = inf and a tail index of 0.0
+    x = [1e300, 1e299, 5e-310, 4e-310, 3e-310, 2e-310]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^Hill gamma overflows: .*\|x\|_\(3\) "
+                                             "exceeds the float range$"):
+            hill_alpha(x, 2)
+    # a finite gamma keeps its arithmetic
+    assert hill_alpha([4.0, 2.0, 1.0, 0.5], 2) == 1.0 / float(np.mean(np.log([4.0, 2.0])))
 
 
 @given(n=st.integers(min_value=4, max_value=200), data=st.data(),

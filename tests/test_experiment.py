@@ -698,6 +698,38 @@ def test_a_task_is_one_block_stack_per_grid_point(monkeypatch):
     assert cuts == [((10, 8192), 16), ((10, 8192), 64)]
 
 
+# a Hill alpha below 1 fails supwalk at some replications, which warns
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("mode, exponents", [
+    ("oracle", {1.3, 1.0, float("inf")}),
+    # Hill alphas differ by frame and n: each alpha group norms its own
+    ("hill:20", {1.0, float("inf")}),
+])
+def test_a_task_norms_each_block_length_once(monkeypatch, mode, exponents):
+    # on the benchmark's study grid, a task runs the norm kernel once per b
+    # (6 passes), at the largest n, for every exponent the estimators read
+    # there; the smaller n slice those norms
+    import lpblocks.blocks as blocks
+
+    passes = []
+    real = blocks.row_p_moduli
+
+    def spy(matrix, p):
+        passes.append((matrix.shape, set(p) if isinstance(p, (list, tuple)) else {p}))
+        return real(matrix, p)
+
+    monkeypatch.setattr(blocks, "row_p_moduli", spy)
+    config = small_config(model=AR1_STUDENT, n_grid=(1000, 3000, 8000),
+                          b_grid=(10, 20, 40, 80, 160, 320), reps=2,
+                          estimators=BUILTIN_IDS + ("serial:1",), alpha_mode=mode)
+    run_experiment(config)
+    full = [(shape, p) for shape, p in passes if len(p) > 1]
+    assert full == [((2 * 8000 // b, b), exponents) for b in config.b_grid]
+    if mode == "oracle":
+        # one norm pass per (n, b, p) would be 3 * 6 * 3 = 54
+        assert len(passes) == 6
+
+
 def test_a_full_task_peaks_below_four_row_tiles():
     # the task cap is the one rule that sizes a study's memory: a task of 31
     # replications at width 8,300 is a full row tile of noise, and it holds
@@ -1011,6 +1043,16 @@ def test_cli_error_exit_code(tmp_path, capsys):
         "error: --coeffs must be comma-separated numbers, got '1,x,0.5'\n"
 
 
+def test_cli_estimate_rejects_an_overflowing_hill_estimate(tmp_path, capsys):
+    path = tmp_path / "x.txt"
+    path.write_text("1e300\n1e299\n5e-310\n4e-310\n3e-310\n2e-310\n", encoding="utf-8")
+    assert main(["estimate", str(path), "--estimator", "extremal_index_alpha",
+                 "--b", "2", "--alpha", "hill:2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Hill gamma overflows: ")
+
+
 def test_cli_experiment_with_output(tmp_path, capsys):
     config = small_config(master_seed=0)
     cfg_path = tmp_path / "config.json"
@@ -1095,6 +1137,27 @@ def test_cli_ldratio_names_a_zero_moment_count(capsys):
                "--reps", "2000", "--x", "50", "--centered", "--moment-reps", "0"])
     assert rc == 2
     assert capsys.readouterr().err == "error: pilot_reps must be at least 1, got 0\n"
+
+
+@pytest.mark.parametrize("counts, message", [
+    (["--reps", "0"], "reps must be at least 1, got 0"),
+    (["--reps", "2000", "--centered", "--moment-reps", "0"],
+     "pilot_reps must be at least 1, got 0"),
+])
+def test_cli_ldratio_checks_counts_before_the_pilot_level(capsys, counts, message):
+    # without --x the level is a pilot quantile, drawn first; a bad count
+    # fails before it
+    from lpblocks import largedev
+
+    before = largedev._drawn.copy()
+    rc = main(["ldratio", "--model", "linear", "--coeffs", "1,0.5", "--noise",
+               "pareto", "--tail-index", "1.3", "--n", "50", "--p", "1",
+               "--pilot-reps", "2000"] + counts)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert largedev._drawn == before
 
 
 def test_cli_ldratio_rejects_an_infinite_tail_index(capsys):

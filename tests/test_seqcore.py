@@ -288,3 +288,27 @@ def test_row_p_exceeds_runs_the_exact_kernel_on_few_rows(monkeypatch, p):
     monkeypatch.setattr(seqcore, "row_p_moduli", spy)
     assert np.array_equal(_row_p_exceeds(windows, p, level), norms > level)
     assert sum(exact_rows) < 0.05 * len(windows)
+
+
+@given(cols=st.integers(min_value=1, max_value=60),
+       kinds=st.lists(st.tuples(ROW_KINDS, ROW_SCALES), min_size=1, max_size=25),
+       ps=st.lists(st.sampled_from([0.3, 0.5, 1.0, 1.3, 2.0, 3.7, math.inf]),
+                   min_size=1, max_size=4),
+       tile_bytes=st.one_of(st.just(1), st.integers(min_value=2, max_value=20_000)),
+       seed=st.integers(min_value=0, max_value=10_000))
+@settings(deadline=None)
+def test_several_exponents_in_one_pass_equal_one_at_a_time(cols, kinds, ps, tile_bytes,
+                                                           seed):
+    """Row i of row_p_moduli(m, ps) is == row_p_moduli(m, ps[i]), zero rows,
+    extreme scales and nan/inf rows of 1e306 entries included, at any tile
+    size."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = kinds_matrix(np.random.default_rng(seed), cols, kinds)
+        want = [row_p_moduli(matrix, p) for p in ps]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(seqcore, "_TILE_BYTES", tile_bytes)
+            got = row_p_moduli(matrix, ps)
+            assert got.shape == (len(ps), len(matrix))
+            for row, norms, p in zip(got, want, ps):
+                assert np.array_equal(row, norms, equal_nan=True)
+                assert np.array_equal(row_p_moduli(matrix, p), norms, equal_nan=True)
