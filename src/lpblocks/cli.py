@@ -114,8 +114,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 def _cmd_ldratio(args: argparse.Namespace) -> int:
     model = _build_model(args)
     # the counts fail here, before the pilot level draws anything
-    largedev._check_counts(reps=args.reps, **({"pilot_reps": args.moment_reps}
-                                              if args.centered else {}))
+    largedev._check_counts(reps=args.reps)
+    if args.centered:
+        largedev._check_counts(pilot_reps=args.moment_reps)
     drawn = largedev._drawn.copy()
     start = time.perf_counter()
     if args.x is not None:

@@ -481,7 +481,7 @@ def _replication_rows(config, reps) -> tuple[list[tuple], list[str]]:
     entries = [get_estimator(e) for e in config.estimators]
     shared = None if mode.kind == "hill" else resolve_alpha(mode, model=model)
     exponents = [shared if p == "alpha" else p for e in config.estimators
-                 for p in _NORMS_READ.get(e, ("alpha",)) if p != "alpha" or shared]
+                 for p in _NORMS_READ.get(e, ("alpha",)) if p != "alpha" or shared is not None]
     columns = []
     problems = []  # (rep index, n index, b index, entry index, text)
     alphas = [[] for _ in config.n_grid]
@@ -497,6 +497,7 @@ def _replication_rows(config, reps) -> tuple[list[tuple], list[str]]:
     for bi, b in enumerate(config.b_grid):
         # a grid point with too few blocks (m < 2) is skipped, k = 0
         ks = [default_k(n, b, config.kappa) if n // b >= 2 else 0 for n in config.n_grid]
+        full = stack = None  # the last b's stacks hold its norms: free them first
         if any(ks):
             full = _BlockStack.cut(series, b)
             full.fill(exponents)
