@@ -116,7 +116,7 @@ def _cmd_ldratio(args: argparse.Namespace) -> int:
     # the counts fail here, before the pilot level draws anything
     largedev._check_counts(reps=args.reps)
     if args.centered:
-        largedev._check_counts(pilot_reps=args.moment_reps)
+        largedev._check_counts(**{"--moment-reps": args.moment_reps})
     drawn = largedev._drawn.copy()
     start = time.perf_counter()
     if args.x is not None:

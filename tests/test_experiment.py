@@ -1136,13 +1136,13 @@ def test_cli_ldratio_names_a_zero_moment_count(capsys):
                "pareto", "--tail-index", "1.5", "--n", "10", "--p", "1",
                "--reps", "2000", "--x", "50", "--centered", "--moment-reps", "0"])
     assert rc == 2
-    assert capsys.readouterr().err == "error: pilot_reps must be at least 1, got 0\n"
+    assert capsys.readouterr().err == "error: --moment-reps must be at least 1, got 0\n"
 
 
 @pytest.mark.parametrize("counts, message", [
     (["--reps", "0"], "reps must be at least 1, got 0"),
     (["--reps", "2000", "--centered", "--moment-reps", "0"],
-     "pilot_reps must be at least 1, got 0"),
+     "--moment-reps must be at least 1, got 0"),
 ])
 def test_cli_ldratio_checks_counts_before_the_pilot_level(capsys, counts, message):
     # without --x the level is a pilot quantile, drawn first; a bad count
