@@ -19,16 +19,17 @@ fn(frame, alpha, k)). The extremal index averages (||B||_inf / ||B||_a)^a
 and c(1) inverts the average of (||B||_a / ||B||_1)^a, both on the
 threshold-normalized rows the kernels see (where those overflow the float
 range in a frame, on each of that frame's rows over its own max instead, as
-the terms are scale-free); serial dependence takes one dot product per row
-of the signed-power matrix and the sup-walk numerator a row-wise cumsum
-maximum. The two l^inf-thresholded estimators count point exceedances only
-in the blocks whose max reaches the threshold, which hold all of them.
-Wherever the normalized blocks are finite, each result equals (==) the
-per-block loop over the kernels (on an overflowing block that loop raises):
-the final power is taken per term on Python floats (libm pow; numpy's
-vectorized power can differ by an ulp) and each frame's terms are summed
-left to right (not pairwise, as np.sum does). The generic ClusterFunctional
-loop remains for user-supplied functionals (cluster_functional_estimate).
+the terms are scale-free); serial dependence takes the lag products of all
+signed-power rows in one batched product and the sup-walk numerator a
+row-wise cumsum maximum. The two l^inf-thresholded estimators count point
+exceedances only in the blocks whose max reaches the threshold, which hold
+all of them. Wherever the normalized blocks are finite, each result equals
+(==) the per-block loop over the kernels (on an overflowing block that loop
+raises): the final power is taken per term on Python floats (libm pow;
+numpy's power can differ by an ulp under AVX-512 (X86_V4) dispatch) and each
+frame's terms are summed left to right (not pairwise, as np.sum does). The
+generic ClusterFunctional loop remains for user-supplied functionals
+(cluster_functional_estimate).
 """
 
 from __future__ import annotations
@@ -235,8 +236,9 @@ def _scale_free_rows(rows: np.ndarray, thr: np.ndarray, owner: np.ndarray):
 def _pow_sums(terms: np.ndarray, alpha: float, owner: np.ndarray, reps: int) -> list:
     """Per frame, the left-to-right sum of t ** alpha over its terms as
     Python floats (owner gives each term's frame, a frame's terms in order):
-    libm pow per term and sequential addition, the arithmetic of the
-    per-block kernels."""
+    libm pow per term (numpy's array power can differ from it by an ulp
+    under AVX-512 (X86_V4) dispatch) and sequential addition, the arithmetic
+    of the per-block kernels."""
     totals = [0.0] * reps
     for r, t in zip(owner.tolist(), terms.tolist()):
         totals[r] += t ** alpha
@@ -362,10 +364,10 @@ def _serial_dependence(stack: _BlockStack, alpha: float, k: int, h: int) -> _Sta
     thr, live, rows, owner, selected = _selected_rows(stack, pe, k)
     scaled = stack.matrix[rows] / stack.norms(pe)[rows, None]
     signed = np.sign(scaled) * np.abs(scaled) ** alpha
-    totals = [0.0] * stack.reps
-    # one ddot per row; a batched row sum (einsum) adds in another order
-    for r, row in zip(owner.tolist(), signed):
-        totals[r] += float(np.dot(row[: stack.b - h], row[h:]))
+    # a batched 1 x L by L x 1 product is np.dot's ddot on each row, summed
+    # per frame in row order; a batched row sum (einsum) adds in another order
+    dots = np.matmul(signed[:, None, : stack.b - h], signed[:, h:, None]).ravel()
+    totals = np.bincount(owner, dots, minlength=stack.reps).tolist()
     return _Stacked("serial_dependence", pe, alpha, thr, [t / k for t in totals],
                     (~live).tolist(), selected, {"h": [h] * stack.reps})
 

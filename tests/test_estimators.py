@@ -224,6 +224,55 @@ def test_serial_dependence_lag_validation():
         serial_dependence_estimate(f, 1.3, 2, -1)
 
 
+def serial_row_dots(stack, alpha, k, h):
+    """Per frame, the serial-dependence value as one np.dot per selected
+    row, summed in row order on Python floats."""
+    pe = PExponent(alpha)
+    norms = stack.norms(pe).reshape(stack.reps, stack.m)
+    thr = stack.thresholds(pe, k)
+    values = []
+    for r in range(stack.reps):
+        total = 0.0
+        for t in np.flatnonzero(norms[r] > thr[r]) if thr[r] > 0 else []:
+            scaled = stack.matrix[r * stack.m + t] / norms[r, t]
+            signed = np.sign(scaled) * np.abs(scaled) ** alpha
+            total += float(np.dot(signed[: stack.b - h], signed[h:]))
+        values.append(total / k)
+    return values
+
+
+@pytest.mark.parametrize("b", [1, 7, 40])
+@pytest.mark.parametrize("kinds", [
+    ("drawn",),
+    ("drawn", "drawn", "drawn", "drawn"),
+    # a tied frame selects no block, and a zero frame has no threshold
+    ("tied",),
+    ("tied", "zeros"),
+    ("drawn", "tied", "drawn", "zeros", "drawn"),
+])
+def test_serial_dependence_equals_one_dot_per_row(kinds, b):
+    # the lags are summed in one batched product; each value must equal
+    # (==) the np.dot of each selected row, summed per frame in row order,
+    # at h = 0 and h = b - 1, with one frame and with several
+    from lpblocks.blocks import _BlockStack
+    from lpblocks.estimators import _serial_dependence
+
+    rng = np.random.default_rng(b)
+    n = 20 * b
+    rows = np.array([rng.standard_t(1.3, n) if kind == "drawn"
+                     else np.full(n, 2.0) if kind == "tied" else np.zeros(n)
+                     for kind in kinds])
+    stack = _BlockStack.cut(rows, b)
+    for alpha, k in ((1.3, 5), (0.7, 2)):
+        for h in sorted({0, b - 1}):
+            got = _serial_dependence(stack, alpha, k, h)
+            assert got.value == serial_row_dots(stack, alpha, k, h)
+            assert all(type(v) is float for v in got.value)
+            if len(kinds) == 1:
+                frame = BlockFrame(rows[0], b)
+                assert serial_dependence_estimate(frame, alpha, k, h).value == got.value[0]
+
+
 # --- supwalk --------------------------------------------------------------
 
 def test_supwalk_all_positive_matches_cluster_index():
