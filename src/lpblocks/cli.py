@@ -8,12 +8,12 @@ import sys
 import time
 
 from .experiment import (
+    _study,
     estimate_from_file,
     format_oracle_report,
     known_estimators,
     load_config,
     oracle_report,
-    run_experiment,
     summary_csv_text,
 )
 from . import largedev
@@ -83,11 +83,11 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
-    rows, summary = run_experiment(config, threads=args.threads, output=args.out)
+    groups, summary = _study(config, threads=args.threads, output=args.out)
     if args.out is None:
         sys.stdout.write(summary_csv_text(summary))
     else:
-        print(f"wrote {args.out}/results.csv ({len(rows)} rows)")
+        print(f"wrote {args.out}/results.csv ({len(groups) * config.reps} rows)")
         print(f"wrote {args.out}/summary.csv ({len(summary)} groups)")
         print(f"wrote {args.out}/summary.json")
     return 0

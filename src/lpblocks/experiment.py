@@ -9,6 +9,8 @@ once per b, at its largest n, and norms them there in one pass for every
 exponent the estimators read; each (n, b) grid point is a prefix of that
 block stack: one threshold per (p, k), and one run of each estimator's
 kernels over every frame in it, with the values of the per-frame estimators.
+A task returns them as one column per (estimator, n, b); the study joins the
+tasks' columns in replication order and writes every output from them.
 One table maps each built-in estimator id to whether it needs alpha and its
 stack function, another to the norms it reads; an EstimatorEntry's run is
 that function's one-frame case.
@@ -415,15 +417,16 @@ class ResultRow:
     degenerate: bool
 
 
-def _run_stacked(entry: EstimatorEntry, stack, alphas: list, k: int):
+def _run_stacked(entry: EstimatorEntry, stack, alphas: list, k: int, subs: dict):
     """One estimator over a grid point's stack: (values, degenerate,
     failures), the first two per frame, failures as (frame, error).
 
     With k = 0 (a grid point with too few blocks) no frame runs. A frame
     without alpha gets a nan degenerate value from an estimator that needs
-    alpha. The frames sharing an alpha value run as one stack; when that
-    raises, they are run again one frame each, so a ValueError costs only
-    the frame whose data the estimator rejects.
+    alpha. The frames sharing an alpha value run as one stack, which
+    ``subs`` keeps by alpha (None: all frames) for the grid point's other
+    estimators; when that raises, they are run again one frame each, so a
+    ValueError costs only the frame whose data the estimator rejects.
     """
     count = len(alphas)
     values, degenerate, failures = [math.nan] * count, [True] * count, []
@@ -432,9 +435,10 @@ def _run_stacked(entry: EstimatorEntry, stack, alphas: list, k: int):
         if k and (alpha is not None or not entry.needs_alpha):
             groups.setdefault(alpha if entry.needs_alpha else None, []).append(i)
     for alpha, frames in groups.items():
-        sub = stack if len(frames) == count else stack.take(frames)
+        if alpha not in subs:
+            subs[alpha] = stack if len(frames) == count else stack.take(frames)
         try:
-            parts = [(frames, entry.stacked(sub, alpha, k))]
+            parts = [(frames, entry.stacked(subs[alpha], alpha, k))]
         except ValueError:
             parts = []
             for i in frames:
@@ -452,8 +456,8 @@ def _replication_rows(config, reps) -> tuple[list[tuple], list[str]]:
     """Rows of a range of replications (noise of rep from SeedSpec(master_seed,
     rep), filtered as one batch) and the reasons for their degenerate rows.
     The rows come as columns, (estimator_id, n, b, k, values, degenerate)
-    over the range's replications, so the caller builds the ResultRows once
-    the simulated series are freed.
+    over the range's replications, which the caller joins once the
+    simulated series are freed.
 
     Each (n, b) grid point is evaluated over all the range's replications as
     one block stack, no larger than the range's noise, b by b: the frames of
@@ -497,14 +501,14 @@ def _replication_rows(config, reps) -> tuple[list[tuple], list[str]]:
     for bi, b in enumerate(config.b_grid):
         # a grid point with too few blocks (m < 2) is skipped, k = 0
         ks = [default_k(n, b, config.kappa) if n // b >= 2 else 0 for n in config.n_grid]
-        full = stack = None  # the last b's stacks hold its norms: free them first
+        full = stack = subs = None  # the last b's stacks hold its norms: free them first
         if any(ks):
             full = _BlockStack.cut(series, b)
             full.fill(exponents)
         for ni, (n, k) in enumerate(zip(config.n_grid, ks)):
-            stack = full.prefix(n) if k else None
+            stack, subs = full.prefix(n) if k else None, {}
             for ei, entry in enumerate(entries):
-                values, degenerate, failures = _run_stacked(entry, stack, alphas[ni], k)
+                values, degenerate, failures = _run_stacked(entry, stack, alphas[ni], k, subs)
                 for i, exc in failures:
                     problems.append((i, ni, bi, ei, f"rep {reps[i]}, n={n}, b={b}: "
                                      f"{entry.estimator_id} failed ({exc}); "
@@ -514,15 +518,14 @@ def _replication_rows(config, reps) -> tuple[list[tuple], list[str]]:
     return columns, [problem[4] for problem in problems]
 
 
-def run_experiment(config: ExperimentConfig, threads: int = 1,
-                   output=None) -> tuple[list[ResultRow], list[dict]]:
-    """Run the full grid; returns (rows, summary), and writes results.csv,
-    summary.csv and summary.json into the directory ``output`` when it is
-    given (the config names no output). Byte-identical for any threads:
-    the replications are cut into equal tasks, at least one per thread, and
-    a task's noise stays within a row tile (_TILE_BYTES). That cap is what
-    sizes a task's memory: each grid point's block stack is the task's
-    replications, so it stays within a row tile too."""
+def _study(config: ExperimentConfig, threads: int = 1,
+           output=None) -> tuple[list[tuple], list[dict]]:
+    """Run the full grid; returns (groups, summary), one group (estimator_id,
+    n, b, k, values, degenerate) per key in sorted order, over every rep in
+    order; writes the outputs into the directory ``output`` when given.
+    Byte-identical for any threads: the replications are cut into equal
+    tasks, at least one per thread, and a task's noise, and so each of its
+    grid point's block stacks, stays within a row tile (_TILE_BYTES)."""
     width = max(config.n_grid) + config.model.lead
     cap = _tile_height(8 * width)
     size = math.ceil(config.reps / max(threads, math.ceil(config.reps / cap)))
@@ -531,16 +534,37 @@ def run_experiment(config: ExperimentConfig, threads: int = 1,
     chunks = _pool_map(_replication_rows, tasks, threads)
     for _, problems in chunks:
         for problem in problems:
-            warnings.warn(problem, RuntimeWarning, stacklevel=2)
-    rows = [ResultRow(estimator_id, n, b, k, rep, config.master_seed, value, flag)
-            for (_, reps), (columns, _) in zip(tasks, chunks)
-            for estimator_id, n, b, k, values, degenerate in columns
-            for rep, value, flag in zip(reps, values, degenerate)]
-    rows.sort(key=lambda r: (r.estimator_id, r.n, r.b, r.rep))
-    summary = summarize(rows)
+            warnings.warn(problem, RuntimeWarning, stacklevel=3)
+    # the tasks, in replication order, return the same columns in the same order
+    groups = sorted((*parts[0][:4], [v for part in parts for v in part[4]],
+                     [flag for part in parts for flag in part[5]])
+                    for parts in zip(*(columns for columns, _ in chunks)))
+    summary = [_summary_record(*group) for group in groups]
     if output is not None:
-        write_outputs(rows, summary, output)
+        _write_files(output, [(*group[:4], config.master_seed, range(config.reps),
+                               *group[4:]) for group in groups], summary)
+    return groups, summary
+
+
+def run_experiment(config: ExperimentConfig, threads: int = 1,
+                   output=None) -> tuple[list[ResultRow], list[dict]]:
+    """Run the full grid as _study does; returns (rows, summary), the rows
+    sorted by (estimator_id, n, b, rep). The config names no output."""
+    groups, summary = _study(config, threads, output)
+    rows = [ResultRow(estimator_id, n, b, k, rep, config.master_seed, value, flag)
+            for estimator_id, n, b, k, values, degenerate in groups
+            for rep, (value, flag) in enumerate(zip(values, degenerate))]
     return rows, summary
+
+
+def _summary_record(estimator_id: str, n: int, b: int, k: int, values, degenerate) -> dict:
+    """One (estimator_id, n, b)'s summary over its values not flagged degenerate."""
+    kept = np.asarray([v for v, flag in zip(values, degenerate) if not flag])
+    stats = ([float(kept.mean())] + np.quantile(kept, [0.05, 0.25, 0.5, 0.75, 0.95]).tolist()
+             if kept.size else [None] * 6)
+    return {"estimator_id": estimator_id, "n": n, "b": b, "k": k, "rows": len(values),
+            "degenerate": sum(1 for flag in degenerate if flag),
+            **dict(zip(("mean", "q05", "q25", "q50", "q75", "q95"), stats))}
 
 
 def summarize(rows: Sequence[ResultRow]) -> list[dict]:
@@ -549,28 +573,9 @@ def summarize(rows: Sequence[ResultRow]) -> list[dict]:
     groups: dict = {}
     for row in rows:
         groups.setdefault((row.estimator_id, row.n, row.b), []).append(row)
-    out = []
-    for key in sorted(groups):
-        group = groups[key]
-        values = np.asarray([r.value for r in group if not r.degenerate])
-        record = {
-            "estimator_id": key[0],
-            "n": key[1],
-            "b": key[2],
-            "k": max(r.k for r in group),
-            "rows": len(group),
-            "degenerate": sum(1 for r in group if r.degenerate),
-        }
-        if values.size:
-            qs = np.quantile(values, [0.05, 0.25, 0.5, 0.75, 0.95])
-            record["mean"] = float(values.mean())
-            for name, q in zip(("q05", "q25", "q50", "q75", "q95"), qs):
-                record[name] = float(q)
-        else:
-            for name in ("mean", "q05", "q25", "q50", "q75", "q95"):
-                record[name] = None
-        out.append(record)
-    return out
+    return [_summary_record(*key, max(r.k for r in group), [r.value for r in group],
+                            [r.degenerate for r in group])
+            for key, group in sorted(groups.items())]  # the keys are distinct
 
 
 def _fmt(value) -> str:
@@ -583,38 +588,51 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_results_csv(rows: Sequence[ResultRow], path) -> None:
+def _results_text(groups) -> str:
+    """results.csv from groups (estimator_id, n, b, k, seed, reps, values, degenerate)."""
     lines = [RESULTS_HEADER]
-    for r in rows:
-        lines.append(",".join((r.estimator_id, str(r.n), str(r.b), str(r.k),
-                               str(r.rep), str(r.seed), repr(float(r.value)),
-                               str(int(r.degenerate)))))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for estimator_id, n, b, k, seed, reps, values, degenerate in groups:
+        head, mid = f"{estimator_id},{n},{b},{k},", f",{seed},"
+        lines.extend(f"{head}{rep}{mid}{float(value)!r},{int(flag)}"
+                     for rep, value, flag in zip(reps, values, degenerate))
+    return "\n".join(lines) + "\n"
+
+
+def _row_groups(rows: Sequence[ResultRow]) -> list[tuple]:
+    """Each row as a results.csv group of its own, in row order."""
+    return [(r.estimator_id, r.n, r.b, r.k, r.seed, [r.rep], [r.value], [r.degenerate])
+            for r in rows]
+
+
+def write_results_csv(rows: Sequence[ResultRow], path) -> None:
+    Path(path).write_text(_results_text(_row_groups(rows)), encoding="utf-8")
 
 
 def summary_csv_text(summary: Sequence[dict]) -> str:
     fields = SUMMARY_HEADER.split(",")
-    lines = [SUMMARY_HEADER]
-    for record in summary:
-        lines.append(",".join(_fmt(record[f]) for f in fields))
-    return "\n".join(lines) + "\n"
+    lines = [",".join(_fmt(record[f]) for f in fields) for record in summary]
+    return "\n".join([SUMMARY_HEADER] + lines) + "\n"
 
 
 def write_summary_json(summary: Sequence[dict], path) -> None:
-    Path(path).write_text(json.dumps(list(summary), indent=2) + "\n",
-                          encoding="utf-8")
+    Path(path).write_text(json.dumps(list(summary), indent=2) + "\n", encoding="utf-8")
 
 
-def write_outputs(rows, summary, out_dir) -> dict:
+def _write_files(out_dir, groups, summary) -> dict:
+    """Write the outputs from results groups and a summary; their paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {"results": out / "results.csv",
              "summary_csv": out / "summary.csv",
              "summary_json": out / "summary.json"}
-    write_results_csv(rows, paths["results"])
+    paths["results"].write_text(_results_text(groups), encoding="utf-8")
     paths["summary_csv"].write_text(summary_csv_text(summary), encoding="utf-8")
     write_summary_json(summary, paths["summary_json"])
     return paths
+
+
+def write_outputs(rows, summary, out_dir) -> dict:
+    return _write_files(out_dir, _row_groups(rows), summary)
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,7 @@ from lpblocks.experiment import (
     run_experiment,
     summarize,
     summary_csv_text,
+    write_outputs,
     write_results_csv,
     write_summary_json,
 )
@@ -730,6 +731,31 @@ def test_a_task_norms_each_block_length_once(monkeypatch, mode, exponents):
         assert len(passes) == 6
 
 
+# a Hill alpha below 1 fails supwalk at some replications, which warns
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_grid_point_norms_each_hill_alpha_once(monkeypatch):
+    # under Hill each frame has its own alpha, so each frame's alpha norms
+    # are a pass of their own: one per (n, b, frame), 3 * 6 * 2 = 36, shared
+    # by the three estimators that read them (108 if each took its own)
+    import lpblocks.blocks as blocks
+
+    passes = []
+    real = blocks.row_p_moduli
+
+    def spy(matrix, p):
+        passes.append((matrix.shape, len(p) if isinstance(p, (list, tuple)) else 1))
+        return real(matrix, p)
+
+    monkeypatch.setattr(blocks, "row_p_moduli", spy)
+    config = small_config(model=AR1_STUDENT, n_grid=(1000, 3000, 8000),
+                          b_grid=(10, 20, 40, 80, 160, 320), reps=2,
+                          estimators=BUILTIN_IDS + ("serial:1",), alpha_mode="hill:20")
+    run_experiment(config)
+    single = [shape for shape, count in passes if count == 1]
+    assert sorted(single) == sorted((n // b, b) for n in config.n_grid
+                                    for b in config.b_grid for _ in range(2))
+
+
 def test_a_full_task_peaks_below_four_row_tiles():
     # the task cap is the one rule that sizes a study's memory: a task of 31
     # replications at width 8,300 is a full row tile of noise, and it holds
@@ -789,6 +815,60 @@ def test_odd_grid_study_outputs_are_pinned(tmp_path):
             digest.update((out / name).read_bytes())
     assert digest.hexdigest() == (
         "c90adf456b9122169f0f419a3168fabecedf957b5b034be4c9fd83043a5acf46")
+
+
+# a Hill alpha below 1 fails supwalk at some replications, which warns
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("mode", ["oracle", "hill:20", 1.2])
+def test_study_outputs_equal_the_row_functions(monkeypatch, tmp_path, mode):
+    # a study writes its files from the task columns; the public row-based
+    # functions, given run_experiment's rows, write the same bytes. A row
+    # tile holds two replications' noise, so the columns of five join three
+    # tasks
+    import lpblocks.seqcore as seqcore
+
+    config = config_from_dict({**ODD_STUDY, "alpha_mode": mode})
+    width = max(config.n_grid) + config.model.lead
+    monkeypatch.setattr(seqcore, "_TILE_BYTES", 2 * 8 * width)
+    rows, summary = run_experiment(config, output=tmp_path / "columns")
+    assert summarize(rows) == summary
+    write_outputs(rows, summarize(rows), tmp_path / "rows")
+    write_results_csv(rows, tmp_path / "results.csv")
+    for name in ("results.csv", "summary.csv", "summary.json"):
+        assert (tmp_path / "rows" / name).read_bytes() == \
+            (tmp_path / "columns" / name).read_bytes()
+    text = (tmp_path / "results.csv").read_text(encoding="utf-8")
+    assert text == (tmp_path / "columns" / "results.csv").read_text(encoding="utf-8")
+    # the rows are written in the order given
+    write_results_csv(rows[::-1], tmp_path / "reversed.csv")
+    lines = text.splitlines()
+    assert (tmp_path / "reversed.csv").read_text(encoding="utf-8").splitlines() == \
+        lines[:1] + lines[:0:-1]
+
+
+def test_cli_experiment_builds_no_result_row(monkeypatch, tmp_path, capsys):
+    # lpblocks experiment writes its outputs from the task columns; only
+    # run_experiment, whose callers read rows, builds ResultRows
+    import lpblocks.experiment as experiment
+
+    built = []
+
+    class Spy(ResultRow):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "ResultRow", Spy)
+    config = small_config()
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config_to_dict(config)), encoding="utf-8")
+    assert main(["experiment", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert built == []
+    rows = len(config.estimators) * len(config.n_grid) * len(config.b_grid) * config.reps
+    assert f"results.csv ({rows} rows)" in capsys.readouterr().out
+    # the spy sees the rows that run_experiment builds
+    run_experiment(config)
+    assert len(built) == rows
 
 
 def test_config_naming_an_output_is_rejected(tmp_path, capsys):
