@@ -1219,10 +1219,14 @@ def test_cli_ldratio_names_a_zero_moment_count(capsys):
     assert capsys.readouterr().err == "error: --moment-reps must be at least 1, got 0\n"
 
 
+# the ids name each count as the library does; the command line calls the
+# library's pilot_reps --moment-reps, and its error says so
 @pytest.mark.parametrize("counts, message", [
-    (["--reps", "0"], "reps must be at least 1, got 0"),
-    (["--reps", "2000", "--centered", "--moment-reps", "0"],
-     "--moment-reps must be at least 1, got 0"),
+    pytest.param(["--reps", "0"], "reps must be at least 1, got 0",
+                 id="counts0-reps must be at least 1, got 0"),
+    pytest.param(["--reps", "2000", "--centered", "--moment-reps", "0"],
+                 "--moment-reps must be at least 1, got 0",
+                 id="counts1-pilot_reps must be at least 1, got 0"),
 ])
 def test_cli_ldratio_checks_counts_before_the_pilot_level(capsys, counts, message):
     # without --x the level is a pilot quantile, drawn first; a bad count
