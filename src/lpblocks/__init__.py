@@ -81,7 +81,6 @@ from .experiment import (
     read_series_file,
     resolve_alpha,
     run_experiment,
-    summarize,
 )
 
 __version__ = "0.1.0"

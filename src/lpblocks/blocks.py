@@ -9,7 +9,8 @@ both cached for all R frames. A ``BlockFrame`` is the one-frame stack, a
 subclass that validates the series and cuts it; the experiment cuts the
 frames of all of a task's replications (at most one row tile, about 2 MB, of
 series values) once per b at its largest n, and each smaller n's stack is a
-prefix of it whose norms are sliced, not recomputed.
+prefix of it whose norms are sliced, not recomputed. Under Hill, where alpha
+differs by frame, each frame runs on its own stack, ``frame(i)``, a view.
 """
 
 from __future__ import annotations
@@ -93,14 +94,13 @@ class _BlockStack:
                       for key, got in self._norms.items()}
         return sub
 
-    def take(self, frames) -> "_BlockStack":
-        """The stack of the given frames (indices, in order), with the cached
-        norms and thresholds of those frames carried over."""
-        frames = np.asarray(frames)
-        rows = (frames[:, None] * self.m + np.arange(self.m)).ravel()
+    def frame(self, i: int) -> "_BlockStack":
+        """Frame i as a one-frame stack, a view of its rows, with the cached
+        norms and thresholds sliced."""
+        rows = slice(i * self.m, (i + 1) * self.m)
         sub = _BlockStack(self.matrix[rows], self.m, self.n)
         sub._norms = {key: got[rows] for key, got in self._norms.items()}
-        sub._thresholds = {key: got[frames] for key, got in self._thresholds.items()}
+        sub._thresholds = {key: got[i:i + 1] for key, got in self._thresholds.items()}
         return sub
 
 

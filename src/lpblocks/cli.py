@@ -115,6 +115,8 @@ def _cmd_ldratio(args: argparse.Namespace) -> int:
     model = _build_model(args)
     # the counts fail here, before the pilot level draws anything
     largedev._check_counts(reps=args.reps)
+    if args.x is None:
+        largedev._check_counts(**{"--pilot-reps": args.pilot_reps})
     if args.centered:
         largedev._check_counts(**{"--moment-reps": args.moment_reps})
     drawn = largedev._drawn.copy()

@@ -8,7 +8,9 @@ noise, filtered at once, one noise stream per row. A task cuts its blocks
 once per b, at its largest n, and norms them there in one pass for every
 exponent the estimators read; each (n, b) grid point is a prefix of that
 block stack: one threshold per (p, k), and one run of each estimator's
-kernels over every frame in it, with the values of the per-frame estimators.
+kernels over every frame in it (under Hill, one run per frame of each
+estimator that reads alpha, on that frame's one-frame stack), with the
+values of the per-frame estimators.
 A task returns them as one column per (estimator, n, b); the study joins the
 tasks' columns in replication order and writes every output from them.
 One table maps each built-in estimator id to whether it needs alpha and its
@@ -76,11 +78,8 @@ __all__ = [
     "model_to_dict",
     "ResultRow",
     "run_experiment",
-    "summarize",
-    "write_results_csv",
     "summary_csv_text",
     "write_summary_json",
-    "write_outputs",
     "read_series_file",
     "estimate_from_file",
     "oracle_report",
@@ -417,38 +416,25 @@ class ResultRow:
     degenerate: bool
 
 
-def _run_stacked(entry: EstimatorEntry, stack, alphas: list, k: int, subs: dict):
-    """One estimator over a grid point's stack: (values, degenerate,
-    failures), the first two per frame, failures as (frame, error).
+def _run_stacked(entry: EstimatorEntry, runs, count: int, k: int):
+    """One estimator over a grid point: (values, degenerate, failures), the
+    first two per frame, failures as (frame, error).
 
-    With k = 0 (a grid point with too few blocks) no frame runs. A frame
-    without alpha gets a nan degenerate value from an estimator that needs
-    alpha. The frames sharing an alpha value run as one stack, which
-    ``subs`` keeps by alpha (None: all frames) for the grid point's other
-    estimators; when that raises, they are run again one frame each, so a
-    ValueError costs only the frame whose data the estimator rejects.
+    runs holds (frames, stack, alpha) triples: one over the grid point's
+    stack, or under Hill one per frame with an alpha, on that frame's
+    one-frame stack (none with k = 0, a grid point with too few blocks). A
+    frame no run covers gets a nan degenerate value, and a ValueError fails
+    every frame of the run that raised it.
     """
-    count = len(alphas)
     values, degenerate, failures = [math.nan] * count, [True] * count, []
-    groups: dict = {}
-    for i, alpha in enumerate(alphas):
-        if k and (alpha is not None or not entry.needs_alpha):
-            groups.setdefault(alpha if entry.needs_alpha else None, []).append(i)
-    for alpha, frames in groups.items():
-        if alpha not in subs:
-            subs[alpha] = stack if len(frames) == count else stack.take(frames)
+    for frames, stack, alpha in runs:
         try:
-            parts = [(frames, entry.stacked(subs[alpha], alpha, k))]
-        except ValueError:
-            parts = []
-            for i in frames:
-                try:
-                    parts.append(([i], entry.stacked(stack.take([i]), alpha, k)))
-                except ValueError as exc:
-                    failures.append((i, exc))
-        for idx, out in parts:
-            for i, value, flag in zip(idx, out.value, out.degenerate):
-                values[i], degenerate[i] = value, flag
+            out = entry.stacked(stack, alpha, k)
+        except ValueError as exc:
+            failures.extend((i, exc) for i in frames)
+            continue
+        for i, value, flag in zip(frames, out.value, out.degenerate):
+            values[i], degenerate[i] = value, flag
     return values, degenerate, failures
 
 
@@ -464,17 +450,20 @@ def _replication_rows(config, reps) -> tuple[list[tuple], list[str]]:
     block length b are cut once, at the largest n, where one kernel pass
     norms every exponent the estimators read (alpha only where all frames
     share it: not under Hill), and each n's stack is its prefix, with those
-    norms sliced. Thresholds are taken per (n, b, p, k), and each
-    estimator's kernels run once over the selected blocks of every frame in
-    a stack. Every value is the one the per-frame estimator gives.
+    norms sliced. Thresholds are taken per (n, b, p, k). Each estimator
+    runs once over the grid point's stack, except that under Hill one that
+    reads alpha runs once per frame with an alpha, on that frame's
+    one-frame stack; its kernels run over the selected blocks of every frame
+    in a stack. Every value is the one the per-frame estimator gives.
 
     When the tail index cannot be resolved at some n (a Hill estimate
     fails), the estimators that need it record degenerate rows at that n,
     the others still run, and the cause is returned for the caller to warn
     about (a warning raised in a worker process would not reach it). An
-    estimator that rejects this replication's data (a Hill alpha below 1
-    for supwalk) is recorded and reported the same way, for its own (n, b)
-    only. Causes come replication by replication, in grid order.
+    estimator that rejects a run's data (a frame's Hill alpha below 1 for
+    supwalk) is recorded and reported the same way for each frame of that
+    run, at its own (n, b) only. Causes come replication by replication, in
+    grid order.
     """
     model, width = config.model, max(config.n_grid) + config.model.lead
     z = np.empty((len(reps), width))
@@ -501,14 +490,22 @@ def _replication_rows(config, reps) -> tuple[list[tuple], list[str]]:
     for bi, b in enumerate(config.b_grid):
         # a grid point with too few blocks (m < 2) is skipped, k = 0
         ks = [default_k(n, b, config.kappa) if n // b >= 2 else 0 for n in config.n_grid]
-        full = stack = subs = None  # the last b's stacks hold its norms: free them first
+        full = stack = free = alpha_runs = None  # the last b's stacks hold its norms: free them
         if any(ks):
             full = _BlockStack.cut(series, b)
             full.fill(exponents)
         for ni, (n, k) in enumerate(zip(config.n_grid, ks)):
-            stack, subs = full.prefix(n) if k else None, {}
+            stack = full.prefix(n) if k else None
+            free = [(range(len(reps)), stack, None)] if k else []
+            if shared is not None:
+                alpha_runs = [(range(len(reps)), stack, shared)] if k else []
+            else:  # under Hill, each frame with an alpha as a one-frame stack,
+                # shared by the estimators that read alpha
+                alpha_runs = [([i], stack.frame(i), alpha)
+                              for i, alpha in enumerate(alphas[ni]) if k and alpha is not None]
             for ei, entry in enumerate(entries):
-                values, degenerate, failures = _run_stacked(entry, stack, alphas[ni], k, subs)
+                values, degenerate, failures = _run_stacked(
+                    entry, alpha_runs if entry.needs_alpha else free, len(reps), k)
                 for i, exc in failures:
                     problems.append((i, ni, bi, ei, f"rep {reps[i]}, n={n}, b={b}: "
                                      f"{entry.estimator_id} failed ({exc}); "
@@ -541,8 +538,7 @@ def _study(config: ExperimentConfig, threads: int = 1,
                     for parts in zip(*(columns for columns, _ in chunks)))
     summary = [_summary_record(*group) for group in groups]
     if output is not None:
-        _write_files(output, [(*group[:4], config.master_seed, range(config.reps),
-                               *group[4:]) for group in groups], summary)
+        _write_files(output, groups, config.master_seed, summary)
     return groups, summary
 
 
@@ -567,17 +563,6 @@ def _summary_record(estimator_id: str, n: int, b: int, k: int, values, degenerat
             **dict(zip(("mean", "q05", "q25", "q50", "q75", "q95"), stats))}
 
 
-def summarize(rows: Sequence[ResultRow]) -> list[dict]:
-    """Per-(estimator_id, n, b) mean and {5,25,50,75,95}% quantiles over
-    non-degenerate replications; degenerate rows are counted, not averaged."""
-    groups: dict = {}
-    for row in rows:
-        groups.setdefault((row.estimator_id, row.n, row.b), []).append(row)
-    return [_summary_record(*key, max(r.k for r in group), [r.value for r in group],
-                            [r.degenerate for r in group])
-            for key, group in sorted(groups.items())]  # the keys are distinct
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -588,24 +573,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _results_text(groups) -> str:
-    """results.csv from groups (estimator_id, n, b, k, seed, reps, values, degenerate)."""
+def _results_text(groups, seed: int) -> str:
+    """results.csv from groups (estimator_id, n, b, k, values, degenerate)
+    of a study with master seed seed, rep i at index i."""
     lines = [RESULTS_HEADER]
-    for estimator_id, n, b, k, seed, reps, values, degenerate in groups:
+    for estimator_id, n, b, k, values, degenerate in groups:
         head, mid = f"{estimator_id},{n},{b},{k},", f",{seed},"
         lines.extend(f"{head}{rep}{mid}{float(value)!r},{int(flag)}"
-                     for rep, value, flag in zip(reps, values, degenerate))
+                     for rep, (value, flag) in enumerate(zip(values, degenerate)))
     return "\n".join(lines) + "\n"
-
-
-def _row_groups(rows: Sequence[ResultRow]) -> list[tuple]:
-    """Each row as a results.csv group of its own, in row order."""
-    return [(r.estimator_id, r.n, r.b, r.k, r.seed, [r.rep], [r.value], [r.degenerate])
-            for r in rows]
-
-
-def write_results_csv(rows: Sequence[ResultRow], path) -> None:
-    Path(path).write_text(_results_text(_row_groups(rows)), encoding="utf-8")
 
 
 def summary_csv_text(summary: Sequence[dict]) -> str:
@@ -618,21 +594,17 @@ def write_summary_json(summary: Sequence[dict], path) -> None:
     Path(path).write_text(json.dumps(list(summary), indent=2) + "\n", encoding="utf-8")
 
 
-def _write_files(out_dir, groups, summary) -> dict:
-    """Write the outputs from results groups and a summary; their paths."""
+def _write_files(out_dir, groups, seed: int, summary) -> dict:
+    """Write the outputs from _study's groups and summary; their paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {"results": out / "results.csv",
              "summary_csv": out / "summary.csv",
              "summary_json": out / "summary.json"}
-    paths["results"].write_text(_results_text(groups), encoding="utf-8")
+    paths["results"].write_text(_results_text(groups, seed), encoding="utf-8")
     paths["summary_csv"].write_text(summary_csv_text(summary), encoding="utf-8")
     write_summary_json(summary, paths["summary_json"])
     return paths
-
-
-def write_outputs(rows, summary, out_dir) -> dict:
-    return _write_files(out_dir, _row_groups(rows), summary)
 
 
 # ---------------------------------------------------------------------------

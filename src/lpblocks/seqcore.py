@@ -76,7 +76,12 @@ def as_p(p) -> PExponent:
         return p
     if isinstance(p, str):
         s = p.strip().lower()
-        return INF if s in ("inf", "infinity") else PExponent(float(s))
+        if s in ("inf", "infinity"):
+            return INF
+        try:
+            p = float(s)
+        except ValueError:
+            raise ValueError(f"p must be a number or 'inf', got {p!r}") from None
     return PExponent(float(p))
 
 

@@ -45,11 +45,10 @@ from lpblocks.experiment import (
     parse_alpha_mode,
     read_series_file,
     resolve_alpha,
+    _results_text,
+    _summary_record,
     run_experiment,
-    summarize,
     summary_csv_text,
-    write_outputs,
-    write_results_csv,
     write_summary_json,
 )
 from lpblocks.largedev import ld_ratio_mc
@@ -544,6 +543,55 @@ def test_run_experiment_hill_failure_keeps_grid(monkeypatch, tmp_path, threads):
     assert [r["degenerate"] for r in summary] == [0, len(below_1)]
 
 
+@pytest.mark.parametrize("threads", [
+    1,
+    # workers see the patched estimator only when they are forked
+    pytest.param(2, marks=pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers are not forked, so the patch does not reach them")),
+])
+def test_a_rejected_stack_fails_each_of_its_frames(monkeypatch, threads):
+    # under a fixed alpha an estimator runs once over a grid point's stack;
+    # when it rejects that stack (here one holding rep 1's frame at n = 120),
+    # every replication in it is degenerate at that (n, b), with one warning
+    # each. A row tile holds two replications' noise, so reps 0 and 1 share
+    # a stack; other reps, grid points and estimators keep their values
+    import lpblocks.experiment as experiment
+    import lpblocks.seqcore as seqcore
+
+    config = small_config(alpha_mode=1.2, reps=5, b_grid=(10, 20),
+                          estimators=("extremal_index_alpha", "extremal_index_infty",
+                                      "serial:1"))
+    clean, _ = run_experiment(config)
+    width = max(config.n_grid) + config.model.lead
+    monkeypatch.setattr(seqcore, "_TILE_BYTES", 2 * 8 * width)
+    bad = simulate(config.model, max(config.n_grid), SeedSpec(config.master_seed, 1))
+    needs_alpha, real_estimate = experiment._ESTIMATORS["extremal_index_alpha"]
+
+    def rejecting(stack, alpha, k):
+        frames = stack.matrix.reshape(stack.reps, -1)
+        if stack.n == 120 and any(np.array_equal(f, bad[: stack.m * stack.b])
+                                  for f in frames):
+            raise ValueError("injected rejection")
+        return real_estimate(stack, alpha, k)
+
+    monkeypatch.setitem(experiment._ESTIMATORS, "extremal_index_alpha",
+                        (needs_alpha, rejecting))
+    with pytest.warns(RuntimeWarning, match="injected rejection") as caught:
+        rows, _ = run_experiment(config, threads=threads)
+    assert [str(w.message) for w in caught] == [
+        f"rep {rep}, n=120, b={b}: extremal_index_alpha failed (injected rejection); "
+        "recorded as degenerate" for rep in (0, 1) for b in config.b_grid]
+    assert len(rows) == len(clean)
+    for row, ref in zip(rows, clean):
+        if row.estimator_id == "extremal_index_alpha" and row.n == 120 and row.rep < 2:
+            assert row.degenerate and np.isnan(row.value)
+            assert (row.estimator_id, row.n, row.b, row.k, row.rep) == \
+                (ref.estimator_id, ref.n, ref.b, ref.k, ref.rep)
+        else:
+            assert persisted(row) == persisted(ref)
+
+
 def crafted_series(kind, seed, width):
     """A replication's series: Student draws, zero-heavy, tied, or small
     values with one entry near 1e308, whose block overflows the float range
@@ -819,35 +867,6 @@ def test_odd_grid_study_outputs_are_pinned(tmp_path, pinned):
         "62be9ca6b7a070ff6e30007eccfdb264f1919c117f82fc84368d23c74bb45f95")
 
 
-# a Hill alpha below 1 fails supwalk at some replications, which warns
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("mode", ["oracle", "hill:20", 1.2])
-def test_study_outputs_equal_the_row_functions(monkeypatch, tmp_path, mode):
-    # a study writes its files from the task columns; the public row-based
-    # functions, given run_experiment's rows, write the same bytes. A row
-    # tile holds two replications' noise, so the columns of five join three
-    # tasks
-    import lpblocks.seqcore as seqcore
-
-    config = config_from_dict({**ODD_STUDY, "alpha_mode": mode})
-    width = max(config.n_grid) + config.model.lead
-    monkeypatch.setattr(seqcore, "_TILE_BYTES", 2 * 8 * width)
-    rows, summary = run_experiment(config, output=tmp_path / "columns")
-    assert summarize(rows) == summary
-    write_outputs(rows, summarize(rows), tmp_path / "rows")
-    write_results_csv(rows, tmp_path / "results.csv")
-    for name in ("results.csv", "summary.csv", "summary.json"):
-        assert (tmp_path / "rows" / name).read_bytes() == \
-            (tmp_path / "columns" / name).read_bytes()
-    text = (tmp_path / "results.csv").read_text(encoding="utf-8")
-    assert text == (tmp_path / "columns" / "results.csv").read_text(encoding="utf-8")
-    # the rows are written in the order given
-    write_results_csv(rows[::-1], tmp_path / "reversed.csv")
-    lines = text.splitlines()
-    assert (tmp_path / "reversed.csv").read_text(encoding="utf-8").splitlines() == \
-        lines[:1] + lines[:0:-1]
-
-
 def test_cli_experiment_builds_no_result_row(monkeypatch, tmp_path, capsys):
     # lpblocks experiment writes its outputs from the task columns; only
     # run_experiment, whose callers read rows, builds ResultRows
@@ -902,30 +921,25 @@ def test_summarize_matches_recomputed_quantiles():
 
 
 def test_summarize_excludes_degenerate_rows():
-    rows = [
-        ResultRow("e", 100, 10, 5, 0, 0, 2.0, False),
-        ResultRow("e", 100, 10, 5, 1, 0, 4.0, True),
-        ResultRow("e", 100, 10, 5, 2, 0, 6.0, False),
-    ]
-    record = summarize(rows)[0]
+    record = _summary_record("e", 100, 10, 5, [2.0, 4.0, 6.0], [False, True, False])
     assert record["rows"] == 3 and record["degenerate"] == 1
     assert record["mean"] == 4.0 and record["q50"] == 4.0
 
 
-def test_results_csv_exact_text(tmp_path):
-    rows = [ResultRow("e", 100, 10, 5, 0, 7, 0.1, False),
-            ResultRow("e", 100, 20, 0, 1, 7, float("nan"), True)]
-    path = tmp_path / "results.csv"
-    write_results_csv(rows, path)
-    assert path.read_text(encoding="utf-8") == (
+def test_results_csv_exact_text():
+    # a group's value i is rep i's
+    groups = [("e", 100, 10, 5, [0.1, 2.5], [False, False]),
+              ("e", 100, 20, 0, [float("nan")] * 2, [True, True])]
+    assert _results_text(groups, 7) == (
         RESULTS_HEADER + "\n"
         "e,100,10,5,0,7,0.1,0\n"
+        "e,100,10,5,1,7,2.5,0\n"
+        "e,100,20,0,0,7,nan,1\n"
         "e,100,20,0,1,7,nan,1\n")
 
 
 def test_summary_csv_blank_for_missing_stats():
-    rows = [ResultRow("e", 100, 10, 0, 0, 0, float("nan"), True)]
-    text = summary_csv_text(summarize(rows))
+    text = summary_csv_text([_summary_record("e", 100, 10, 0, [float("nan")], [True])])
     assert text.splitlines()[0] == SUMMARY_HEADER
     assert text.splitlines()[1] == "e,100,10,0,1,1,,,,,,"
 
@@ -1229,6 +1243,8 @@ def test_cli_ldratio_names_a_zero_moment_count(capsys):
     pytest.param(["--reps", "2000", "--centered", "--moment-reps", "0"],
                  "--moment-reps must be at least 1, got 0",
                  id="counts1-pilot_reps must be at least 1, got 0"),
+    pytest.param(["--reps", "2000", "--pilot-reps", "0"],
+                 "--pilot-reps must be at least 1, got 0", id="counts2-pilot-reps"),
 ])
 def test_cli_ldratio_checks_counts_before_the_pilot_level(capsys, counts, message):
     # without --x the level is a pilot quantile, drawn first; a bad count
@@ -1244,6 +1260,20 @@ def test_cli_ldratio_checks_counts_before_the_pilot_level(capsys, counts, messag
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
     assert largedev._drawn == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--model", "ar1", "--phi", "0.8", "--noise", "student",
+     "--tail-index", "1.3", "--p", "1,zz"],
+    ["ldratio", "--model", "linear", "--coeffs", "1", "--noise", "pareto",
+     "--tail-index", "1.3", "--n", "10", "--p", "zz", "--reps", "2000", "--x", "50"],
+], ids=["oracle", "ldratio"])
+def test_cli_names_a_non_numeric_exponent(capsys, argv):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: p must be a number or 'inf', got 'zz'\n"
 
 
 def test_cli_ldratio_rejects_an_infinite_tail_index(capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -65,6 +66,12 @@ def test_pexponent_validation_and_order():
         as_p(0.0)
     with pytest.raises(ValueError):
         as_p(-1.0)
+    for text in ("zz", "abc", "1,2", ""):
+        with pytest.raises(ValueError, match=re.escape(
+                f"p must be a number or 'inf', got {text!r}")):
+            as_p(text)
+    with pytest.raises(ValueError, match=re.escape("p must lie in (0, inf], got 0.0")):
+        as_p("0")
     assert as_p("inf").is_inf
     assert as_p(2.0) < as_p(INF)
     assert as_p(0.5) < as_p(1.0) < as_p(math.inf)
