@@ -9,7 +9,9 @@ drawn from |phi_j|^alpha / ||phi||_alpha^alpha, and the change-of-norms weight
 ||phi||_p / ||phi||_alpha. The sampler exploits this degeneracy; a
 non-linear model would need importance reweighting instead.
 
-A Theta draw of a linear process is one of 2(q+1) rows sign * phi / |phi_j|.
+c(p) = E[(||Theta||_p / ||Theta||_alpha)^alpha] is even in Theta, so the
+sampler draws Theta given a positive extreme (sign = +1): one of the q+1
+rows phi / |phi_j|, one uniform per draw, for the shift alone.
 ``theta_sampler_linear`` builds this row table once and returns each batch
 as an ``_IndexedRows``: the table plus one row index per draw, the only
 batch ``cluster_constant_mc`` takes. It reduces the table once per call and
@@ -151,27 +153,24 @@ def theta_sampler_linear(model: Model):
     """Batch sampler of spectral tail process draws for cluster_constant_mc.
 
     Returns fn(count, rng) -> _IndexedRows of shape (count, q+1) whose rows
-    are sign * phi / |phi_J|, zero-padded implicitly by the fixed support.
-    The table of the 2(q+1) possible rows is built once: row j is
-    (1 / |phi_j|) * phi and row q+1+j is (-1 / |phi_j|) * phi, and a draw
-    (J, sign) has index J + (q+1) * (sign < 0). Rows of zero coefficients
-    are never drawn and are 0 in the table.
+    are phi / |phi_J|, zero-padded implicitly by the fixed support: Theta
+    given a positive extreme. c(p) is even in Theta (the ratio kernel takes
+    |Theta|), so the sign a draw of Theta carries changes no ratio and is
+    not drawn. The table of the q+1 possible rows is built once, row j being
+    (1 / |phi_j|) * phi, and a draw's index is its shift J. Rows of zero
+    coefficients are never drawn and are 0 in the table.
     """
     coeffs = _coeffs_of(model)
     law = shift_law(coeffs, model.noise.alpha)
-    pos = model.noise.positive_prob
     inverse = np.zeros(len(coeffs))
     nonzero = coeffs != 0
     inverse[nonzero] = 1.0 / np.abs(coeffs[nonzero])
-    # sign / |phi_J| for sign = +1 and -1: the factors np.outer(sign /
-    # np.abs(coeffs[j]), coeffs) takes, so each table row is that draw's row
-    table = np.outer(np.concatenate([inverse, -inverse]), coeffs)
+    # the factors np.outer(1 / np.abs(coeffs[j]), coeffs) takes, so each
+    # table row is that draw's row
+    table = np.outer(inverse, coeffs)
 
     def draw(count: int, rng: np.random.Generator) -> _IndexedRows:
-        # the shift J, then whether the extreme noise value is negative
-        j = law.sample(rng, size=count)
-        negative = rng.random(count) >= pos
-        return _IndexedRows(table, j + len(coeffs) * negative)
+        return _IndexedRows(table, law.sample(rng, size=count))
 
     return draw
 
