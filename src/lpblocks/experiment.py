@@ -456,7 +456,8 @@ def _replication_rows(config, reps) -> tuple[list[tuple], list[str]]:
     one-frame stack; its kernels run over the selected blocks of every frame
     in a stack. Every value is the one the per-frame estimator gives.
 
-    When the tail index cannot be resolved at some n (a Hill estimate
+    A Hill alpha is resolved per (n, rep) only when some estimator reads
+    alpha. When the tail index cannot be resolved at some n (a Hill estimate
     fails), the estimators that need it record degenerate rows at that n,
     the others still run, and the cause is returned for the caller to warn
     about (a warning raised in a worker process would not reach it). An
@@ -478,15 +479,16 @@ def _replication_rows(config, reps) -> tuple[list[tuple], list[str]]:
     columns = []
     problems = []  # (rep index, n index, b index, entry index, text)
     alphas = [[] for _ in config.n_grid]
-    for ni, n in enumerate(config.n_grid):
-        for i, rep in enumerate(reps):
-            try:
-                alphas[ni].append(resolve_alpha(mode, series[i, :n], model))
-            except ValueError as exc:
-                problems.append((i, ni, -1, -1, f"rep {rep}, n={n}: no tail index "
-                                 f"({exc}); estimators that need alpha are "
-                                 "recorded as degenerate"))
-                alphas[ni].append(None)
+    if shared is None and any(entry.needs_alpha for entry in entries):
+        for ni, n in enumerate(config.n_grid):
+            for i, rep in enumerate(reps):
+                try:
+                    alphas[ni].append(resolve_alpha(mode, series[i, :n], model))
+                except ValueError as exc:
+                    problems.append((i, ni, -1, -1, f"rep {rep}, n={n}: no tail index "
+                                     f"({exc}); estimators that need alpha are "
+                                     "recorded as degenerate"))
+                    alphas[ni].append(None)
     for bi, b in enumerate(config.b_grid):
         # a grid point with too few blocks (m < 2) is skipped, k = 0
         ks = [default_k(n, b, config.kappa) if n // b >= 2 else 0 for n in config.n_grid]

@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import re
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -541,6 +542,26 @@ def test_run_experiment_hill_failure_keeps_grid(monkeypatch, tmp_path, threads):
         f"{alphas[rep]!r}); recorded as degenerate" for rep in below_1]
     assert [r.rep for r in rows if r.degenerate] == below_1
     assert [r["degenerate"] for r in summary] == [0, len(below_1)]
+
+
+def test_hill_alpha_is_not_resolved_when_no_estimator_reads_it(monkeypatch):
+    # an alpha-free estimator under Hill neither calls the Hill estimate nor
+    # warns when it would fail
+    import lpblocks.experiment as experiment
+
+    config = small_config(alpha_mode="hill:5", estimators=("extremal_index_infty",))
+    clean, clean_summary = run_experiment(config)
+
+    def failing_hill(x, k_tail):
+        raise ValueError("injected failure")
+
+    monkeypatch.setattr(experiment, "hill_alpha", failing_hill)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows, summary = run_experiment(config)
+    assert [persisted(row) for row in rows] == [persisted(row) for row in clean]
+    assert summary == clean_summary
+    assert all(record["degenerate"] == 0 for record in summary)
 
 
 @pytest.mark.parametrize("threads", [
