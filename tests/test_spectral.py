@@ -360,6 +360,21 @@ def test_cluster_constant_mc_row_table_is_bit_identical(coeffs, alpha, p, batch,
                               _ratio_alpha_pow(rows_of(drawn), alpha, pe))
 
 
+@given(coeffs=tap_vectors, alpha=st.sampled_from([0.8, 1.3, 2.0]),
+       p=st.sampled_from(["alpha", 0.5, 1.0, 2.0, 3.0, INF]))
+@example(coeffs=[0.0, 0.7, -1.1], alpha=1.3, p=INF)
+@settings(max_examples=80, deadline=None)
+def test_ratio_kernel_is_even_in_theta(coeffs, alpha, p):
+    # the reason the linear sampler draws no sign: -Theta has bit for bit
+    # Theta's ratio, on every row of its table, zero rows included
+    pe = as_p(alpha if p == "alpha" else p)
+    rows = theta_sampler_linear(
+        LinearModelSpec(coeffs=tuple(coeffs), noise=NoiseSpec(law="student", alpha=alpha))
+    )(1, _rng_of(0)).table
+    assert _ratio_alpha_pow(-rows, alpha, pe).tobytes() == \
+        _ratio_alpha_pow(rows, alpha, pe).tobytes()
+
+
 def test_theta_sampler_linear_batch_rows():
     # perfbench's sampler trace reads shape and nbytes of every batch
     coeffs = (0.7, 0.0, -0.3, 1.1)
@@ -374,6 +389,26 @@ def test_theta_sampler_linear_batch_rows():
     j = shift_law(coeffs, 1.3).sample(_rng_of(3), size=1_000)
     assert np.array_equal(draws, np.outer(1.0 / np.abs(np.asarray(coeffs)[j]), coeffs))
     assert np.isfinite(batch.table).all()
+
+
+@pytest.mark.parametrize("batch", [7, 8192, 20_003])
+def test_cluster_constant_mc_batches_do_not_change_the_draws(monkeypatch, batch):
+    # one uniform per draw: a call's row indices are one shift-law stream,
+    # whatever the batch size
+    n_draws, seed = 20_003, 6
+    linear = theta_sampler_linear(AR1_08)
+    indices = []
+
+    def recording(count, rng):
+        drawn = linear(count, rng)
+        indices.append(drawn.index)
+        return drawn
+
+    monkeypatch.setattr(spectral, "_SAMPLER_BATCH", batch)
+    cluster_constant_mc(recording, 1.3, 1.0, n_draws, seed)
+    assert len(indices) == math.ceil(n_draws / batch)
+    assert np.array_equal(np.concatenate(indices),
+                          shift_law(AR1_08, 1.3).sample(_rng_of(seed), n_draws))
 
 
 def test_cluster_constant_mc_reduces_the_table_once_per_call(monkeypatch):
