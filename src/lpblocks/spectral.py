@@ -14,8 +14,9 @@ sampler draws Theta given a positive extreme (sign = +1): one of the q+1
 rows phi / |phi_j|, one uniform per draw, for the shift alone.
 ``theta_sampler_linear`` builds this row table once and returns each batch
 as an ``_IndexedRows``: the table plus one row index per draw, the only
-batch ``cluster_constant_mc`` takes. It reduces the table once per call and
-gives each draw its row's ratio, bit for bit the ratio of the drawn row.
+batch ``cluster_constant_mc`` takes. It counts each row's draws in exact
+integers and reduces the table once per call: value and standard error are
+correctly rounded sums (``math.fsum``) over the rows, the same for any batching.
 
 ``ShiftLaw.sample`` draws what ``rng.choice(q + 1, size, p=probabilities)``
 draws, value for value, and leaves the generator in the same state. numpy's
@@ -54,7 +55,7 @@ __all__ = [
     "supwalk_constant_oracle_linear",
 ]
 
-_SAMPLER_BATCH = 8192  # rows per batch of cluster_constant_mc
+_SAMPLER_BATCH = 8192  # rows per batch of cluster_constant_mc; bounds its memory
 # cells of the shift law's guide table; a power of two, so u * K is exact
 _GUIDE_SIZE = 2 ** 14
 
@@ -192,11 +193,10 @@ class MCEstimate:
 def cluster_constant_mc(sampler, alpha: float, p, n_draws: int, seed) -> MCEstimate:
     """Monte Carlo c(p) = E[(||Theta||_p / ||Theta||_alpha)^alpha].
 
-    ``sampler`` is ``theta_sampler_linear(model)``: its batches of
-    _SAMPLER_BATCH rows share one row table, whose ratios are computed once
-    and picked per draw by row index. The standard error is the population
-    standard deviation of the per-draw ratios over sqrt(n_draws), from
-    centered sums of squares per batch combined by Chan's formula.
+    ``sampler`` is ``theta_sampler_linear(model)``: its batches of at most
+    _SAMPLER_BATCH rows share one row table, whose rows are counted as drawn
+    and whose ratios are computed once. The standard error is the population
+    standard deviation of the per-draw ratios over sqrt(n_draws).
     """
     _check_alpha(alpha)
     if isinstance(n_draws, bool) or not isinstance(n_draws, numbers.Integral):
@@ -205,30 +205,25 @@ def cluster_constant_mc(sampler, alpha: float, p, n_draws: int, seed) -> MCEstim
         raise ValueError("n_draws must be at least 1")
     rng = _rng_of(seed)
     pe = as_p(p)
-    total = 0.0
-    m2 = 0.0
     done = 0
-    table = table_ratios = None
+    table = counts = None
     while done < n_draws:
         count = min(n_draws - done, _SAMPLER_BATCH)
         batch = sampler(count, rng)
         if not isinstance(batch, _IndexedRows):
             raise TypeError("sampler must be theta_sampler_linear(model), got a batch "
                             f"of type {type(batch).__name__}")
-        if batch.table is not table:
-            table = batch.table
-            table_ratios = _ratio_alpha_pow(table, alpha, pe)
-        ratios = table_ratios[batch.index]
-        batch_sum = float(ratios.sum())
-        dev = ratios - batch_sum / count
-        # Chan: the batch's own centered sum of squares, plus the shift of
-        # its mean from the mean of the batches before it
-        shift = batch_sum / count - (total / done if done else 0.0)
-        m2 += float(np.dot(dev, dev)) + shift * shift * done * count / (done + count)
-        total += batch_sum
+        if table is None:
+            table, counts = batch.table, np.zeros(len(batch.table), dtype=np.int64)
+        elif batch.table is not table:
+            raise ValueError("sampler batches must share one row table: a later batch "
+                             "brought another")
+        counts += np.bincount(batch.index, minlength=len(table))
         done += count
-    return MCEstimate(value=total / n_draws, std_error=math.sqrt(m2) / n_draws,
-                      n_draws=n_draws)
+    ratios = _ratio_alpha_pow(table, alpha, pe)
+    value = math.fsum(counts * ratios) / n_draws
+    m2 = math.fsum(counts * (ratios - value) ** 2)
+    return MCEstimate(value=value, std_error=math.sqrt(m2) / n_draws, n_draws=n_draws)
 
 
 def cluster_constant_telescoping(coeffs, alpha: float, p) -> float:

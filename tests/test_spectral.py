@@ -311,6 +311,62 @@ def test_cluster_constant_mc_std_error_is_std_of_ratios(monkeypatch):
     assert est.std_error > 0
 
 
+@pytest.mark.parametrize("sampler", [heavy_sampler, theta_sampler_linear(AR1_08)],
+                         ids=["heavy", "ar1"])
+def test_cluster_constant_mc_is_the_same_for_any_batch_size(monkeypatch, sampler):
+    # a call's value and s.e. depend on its draws alone, which are one stream
+    # whatever the batch size: the rows are counted, and summed once
+    n_draws = 2_003
+    for p in (0.5, 1.0, 1.3, 2.0, INF):
+        results = set()
+        for batch in (1, 7, 8192, n_draws):
+            monkeypatch.setattr(spectral, "_SAMPLER_BATCH", batch)
+            est = cluster_constant_mc(sampler, 1.3, p, n_draws, 12)
+            results.add((est.value, est.std_error))
+        assert len(results) == 1, p
+
+
+def test_cluster_constant_mc_sums_the_row_counts(monkeypatch):
+    # value and s.e. are correctly rounded sums over the table rows, each
+    # row's ratio weighted by how often it was drawn
+    indices = []
+
+    def recording(count, rng):
+        drawn = heavy_sampler(count, rng)
+        indices.append(drawn.index)
+        return drawn
+
+    n_draws, pe = 4_321, as_p(0.5)
+    monkeypatch.setattr(spectral, "_SAMPLER_BATCH", 1_000)
+    est = cluster_constant_mc(recording, 1.3, pe, n_draws, 5)
+    drawn = np.concatenate(indices).tolist()
+    ratios = _ratio_alpha_pow(HEAVY_TABLE, 1.3, pe).tolist()
+    counts = [drawn.count(j) for j in range(len(HEAVY_TABLE))]
+    value = math.fsum(c * r for c, r in zip(counts, ratios)) / n_draws
+    m2 = math.fsum(c * ((r - value) * (r - value)) for c, r in zip(counts, ratios))
+    assert (est.value, est.std_error) == (value, math.sqrt(m2) / n_draws)
+    assert est.value == pytest.approx(math.fsum(ratios[j] for j in drawn) / n_draws,
+                                      rel=1e-15)
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0, INF])
+def test_cluster_constant_mc_one_row_has_zero_std_error(p):
+    # an iid model's table is the one row (1.0), whose ratio is 1.0 exactly
+    iid = theta_sampler_linear(LinearModelSpec(coeffs=(1.0,), noise=PARETO13))
+    est = cluster_constant_mc(iid, 1.3, p, 3 * spectral._SAMPLER_BATCH + 1, 7)
+    assert (est.value, est.std_error) == (1.0, 0.0)
+
+
+def test_cluster_constant_mc_takes_one_row_table_per_call():
+    tables = iter([HEAVY_TABLE, HEAVY_TABLE.copy()])
+
+    def two_tables(count, rng):
+        return spectral._IndexedRows(next(tables), rng.integers(len(HEAVY_TABLE), size=count))
+
+    with pytest.raises(ValueError, match="share one row table: a later batch brought another"):
+        cluster_constant_mc(two_tables, 1.3, 1.0, spectral._SAMPLER_BATCH + 1, 0)
+
+
 @pytest.mark.parametrize("tile_bytes", [1, 8 * 9 * 5 + 3, 8 * 9 * 1000])
 def test_cluster_constant_mc_tiles_do_not_change_estimates(monkeypatch, tile_bytes):
     args = (heavy_sampler, 1.3, 0.5, 5_003, 3)
