@@ -297,12 +297,16 @@ def _pool_map(fn, tasks: list, threads: int) -> list:
 
 
 def ar1_coefficients(phi: float) -> np.ndarray:
-    """Moving-average coefficients (1, phi, ..., phi^L) with |phi|^L < 1e-12."""
+    """Moving-average coefficients (1, phi, ..., phi^L) with |phi|^L < 1e-12,
+    at most _CHUNK_ELEMENTS of them."""
     if not abs(phi) < 1:
         raise ValueError("requires |phi| < 1")
     if phi == 0.0:
         return np.array([1.0])
     L = max(1, math.ceil(math.log(1e-12) / math.log(abs(phi))))
+    if L + 1 > _CHUNK_ELEMENTS:
+        raise ValueError(f"AR(1) phi={phi!r} is too close to +-1: truncating at "
+                         f"|phi|^L < 1e-12 takes L={L}, above {_CHUNK_ELEMENTS} coefficients")
     return phi ** np.arange(L + 1)
 
 

@@ -120,6 +120,14 @@ def _coeffs_of(model_or_coeffs) -> np.ndarray:
     return c
 
 
+def _scale_free(coeffs) -> np.ndarray:
+    """The coefficients over max|phi_j|, for the constants that do not depend
+    on scale: every power of them stays in range, and at max 1 they are the
+    same bits."""
+    c = _coeffs_of(coeffs)
+    return c / np.max(np.abs(c))
+
+
 def _check_alpha(alpha: float, least: float = 0.0) -> None:
     """Reject an alpha that is not finite, positive and at least ``least``."""
     if not (0 < alpha < math.inf and alpha >= least):
@@ -178,9 +186,16 @@ def theta_sampler_linear(model: Model):
 
 def cluster_constant_linear(coeffs, alpha: float, p) -> float:
     """Closed form c(p) = (||phi||_p / ||phi||_alpha)^alpha for linear processes."""
-    c = _coeffs_of(coeffs)
+    c = _scale_free(coeffs)
     _check_alpha(alpha)
-    return (p_modulus(c, p) / p_modulus(c, alpha)) ** alpha
+    try:
+        with np.errstate(over="ignore"):
+            value = (p_modulus(c, p) / p_modulus(c, alpha)) ** alpha
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"c(p) leaves the float range at alpha={alpha!r}, p={as_p(p)}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -235,7 +250,7 @@ def cluster_constant_telescoping(coeffs, alpha: float, p) -> float:
     sum_j [S_j^(alpha/p) - S_{j+1}^(alpha/p)] / ||phi||_alpha^alpha
     with S_j the suffix sum of |phi_t|^p (suffix max for p = inf).
     """
-    c = np.abs(_coeffs_of(coeffs))
+    c = np.abs(_scale_free(coeffs))
     _check_alpha(alpha)
     pe = as_p(p)
     if pe.is_inf:
@@ -245,7 +260,11 @@ def cluster_constant_telescoping(coeffs, alpha: float, p) -> float:
     else:
         suffix = np.zeros(len(c) + 1)
         suffix[:-1] = np.cumsum((c ** pe.value)[::-1])[::-1]
-        powered = suffix ** (alpha / pe.value)
+        with np.errstate(over="ignore"):
+            powered = suffix ** (alpha / pe.value)
+        # the largest power is the whole sum's
+        if np.isinf(powered[0]):
+            raise ValueError(f"c(p) leaves the float range at alpha={alpha!r}, p={pe}")
     norm_a = float(np.sum(c ** alpha))
     return float(np.sum(powered[:-1] - powered[1:]) / norm_a)
 
@@ -253,7 +272,7 @@ def cluster_constant_telescoping(coeffs, alpha: float, p) -> float:
 def serial_dependence_oracle_linear(coeffs, alpha: float, h: int) -> float:
     """E[g_h(Q^(alpha))] for a linear process: the signed lag-h coefficient sum
     sum_t |phi_t|^a |phi_{t+h}|^a sign(phi_t) sign(phi_{t+h}) / ||phi||_a^(2a)."""
-    c = _coeffs_of(coeffs)
+    c = _scale_free(coeffs)
     _check_alpha(alpha)
     if isinstance(h, bool) or not isinstance(h, numbers.Integral) or h < 0:
         raise ValueError(f"h must be an integer lag >= 0, got {h!r}")
@@ -270,7 +289,7 @@ def supwalk_constant_oracle_linear(coeffs, alpha: float, noise_sign_balance: flo
     cluster unchanged, so the expectation reduces to an exact enumeration
     over the sign alone; noise_sign_balance is P(sign = +1).
     """
-    c = _coeffs_of(coeffs)
+    c = _scale_free(coeffs)
     _check_alpha(alpha, least=1.0)
     if not 0 <= noise_sign_balance <= 1:
         raise ValueError("noise_sign_balance must be a probability")

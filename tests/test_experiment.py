@@ -1227,6 +1227,32 @@ def test_cli_oracle_rejects_negative_serial_lags(capsys):
     assert captured.err == "error: serial_lags must be nonnegative, got -1\n"
 
 
+def test_cli_oracle_names_an_overflowing_alpha(capsys):
+    rc = main(["oracle", "--model", "ar1", "--phi", "0.8", "--tail-index", "1e9"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: c(p) leaves the float range at alpha=1000000000.0, p=0.5\n"
+
+
+def test_cli_oracle_refuses_an_ar1_near_one(capsys):
+    rc = main(["oracle", "--model", "ar1", "--phi", "0.9999999", "--tail-index", "1.3"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: AR(1) phi=0.9999999 is too close to +-1")
+    assert captured.err.count("\n") == 1
+
+
+def test_cli_oracle_is_scale_free(capsys):
+    # huge coefficients print what the same model over max|phi_j| prints
+    argv = ["oracle", "--model", "linear", "--tail-index", "1.3", "--coeffs"]
+    assert main(argv + ["1e308,1e308"]) == 0
+    huge = capsys.readouterr().out
+    assert main(argv + ["1,1"]) == 0
+    assert huge == capsys.readouterr().out
+
+
 def test_cli_ldratio_fixed_level(capsys):
     rc = main(["ldratio", "--model", "linear", "--coeffs", "1", "--noise",
                "pareto", "--tail-index", "1.5", "--n", "10", "--p", "1",

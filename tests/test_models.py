@@ -258,6 +258,17 @@ def test_ar1_coefficients_truncation():
     np.testing.assert_allclose(c6, 0.6 ** np.arange(56), rtol=1e-13)
 
 
+@pytest.mark.parametrize("phi", [0.9999999, -0.9999999])
+def test_ar1_coefficients_refuse_phi_near_one(phi):
+    # the truncation length is checked before any coefficient is built:
+    # here it would be 276,310,199 of them (2.2 GB)
+    with pytest.raises(ValueError, match=rf"AR\(1\) phi={phi!r} is too close to \+-1: "
+                                         r"truncating at \|phi\|\^L < 1e-12 takes "
+                                         r"L=276310198, above 2000000 coefficients"):
+        ar1_coefficients(phi)
+    assert len(ar1_coefficients(0.99)) == 2_751
+
+
 def test_model_coefficients_and_shape():
     lin = LinearModelSpec(coeffs=(1.0, -0.5), noise=PARETO2)
     np.testing.assert_array_equal(model_coefficients(lin), [1.0, -0.5])

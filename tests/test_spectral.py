@@ -93,6 +93,34 @@ def test_oracles_reject_non_finite_coefficients(bad):
             call()
 
 
+def test_oracles_name_an_alpha_whose_power_overflows():
+    # c(p) at a huge alpha leaves the float range: the closed form, the
+    # telescoping sum and the sup-walk constant (which takes c(1)) say so
+    for call, p in ((lambda: cluster_constant_linear(AR1_08, 1e9, 0.5), "0.5"),
+                    (lambda: cluster_constant_telescoping(AR1_08, 1e9, 0.5), "0.5"),
+                    (lambda: supwalk_constant_oracle_linear(AR1_08, 1e9, 0.5), "1")):
+        with pytest.raises(ValueError, match=r"c\(p\) leaves the float range at "
+                                             rf"alpha=1000000000.0, p={p}$"):
+            call()
+    assert cluster_constant_linear(AR1_08, 1e9, INF) == 1.0
+
+
+@pytest.mark.parametrize("scale", [1e308, 2.0 ** -1070, -3.0])
+def test_scale_free_oracles_ignore_the_coefficients_scale(scale):
+    # the four constants depend on phi / max|phi_j| alone, which is exact
+    # here: two equal taps, or a power of two times taps led by 1
+    coeffs = (1.0, 1.0) if scale == 1e308 else (1.0, -0.5, 0.25)
+    scaled = tuple(scale * c for c in coeffs)
+    for fn, args in ((cluster_constant_linear, (1.3, 0.5)),
+                     (cluster_constant_telescoping, (1.3, 0.5)),
+                     (cluster_constant_telescoping, (1.3, INF)),
+                     (serial_dependence_oracle_linear, (1.3, 1)),
+                     (supwalk_constant_oracle_linear, (1.3, 0.5))):
+        if scale < 0 and fn is supwalk_constant_oracle_linear:
+            continue  # a negative scale swaps the signs the walk sums
+        assert fn(scaled, *args) == fn(coeffs, *args), fn.__name__
+
+
 @pytest.mark.parametrize("n_draws", [100.5, 100.0, "100", True])
 def test_cluster_constant_mc_rejects_non_integer_draws(n_draws):
     with pytest.raises(ValueError, match=r"n_draws must be an integer, got " + repr(n_draws)):
