@@ -122,8 +122,8 @@ def _coeffs_of(model_or_coeffs) -> np.ndarray:
 
 def _scale_free(coeffs) -> np.ndarray:
     """The coefficients over max|phi_j|, for the constants that do not depend
-    on scale: every power of them stays in range, and at max 1 they are the
-    same bits."""
+    on scale: each |phi_j|^a is then at most 1, and at max|phi_j| = 1 the
+    coefficients keep their bits."""
     c = _coeffs_of(coeffs)
     return c / np.max(np.abs(c))
 
@@ -262,7 +262,7 @@ def cluster_constant_telescoping(coeffs, alpha: float, p) -> float:
         suffix[:-1] = np.cumsum((c ** pe.value)[::-1])[::-1]
         with np.errstate(over="ignore"):
             powered = suffix ** (alpha / pe.value)
-        # the largest power is the whole sum's
+        # the suffix sums fall with j, so the whole sum's power is the largest
         if np.isinf(powered[0]):
             raise ValueError(f"c(p) leaves the float range at alpha={alpha!r}, p={pe}")
     norm_a = float(np.sum(c ** alpha))
